@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from . import jsonio
-from .errors import NumericError
 from .crossratio import corner_bound_slacks, entry_identity_check
 from .jorgensen import DegenerateOrbitError, conjugation_orbit, fk_sequence, jorgensen_test
 from .spectral import spectral_report
@@ -247,7 +246,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, NumericError, DegenerateOrbitError, OSError) as exc:
+    except (ValueError, ArithmeticError, DegenerateOrbitError, OSError) as exc:
         print(f"qhspace: error: {exc}", file=sys.stderr)
         return 1
 

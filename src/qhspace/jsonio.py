@@ -46,10 +46,6 @@ def dumps(obj, indent=2) -> str:
     return _MARK_RE.sub(lambda m: m.group(1), text)
 
 
-def loads(text: str):
-    return json.loads(text)
-
-
 def load_file(path: str):
     """Parse a JSON file, naming the path and offset on failure."""
     with open(path, "r", encoding="utf-8") as fh:

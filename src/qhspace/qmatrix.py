@@ -10,6 +10,17 @@ is a ring homomorphism into 2m x 2n complex matrices.  The adjoint is the
 workhorse for right eigenvalues: eigenvalues of ``adj(M)`` come in conjugate
 pairs, and the representatives with non-negative imaginary part are exactly
 the similarity classes of right eigenvalues of M.
+
+A QMatrix may also hold a stack of equal-shape matrices: ``ca`` and ``cb``
+then have shape ``(..., rows, cols)`` and the leading axes index the
+elements.  Products, ``star`` (which swaps the last two axes), sums and
+differences, scaling, the norms and ``entry_moduli`` act element by element
+and broadcast like NumPy arrays, so a stack of matrices times one matrix
+multiplies each element by it.  Each element gets the bits it would get
+alone, which the sampler's byte-identical output relies on and the tests
+check.  Entry access, the complex adjoint, the
+eigen routines and JSON serialization are defined for a single matrix only
+and raise :class:`ShapeMismatchError` on a stack.
 """
 
 from __future__ import annotations
@@ -24,15 +35,19 @@ PAIRING_TOL = 1e-8
 
 
 class QMatrix:
-    """A rows x cols matrix of quaternions in complex-split storage."""
+    """A rows x cols matrix of quaternions in complex-split storage.
+
+    With more than two axes the parts hold a stack of such matrices (see the
+    module docstring).
+    """
 
     __slots__ = ("ca", "cb")
 
     def __init__(self, ca, cb):
         ca = np.array(ca, dtype=complex)
         cb = np.array(cb, dtype=complex)
-        if ca.ndim != 2 or ca.shape != cb.shape:
-            raise ShapeMismatchError("split parts must be equal-shape 2-d arrays")
+        if ca.ndim < 2 or ca.shape != cb.shape:
+            raise ShapeMismatchError("split parts must be equal-shape arrays of at least 2 axes")
         self.ca = ca
         self.cb = cb
 
@@ -78,10 +93,10 @@ class QMatrix:
 
     @classmethod
     def from_components(cls, comp):
-        """Build from a float array of shape (rows, cols, 4)."""
+        """Build from a float array of shape (..., rows, cols, 4)."""
         comp = np.asarray(comp, dtype=float)
-        if comp.ndim != 3 or comp.shape[-1] != 4:
-            raise ShapeMismatchError("component array must have shape (rows, cols, 4)")
+        if comp.ndim < 3 or comp.shape[-1] != 4:
+            raise ShapeMismatchError("component array must have shape (..., rows, cols, 4)")
         ca = comp[..., 0] + 1j * comp[..., 1]
         cb = comp[..., 2] + 1j * comp[..., 3]
         return cls(ca, cb)
@@ -97,20 +112,29 @@ class QMatrix:
 
     @property
     def rows(self):
-        return self.ca.shape[0]
+        return self.ca.shape[-2]
 
     @property
     def cols(self):
-        return self.ca.shape[1]
+        return self.ca.shape[-1]
+
+    @property
+    def is_stack(self):
+        return self.ca.ndim > 2
+
+    def _require_single(self, what):
+        if self.is_stack:
+            raise ShapeMismatchError(f"{what} is defined for a single matrix, not a stack")
 
     @property
     def components(self):
-        """Float view of shape (rows, cols, 4)."""
+        """Float view of shape (..., rows, cols, 4)."""
         return np.stack(
             [self.ca.real, self.ca.imag, self.cb.real, self.cb.imag], axis=-1
         )
 
     def __getitem__(self, key):
+        self._require_single("entry access")
         i, j = key
         return Quaternion.from_complex_pair(self.ca[i, j], self.cb[i, j])
 
@@ -120,7 +144,7 @@ class QMatrix:
             rows = slice(rows, rows + 1)
         if isinstance(cols, int):
             cols = slice(cols, cols + 1)
-        return QMatrix(self.ca[rows, cols], self.cb[rows, cols])
+        return QMatrix(self.ca[..., rows, cols], self.cb[..., rows, cols])
 
     def copy(self):
         return QMatrix(self.ca.copy(), self.cb.copy())
@@ -147,7 +171,7 @@ class QMatrix:
 
     def star(self):
         """Quaternionic Hermitian transpose (conjugate transpose)."""
-        return QMatrix(self.ca.conj().T, -self.cb.T)
+        return QMatrix(self.ca.conj().swapaxes(-1, -2), -self.cb.swapaxes(-1, -2))
 
     def __add__(self, other):
         if not isinstance(other, QMatrix):
@@ -163,12 +187,16 @@ class QMatrix:
         return QMatrix(-self.ca, -self.cb)
 
     def scale_left(self, q):
-        """Entrywise left multiplication q * M."""
+        """Entrywise left multiplication q * M.
+
+        ``q`` is a Quaternion or a real number, or, for a stack, an array of
+        real numbers or a stack of 1 x 1 matrices with one scalar per element.
+        """
         qa, qb = _as_pair(q)
         return QMatrix(qa * self.ca - qb * self.cb.conj(), qa * self.cb + qb * self.ca.conj())
 
     def scale_right(self, q):
-        """Entrywise right multiplication M * q."""
+        """Entrywise right multiplication M * q; ``q`` as in :meth:`scale_left`."""
         qa, qb = _as_pair(q)
         return QMatrix(self.ca * qa - self.cb * np.conj(qb), self.ca * qb + self.cb * np.conj(qa))
 
@@ -178,13 +206,21 @@ class QMatrix:
         return np.sqrt(np.abs(self.ca) ** 2 + np.abs(self.cb) ** 2)
 
     def norm_max(self):
-        """Largest entry modulus (0 for empty matrices)."""
+        """Largest entry modulus (0 for empty matrices); one per stack element."""
+        if self.is_stack:
+            if self.rows == 0 or self.cols == 0:
+                return np.zeros(self.ca.shape[:-2])
+            return self.entry_moduli().max(axis=(-2, -1))
         if self.ca.size == 0:
             return 0.0
         return float(self.entry_moduli().max())
 
     def norm_fro(self):
-        return float(np.sqrt((np.abs(self.ca) ** 2 + np.abs(self.cb) ** 2).sum()))
+        """Frobenius norm; one per stack element."""
+        squares = np.abs(self.ca) ** 2 + np.abs(self.cb) ** 2
+        if self.is_stack:
+            return np.sqrt(squares.sum(axis=(-2, -1)))
+        return float(np.sqrt(squares.sum()))
 
     def allclose(self, other, tol=1e-12):
         return (self - other).norm_max() <= tol
@@ -193,6 +229,7 @@ class QMatrix:
 
     def adjoint(self):
         """The complex adjoint, a 2*rows x 2*cols complex matrix."""
+        self._require_single("the complex adjoint")
         return np.block([[self.ca, self.cb], [-self.cb.conj(), self.ca.conj()]])
 
     @classmethod
@@ -208,6 +245,7 @@ class QMatrix:
     # -- serialization -----------------------------------------------------------
 
     def to_json_dict(self):
+        self._require_single("JSON serialization")
         entries = [
             [float(v) for v in self.components[i, j]]
             for i in range(self.rows)
@@ -222,12 +260,19 @@ class QMatrix:
         return cls.from_components(comp)
 
     def __repr__(self):
-        return f"QMatrix({self.rows}x{self.cols})"
+        stack = "".join(f"{d}x" for d in self.ca.shape[:-2])
+        return f"QMatrix({stack}{self.rows}x{self.cols})"
 
 
 def _as_pair(q):
     if isinstance(q, Quaternion):
         return q.complex_pair()
+    if isinstance(q, QMatrix):
+        if q.rows != 1 or q.cols != 1:
+            raise ShapeMismatchError("a matrix scale factor must be a stack of 1x1 matrices")
+        return q.ca, q.cb
+    if isinstance(q, np.ndarray) and q.ndim:
+        return q.astype(complex)[..., None, None], 0j
     return complex(q), 0j
 
 
@@ -236,11 +281,6 @@ def inverse_via_adjoint(m: QMatrix) -> QMatrix:
     if m.rows != m.cols:
         raise ShapeMismatchError("inverse requires a square matrix")
     return QMatrix.from_adjoint(np.linalg.inv(m.adjoint()))
-
-
-def vec_norm(v: QMatrix) -> float:
-    """Euclidean norm of a column vector of quaternions."""
-    return v.norm_fro()
 
 
 def _pair_adjoint_eigenvalues(evals, tol, scale=None):

@@ -190,15 +190,18 @@ def similar(a: Quaternion, b: Quaternion, tol=SCALAR_TOL) -> bool:
 
 # -- vectorized component kernels -----------------------------------------
 #
-# Batch operations on float arrays of shape (..., 4), used by the sampler
-# and by the large-scale property checks.
+# Batch operations on float arrays of shape (..., 4).  The sampler checks and
+# completes a whole word's normal-form parameters with them, and the property
+# tests run them on large batches.  ``mul_components`` evaluates the Hamilton
+# product in the order of ``Quaternion.__mul__``, so it matches the scalar
+# product bit for bit.
 
 def mul_components(a, b):
     """Hamilton product of two (..., 4) component arrays."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    aw, ax, ay, az = np.moveaxis(a, -1, 0)
-    bw, bx, by, bz = np.moveaxis(b, -1, 0)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     return np.stack(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -218,10 +221,6 @@ def conj_components(a):
 def modulus_components(a):
     a = np.asarray(a, dtype=float)
     return np.sqrt((a * a).sum(axis=-1))
-
-
-def re_components(a):
-    return np.asarray(a, dtype=float)[..., 0]
 
 
 def random_unit(rng) -> Quaternion:

@@ -22,6 +22,7 @@ recursion) is phrased in.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -29,9 +30,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import MembershipError, ParameterError, ShapeMismatchError
+from .errors import MembershipError, NumericError, ParameterError, ShapeMismatchError
 from .qmatrix import QMatrix
-from .quaternion import Quaternion, random_unit
+from .quaternion import (
+    ZERO,
+    Quaternion,
+    conj_components,
+    modulus_components,
+    mul_components,
+    random_unit,
+)
 
 #: Default absolute max-norm tolerance for group admission.
 ADMISSION_TOL = 1e-9
@@ -135,7 +143,11 @@ class SpElement:
 
 
 def membership_residual(m: QMatrix):
-    """Max-norm residual of ``m* J m - J`` and its worst entry index."""
+    """Max-norm residual of ``m* J m - J`` and its worst entry index.
+
+    On a stack the residual and both parts of the worst index are arrays
+    with one value per element.
+    """
     if m.rows != m.cols:
         raise ShapeMismatchError("group elements must be square")
     if m.rows < 2:
@@ -144,8 +156,11 @@ def membership_residual(m: QMatrix):
     j = form_matrix(n)
     diff = m.star() @ (j @ m) - j
     moduli = diff.entry_moduli()
-    worst = np.unravel_index(int(np.argmax(moduli)), moduli.shape)
-    return float(moduli[worst]), (int(worst[0]), int(worst[1]))
+    if not m.is_stack:
+        worst = np.unravel_index(int(np.argmax(moduli)), moduli.shape)
+        return float(moduli[worst]), (int(worst[0]), int(worst[1]))
+    flat = moduli.reshape(moduli.shape[:-2] + (-1,))
+    return flat.max(axis=-1), divmod(np.argmax(flat, axis=-1), m.cols)
 
 
 def is_member(m: QMatrix, tol=ADMISSION_TOL) -> SpElement:
@@ -266,72 +281,111 @@ class NormalFormParams:
     s: Quaternion | None = None
 
 
-def _check_unitary(A: QMatrix, tol):
+#: Factor kinds in the order of the sampler's kind probabilities; the
+#: stacked assembler takes kinds as indices into this tuple.
+_FACTOR_KINDS = (StabilizerKind.STAB_INFINITY, StabilizerKind.STAB_ZERO, StabilizerKind.STAB_BOTH)
+_STAB_ZERO, _STAB_BOTH = 1, 2
+
+
+def _element(stack: QMatrix, k: int) -> QMatrix:
+    return QMatrix(stack.ca[k], stack.cb[k])
+
+
+def _first(mask):
+    """Index of the first true entry of ``mask``, or None."""
+    return int(mask.argmax()) if mask.any() else None
+
+
+def _complex_pairs(comp):
+    """Quaternion components of shape (count, 4) as (count, 2) complex pairs.
+
+    The pairs are a reinterpretation of the components, so no bit changes on
+    the way (``w + 1j*x`` would lose the sign of a zero).
+    """
+    return np.ascontiguousarray(comp, dtype=float).view(complex)
+
+
+def _assemble_normal_forms(kinds, lam, mu, A: QMatrix, a: QMatrix, s, tol=CONSTRAINT_TOL):
+    """Check, assemble and admit a stack of stabilizer normal forms.
+
+    ``kinds`` indexes :data:`_FACTOR_KINDS`; ``lam``, ``mu`` and ``s`` are
+    (count, 4) component arrays, ``A`` a stack of (n-1) x (n-1) unitary blocks
+    and ``a`` a stack of (n-1)-columns.  StabBoth elements ignore ``a`` and
+    ``s``.  Every constraint of :class:`NormalFormParams` and the admission at
+    :data:`ADMISSION_TOL` are checked on the whole stack; the first element
+    that fails raises.  Returns the stack and its membership residuals.
+    """
+    pairing = modulus_components(mul_components(conj_components(mu), lam) - (1.0, 0.0, 0.0, 0.0))
+    if (k := _first(pairing > tol)) is not None:
+        raise ParameterError(f"conj(mu)*lam = 1 violated by {pairing[k]:.3e}")
     defect = (A.star() @ A - QMatrix.identity(A.rows)).norm_max()
-    if defect > tol:
-        raise ParameterError(f"A is not unitary: ||A*A - I|| = {defect:.3e}")
+    if (k := _first(defect > tol)) is not None:
+        raise ParameterError(f"A is not unitary: ||A*A - I|| = {defect[k]:.3e}")
+    translating = kinds != _STAB_BOTH
+    a_sq = (a.components ** 2).sum(axis=(-3, -2, -1))
+    re_ms = (mu * s).sum(axis=-1)  # Re(conj(mu) s) is the dot product of the components
+    off = np.abs(re_ms - 0.5 * a_sq) > tol * np.maximum(1.0, a_sq)
+    if (k := _first(off & translating)) is not None:
+        raise ParameterError(
+            f"Re(conj(mu)*s) = |a|^2/2 violated: {re_ms[k]:.6e} vs {0.5 * a_sq[k]:.6e}"
+        )
+
+    # Layouts, with m = n - 1 and b = lam a* A:
+    #   StabInfinity [[A, 0, a], [b, lam, s], [0, 0, mu]]
+    #   StabZero     [[A, a, 0], [0, mu, 0], [b, s, lam]]
+    #   StabBoth     [[A, 0, 0], [0, lam, 0], [0, 0, mu]]
+    # StabZero is StabInfinity with the last two rows and columns swapped, so
+    # lam sits at (lo, lo), mu at (hi, hi), s at (lo, hi), a in column hi and
+    # b in row lo.
+    lam_p, mu_p, s_p = _complex_pairs(lam), _complex_pairs(mu), _complex_pairs(s)
+    b_row = (a.star() @ A).scale_left(QMatrix(lam_p[:, 0, None, None], lam_p[:, 1, None, None]))
+    count, m = len(kinds), A.rows
+    n = m + 1
+    zero = kinds == _STAB_ZERO
+    lo = np.where(zero, n, m)
+    hi = np.where(zero, m, n)
+    idx = np.arange(count)
+    t_idx, t_lo, t_hi = idx[translating], lo[translating], hi[translating]
+
+    def layout(part, A, a, b):
+        out = np.zeros((count, n + 1, n + 1), complex)
+        out[:, :m, :m] = A
+        out[idx, lo, lo] = lam_p[:, part]
+        out[idx, hi, hi] = mu_p[:, part]
+        out[t_idx, t_lo, t_hi] = s_p[translating, part]
+        out[t_idx, :m, t_hi] = a[translating, :, 0]
+        out[t_idx, t_lo, :m] = b[translating, 0, :]
+        return out
+
+    mats = QMatrix(layout(0, A.ca, a.ca, b_row.ca), layout(1, A.cb, a.cb, b_row.cb))
+    residual, (rows, cols) = membership_residual(mats)
+    if (k := _first(~(residual <= ADMISSION_TOL))) is not None:
+        raise MembershipError(float(residual[k]), (int(rows[k]), int(cols[k])))
+    return mats, residual
 
 
 def make_normal_form(p: NormalFormParams, tol=CONSTRAINT_TOL) -> SpElement:
     """Assemble a stabilizer normal form and admit it into the group."""
-    lam, mu = p.lam, p.mu
-    pairing = (mu.conj() * lam - 1).modulus()
-    if pairing > tol:
-        raise ParameterError(f"conj(mu)*lam = 1 violated by {pairing:.3e}")
-
-    if p.kind is StabilizerKind.STAB_BOTH:
-        if p.A is None:
-            raise ParameterError("StabBoth requires the unitary block A")
-        _check_unitary(p.A, tol)
-        m = p.A.rows
-        z_col = QMatrix.zeros(m, 1)
-        z_row = QMatrix.zeros(1, m)
-        zero = QMatrix.zeros(1, 1)
-        mat = QMatrix.from_blocks(
-            [
-                [p.A, z_col, z_col],
-                [z_row, QMatrix.diag([lam]), zero],
-                [z_row, zero, QMatrix.diag([mu])],
-            ]
-        )
-        return is_member(mat)
-
-    if p.A is None or p.a is None or p.s is None:
+    translating = p.kind is not StabilizerKind.STAB_BOTH
+    if p.A is None:
+        raise ParameterError(f"{p.kind.value} requires the unitary block A")
+    if translating and (p.a is None or p.s is None):
         raise ParameterError(f"{p.kind.value} requires A, a and s")
-    _check_unitary(p.A, tol)
     m = p.A.rows
-    if p.a.rows != m or p.a.cols != 1:
+    a = p.a if translating else QMatrix.zeros(m, 1)
+    if a.rows != m or a.cols != 1:
         raise ShapeMismatchError("a must be an (n-1)-component column")
-    a_sq = sum(p.a[i, 0].modulus_sq() for i in range(m))
-    re_ms = (mu.conj() * p.s).re()
-    if abs(re_ms - 0.5 * a_sq) > tol * max(1.0, a_sq):
-        raise ParameterError(
-            f"Re(conj(mu)*s) = |a|^2/2 violated: {re_ms:.6e} vs {0.5 * a_sq:.6e}"
-        )
-    b_row = (p.a.star() @ p.A).scale_left(lam)
-    z_col = QMatrix.zeros(m, 1)
-    z_row = QMatrix.zeros(1, m)
-    zero = QMatrix.zeros(1, 1)
-    lam_m = QMatrix.diag([lam])
-    mu_m = QMatrix.diag([mu])
-    s_m = QMatrix.diag([p.s])
-    if p.kind is StabilizerKind.STAB_INFINITY:
-        mat = QMatrix.from_blocks(
-            [
-                [p.A, z_col, p.a],
-                [b_row, lam_m, s_m],
-                [z_row, zero, mu_m],
-            ]
-        )
-    else:  # STAB_ZERO
-        mat = QMatrix.from_blocks(
-            [
-                [p.A, p.a, z_col],
-                [z_row, mu_m, zero],
-                [b_row, s_m, lam_m],
-            ]
-        )
-    return is_member(mat)
+    s = p.s if translating else ZERO
+    mats, residual = _assemble_normal_forms(
+        np.array([_FACTOR_KINDS.index(p.kind)]),
+        np.array([p.lam.to_json()]),
+        np.array([p.mu.to_json()]),
+        QMatrix(p.A.ca[None], p.A.cb[None]),
+        QMatrix(a.ca[None], a.cb[None]),
+        np.array([s.to_json()]),
+        tol,
+    )
+    return SpElement(_element(mats, 0), m + 1, float(residual[0]))
 
 
 def make_loxodromic(unit_eigs, lam_n: Quaternion, tol=CONSTRAINT_TOL) -> SpElement:
@@ -355,71 +409,121 @@ LOXO_MODULUS_RANGE = (1.01, 1.3)
 _TRANSLATION_SCALE = 0.35
 
 
+#: Cumulative probabilities of StabInfinity, StabZero and StabBoth factors.
+#: ``Generator.choice(3, p=(0.3, 0.3, 0.4))`` draws one ``random()`` and
+#: bisects exactly this table, so bisecting it here draws the same kinds from
+#: the same stream without the cost of ``choice``.
+_FACTOR_KIND_CDF = (0.3, 0.6, 1.0)
+
+
+def _orthonormal_columns(draws) -> QMatrix:
+    """Quaternionic Gram-Schmidt on drawn columns, for one matrix or a stack.
+
+    ``draws`` has shape (..., m, m, 1, 4) and ``draws[..., k, :, :, :]`` holds
+    the components of column k.
+    """
+    cols = [QMatrix.from_components(draws[..., k, :, :, :]) for k in range(draws.shape[-4])]
+    # A second pass removes first-pass drift.
+    for _ in range(2):
+        out = []
+        for v in cols:
+            for u in out:
+                v = v - u.scale_right(u.star() @ v)
+            out.append(v.scale_right(1.0 / v.norm_fro()))
+        cols = out
+    ca = np.empty(draws.shape[:-2], complex)
+    cb = np.empty_like(ca)
+    for k, col in enumerate(cols):
+        ca[..., k] = col.ca[..., 0]
+        cb[..., k] = col.cb[..., 0]
+    return QMatrix(ca, cb)
+
+
 def random_unitary(rng, m: int) -> QMatrix:
     """Haar-ish random element of U(m; H) via quaternionic Gram-Schmidt."""
     if m == 0:
         return QMatrix.zeros(0, 0)
-    cols = [QMatrix.from_components(rng.standard_normal((m, 1, 4))) for _ in range(m)]
-
-    def orthonormalize(vectors):
-        out = []
-        for v in vectors:
-            for u in out:
-                v = v - u.scale_right((u.star() @ v)[0, 0])
-            norm = v.norm_fro()
-            out.append(v.scale_right(1.0 / norm))
-        return out
-
-    # A second pass removes first-pass drift.
-    cols = orthonormalize(orthonormalize(cols))
-    return QMatrix.from_blocks([cols])
+    return _orthonormal_columns(rng.standard_normal((m, m, 1, 4)))
 
 
-def _random_factor(rng, n: int) -> SpElement:
-    kind = rng.choice(3, p=[0.3, 0.3, 0.4])
-    A = random_unitary(rng, n - 1)
-    if kind == 2:
-        lam = random_unit(rng)
-        if rng.random() < 0.6:
-            lo, hi = LOXO_MODULUS_RANGE
-            lam = lam * math.exp(rng.uniform(math.log(lo), math.log(hi)))
-        mu = lam.conj().inverse()
-        return make_normal_form(
-            NormalFormParams(StabilizerKind.STAB_BOTH, lam=lam, mu=mu, A=A)
-        )
-    lam = random_unit(rng)
-    mu = lam.conj().inverse()
-    a = QMatrix.from_components(_TRANSLATION_SCALE * rng.standard_normal((n - 1, 1, 4)))
-    a_sq = float((a.entry_moduli() ** 2).sum()) if n > 1 else 0.0
-    imag = Quaternion(0.0, *(_TRANSLATION_SCALE * rng.standard_normal(3)))
-    s = mu * (0.5 * a_sq) + mu * imag
-    which = StabilizerKind.STAB_INFINITY if kind == 0 else StabilizerKind.STAB_ZERO
-    return make_normal_form(NormalFormParams(which, lam=lam, mu=mu, A=A, a=a, s=s))
+def _random_factors(rng, n: int, length: int) -> QMatrix:
+    """Draw and assemble the ``length`` stabilizer factors of one word.
+
+    The parameters are drawn factor by factor, each factor in the order kind,
+    the columns of A, lam, then either the loxodromic stretch (StabBoth) or
+    the translation a and the imaginary part of s.  All the m columns of A
+    come from one draw, which takes the same values as m column draws.
+    Everything after the draws runs on the whole stack.
+    """
+    m = n - 1
+    log_lo, log_hi = (math.log(x) for x in LOXO_MODULUS_RANGE)
+    kinds = np.empty(length, dtype=np.intp)
+    lam = np.empty((length, 4))
+    mu = np.empty((length, 4))
+    imag = np.zeros((length, 4))
+    unitary = np.empty((length, m, m, 1, 4))
+    shift = np.zeros((length, m, 1, 4))
+    for k in range(length):
+        kind = kinds[k] = bisect.bisect_right(_FACTOR_KIND_CDF, rng.random())
+        unitary[k] = rng.standard_normal((m, m, 1, 4))
+        q = random_unit(rng)
+        if kind == _STAB_BOTH:
+            if rng.random() < 0.6:
+                q = q * math.exp(rng.uniform(log_lo, log_hi))
+        else:
+            shift[k] = rng.standard_normal((m, 1, 4))
+            imag[k, 1:] = rng.standard_normal(3)
+        lam[k] = q.to_json()
+        mu[k] = q.conj().inverse().to_json()
+    a = QMatrix.from_components(_TRANSLATION_SCALE * shift)
+    a_sq = (a.entry_moduli() ** 2).sum(axis=(-2, -1))
+    # s = mu |a|^2/2 + mu * imag, so that Re(conj(mu) s) = |a|^2/2.
+    s = mu * (0.5 * a_sq)[:, None] + mul_components(mu, _TRANSLATION_SCALE * imag)
+    mats, _ = _assemble_normal_forms(kinds, lam, mu, _orthonormal_columns(unitary), a, s)
+    return mats
 
 
 def sample_elements(n: int, seed: int, count: int, word_length: int = 8, tol=ADMISSION_TOL):
     """Yield ``count`` admitted random elements from one seeded PCG64 stream.
 
-    Each element is a product of ``word_length`` random stabilizer normal
-    forms.  In the rare event that rounding pushes a product past the
-    admission tolerance the word is redrawn from the same stream, keeping the
-    output deterministic for a fixed seed.
+    Each element is a word of ``word_length`` random stabilizer normal forms,
+    multiplied left to right starting from the identity.  Byte-identical
+    artifacts rest on this contract:
+
+    * one ``numpy.random.default_rng(seed)`` stream feeds every draw, in a
+      fixed order: word by word, and within a word factor by factor (kind,
+      unitary block, lam, then the loxodromic stretch or the translation);
+    * a word whose product fails admission at ``tol`` is discarded and a new
+      word is drawn from where the stream stands, so the redraw consumes the
+      same values at every run;
+    * after ``20 * count`` words in total the sampler gives up with a
+      :class:`NumericError` carrying the residual of the last rejected word.
+
+    The generator is lazy: each word is drawn only when the next element is
+    requested.
     """
     if n < 1 or count < 1 or word_length < 1:
         raise ValueError("n, count and word_length must be positive")
     rng = np.random.default_rng(seed)
     produced = 0
     attempts = 0
+    residual = None
     while produced < count:
         attempts += 1
         if attempts > 20 * count:
-            raise RuntimeError("sampler failed to produce admitted elements")
+            raise NumericError(
+                f"sampler admitted {produced} of {count} elements in {attempts - 1} words "
+                f"at tolerance {tol:.3e}",
+                residual=residual,
+            )
+        factors = _random_factors(rng, n, word_length)
         word = QMatrix.identity(n + 1)
-        for _ in range(word_length):
-            word = word @ _random_factor(rng, n).m
+        for k in range(word_length):
+            word = word @ _element(factors, k)
         try:
             yield is_member(word, tol=tol)
-        except MembershipError:
+        except MembershipError as exc:
+            residual = exc.residual
             continue
         produced += 1
 

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import small_perturbation
 
+import qhspace.cli as cli
 import qhspace.jsonio as jsonio
 from qhspace.cli import main
 from qhspace.quaternion import Quaternion
@@ -105,6 +106,27 @@ def test_verify_fails_with_strict_tolerance(capsys):
     )
     assert code == 2
     assert json.loads(out)["pass"] is False
+
+
+def test_sampler_exhaustion_exit_code(capsys):
+    code, out, err = run(["sample", "--n", "2", "--count", "1", "--tol", "1e-20"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("qhspace: error: sampler admitted 0 of 1 elements")
+    assert "residual" in err
+
+
+@pytest.mark.parametrize(
+    "exc", [OverflowError("math range error"), ZeroDivisionError("quaternion not invertible")]
+)
+def test_arithmetic_error_exit_code(monkeypatch, capsys, exc):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_classify", fail)
+    code, _, err = run(["classify", "element.json"], capsys)
+    assert code == 1
+    assert err == f"qhspace: error: {exc}\n"
 
 
 def test_usage_error_exit_code(capsys):

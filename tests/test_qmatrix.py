@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from helpers import same_bits
+
 from qhspace.errors import ShapeMismatchError
 from qhspace.qmatrix import (
     QMatrix,
+    eigenspace_basis,
     inverse_via_adjoint,
     right_eigenpairs,
     right_eigenvalues,
@@ -146,3 +149,50 @@ def test_json_round_trip():
     doc = m.to_json_dict()
     assert doc["rows"] == 2 and doc["cols"] == 3 and len(doc["entries"]) == 6
     assert QMatrix.from_json_dict(doc).allclose(m, 0.0)
+
+
+def _element(stack, k):
+    return QMatrix(stack.ca[k], stack.cb[k])
+
+
+def test_stack_operations_match_each_element_bit_for_bit():
+    a = QMatrix.from_components(rng.standard_normal((4, 3, 2, 4)))
+    b = QMatrix.from_components(rng.standard_normal((4, 2, 3, 4)))
+    c = QMatrix.from_components(rng.standard_normal((4, 3, 2, 4)))
+    q = QMatrix.from_components(rng.standard_normal((4, 1, 1, 4)))
+    r = rng.standard_normal(4)
+    one = random_qmatrix(2, 2)
+    assert (a @ b).ca.shape == (4, 3, 3)
+    for k in range(4):
+        ak, bk, ck = _element(a, k), _element(b, k), _element(c, k)
+        qk = _element(q, k)[0, 0]
+        pairs = [
+            (a @ b, ak @ bk),
+            (a @ one, ak @ one),
+            (a.star(), ak.star()),
+            (a + c, ak + ck),
+            (a - c, ak - ck),
+            (-a, -ak),
+            (a.scale_left(q), ak.scale_left(qk)),
+            (a.scale_right(q), ak.scale_right(qk)),
+            (a.scale_right(r), ak.scale_right(float(r[k]))),
+        ]
+        for stacked, single in pairs:
+            assert same_bits(_element(stacked, k), single)
+        assert a.entry_moduli()[k].tobytes() == ak.entry_moduli().tobytes()
+        assert a.norm_max()[k] == ak.norm_max()
+        assert a.norm_fro()[k] == ak.norm_fro()
+
+
+def test_element_only_methods_reject_stacks():
+    stack = QMatrix.from_components(rng.standard_normal((2, 3, 3, 4)))
+    for call in (
+        lambda: stack[0, 0],
+        stack.adjoint,
+        stack.to_json_dict,
+        lambda: right_eigenvalues(stack),
+        lambda: right_eigenpairs(stack),
+        lambda: eigenspace_basis(stack, 1.0),
+    ):
+        with pytest.raises(ShapeMismatchError):
+            call()

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import random_unit_quaternion
+from helpers import (
+    random_unit_quaternion,
+    reference_factor_params,
+    reference_normal_form,
+    reference_sample,
+    reference_unitary,
+    same_bits,
+)
 
-from qhspace.errors import MembershipError, ParameterError
+from qhspace.errors import MembershipError, NumericError, ParameterError
 from qhspace.qmatrix import QMatrix, inverse_via_adjoint
 from qhspace.quaternion import I, Quaternion
 from qhspace.spn1 import (
@@ -18,6 +25,7 @@ from qhspace.spn1 import (
     is_member,
     make_loxodromic,
     make_normal_form,
+    membership_residual,
     random_element,
     random_unitary,
     sample_elements,
@@ -239,3 +247,52 @@ def test_element_json_round_trip():
     assert doc["n"] == 2 and "entries" in doc
     back = SpElement.from_json_dict(doc)
     assert (back.m - g.m).norm_max() == 0.0
+
+
+def assert_same_elements(got, ref):
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert same_bits(g.m, r.m)
+        assert g.residual == r.residual
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_sampler_matches_reference_bit_for_bit(n):
+    for word_length in (1, 8, 16):
+        for seed in range(5):
+            ref, _ = reference_sample(n, seed, 2, word_length)
+            assert_same_elements(list(sample_elements(n, seed, 2, word_length)), ref)
+
+
+def test_sampler_redraws_match_reference():
+    for seed in range(3):
+        ref, attempts = reference_sample(2, seed, 5, 8, tol=1e-15)
+        assert attempts > 5  # the tolerance rejects some words
+        assert_same_elements(list(sample_elements(2, seed, 5, 8, tol=1e-15)), ref)
+
+
+def test_normal_form_and_unitary_match_reference():
+    for n in (1, 2, 3, 5):
+        rng, rng_ref = np.random.default_rng(n), np.random.default_rng(n)
+        for _ in range(5):
+            assert same_bits(random_unitary(rng, n - 1), reference_unitary(rng_ref, n - 1))
+        for _ in range(20):
+            p = reference_factor_params(rng, n)
+            assert_same_elements([make_normal_form(p)], [reference_normal_form(p)])
+
+
+def test_sampler_exhaustion_raises_numeric_error():
+    with pytest.raises(NumericError, match="admitted 0 of 1") as err:
+        list(sample_elements(2, seed=0, count=1, word_length=8, tol=1e-20))
+    assert err.value.residual > 1e-20
+
+
+def test_membership_residual_on_a_stack():
+    gs = [g.m for g in sample_elements(2, seed=17, count=4, word_length=6)]
+    gs.append(QMatrix.diag([Quaternion(1), Quaternion(2), Quaternion(2)]))
+    stack = QMatrix(np.stack([g.ca for g in gs]), np.stack([g.cb for g in gs]))
+    residual, (rows, cols) = membership_residual(stack)
+    for k, g in enumerate(gs):
+        one, one_worst = membership_residual(g)
+        assert residual[k] == one
+        assert (rows[k], cols[k]) == one_worst
