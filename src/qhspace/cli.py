@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -201,18 +202,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="write seeded random group elements as JSON")
     add_common(p, batch=True)
-    p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("classify", help="spectral report for one element")
     p.add_argument("element", help="element JSON file")
     add_common(p)
-    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("test", help="discreteness condition for a pair (g, h)")
     p.add_argument("g", help="loxodromic element JSON file")
     p.add_argument("h", help="second generator JSON file")
     add_common(p)
-    p.set_defaults(func=_cmd_test)
 
     p = sub.add_parser("iterate", help="conjugation-orbit trace for a pair")
     p.add_argument("g")
@@ -220,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=16)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     add_common(p)
-    p.set_defaults(func=_cmd_iterate)
 
     p = sub.add_parser("fk", help="pullback-sequence report for a pair")
     p.add_argument("g")
@@ -228,24 +225,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=8)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     add_common(p)
-    p.set_defaults(func=_cmd_fk)
 
     p = sub.add_parser("verify", help="residual tables over a sampled batch")
     add_common(p, batch=True)
     p.add_argument("--format", choices=("json",), default="json")
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser unchanged, so one instance serves every call
+    # in a process; it is built on the first call, not at import.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # The parser outlives any rebinding of the handlers, so look them up by name.
+    handler = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (ValueError, ArithmeticError, DegenerateOrbitError, OSError) as exc:
         print(f"qhspace: error: {exc}", file=sys.stderr)
         return 1

@@ -197,7 +197,11 @@ def jorgensen_test(g: SpElement, h: SpElement, tol=1e-7) -> TestOutcome:
     """
     if classify(g).kind is not ElementKind.LOXODROMIC:
         raise ClassificationError("the first generator must be loxodromic")
-    frame = _diagonal_frame(g, h, tol=tol)
+    return _test_in_frame(h, _diagonal_frame(g, h, tol=tol))
+
+
+def _test_in_frame(h: SpElement, frame: _DiagonalFrame) -> TestOutcome:
+    """The test condition for (g, h) read off the diagonal frame of g."""
     hc = frame.h_conj
     mg = frame.data.mg
     p_off = hc.a_nn1.modulus() * hc.a_n1n.modulus()
@@ -329,9 +333,13 @@ def conjugation_orbit(g: SpElement, h: SpElement, steps=DEFAULT_ORBIT_STEPS, tol
     bounds marked inapplicable.  Iteration stops early once pi underflows or
     vanishes exactly.
     """
+    return _orbit_in_frame(_diagonal_frame(g, h, tol=tol), steps)
+
+
+def _orbit_in_frame(frame: _DiagonalFrame, steps) -> IterationTrace:
+    """The conjugation orbit of ``frame.h_conj`` under the diagonal ``g``."""
     if steps < 1:
         raise ValueError("the orbit needs at least one step")
-    frame = _diagonal_frame(g, h, tol=tol)
     mg = frame.data.mg
     current = frame.h_conj
     pi0 = current.a_nn1.modulus() * current.a_n1n.modulus()
@@ -440,9 +448,9 @@ def fk_sequence(g: SpElement, h: SpElement, K=8, threshold=1e-6, tol=1e-7):
     per block, never by forming g^k as a matrix.
     """
     frame = _diagonal_frame(g, h, tol=tol)
-    trace = conjugation_orbit(g, h, steps=2 * K, tol=tol)
+    trace = _orbit_in_frame(frame, 2 * K)
     if trace.degenerate_at is not None:
-        raise DegenerateOrbitError(trace.degenerate_at, jorgensen_test(g, h).verdict)
+        raise DegenerateOrbitError(trace.degenerate_at, _test_in_frame(h, frame).verdict)
     if trace.truncated_at is not None and trace.truncated_at < 2 * K:
         raise NumericError(
             f"orbit underflowed at step {trace.truncated_at}; reduce K"

@@ -21,9 +21,16 @@ alone, which the sampler's byte-identical output relies on and the tests
 check.  Entry access, the complex adjoint, the
 eigen routines and JSON serialization are defined for a single matrix only
 and raise :class:`ShapeMismatchError` on a stack.
+
+The eigen routines share one decomposition: the adjoint, its Frobenius norm
+and a single ``np.linalg.eig``.  A frozen matrix (see :meth:`QMatrix.freeze`;
+every group element is one) computes it on first use and keeps it, read-only,
+for every later routine; an unfrozen matrix recomputes it per call.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +48,7 @@ class QMatrix:
     module docstring).
     """
 
-    __slots__ = ("ca", "cb")
+    __slots__ = ("ca", "cb", "_spectrum")
 
     def __init__(self, ca, cb):
         ca = np.array(ca, dtype=complex)
@@ -50,6 +57,7 @@ class QMatrix:
             raise ShapeMismatchError("split parts must be equal-shape arrays of at least 2 axes")
         self.ca = ca
         self.cb = cb
+        self._spectrum = None
 
     # -- construction ------------------------------------------------------
 
@@ -104,8 +112,8 @@ class QMatrix:
     @classmethod
     def from_blocks(cls, blocks):
         """Assemble from a nested list of QMatrix blocks."""
-        ca = np.block([[b.ca for b in row] for row in blocks])
-        cb = np.block([[b.cb for b in row] for row in blocks])
+        ca = np.concatenate([np.concatenate([b.ca for b in row], axis=-1) for row in blocks], axis=-2)
+        cb = np.concatenate([np.concatenate([b.cb for b in row], axis=-1) for row in blocks], axis=-2)
         return cls(ca, cb)
 
     # -- shape and access ----------------------------------------------------
@@ -150,7 +158,11 @@ class QMatrix:
         return QMatrix(self.ca.copy(), self.cb.copy())
 
     def freeze(self):
-        """Make the underlying storage read-only."""
+        """Make the underlying storage read-only.
+
+        A frozen matrix keeps the adjoint eigendecomposition that the first
+        eigen routine called on it computes.
+        """
         self.ca.flags.writeable = False
         self.cb.flags.writeable = False
         return self
@@ -230,7 +242,13 @@ class QMatrix:
     def adjoint(self):
         """The complex adjoint, a 2*rows x 2*cols complex matrix."""
         self._require_single("the complex adjoint")
-        return np.block([[self.ca, self.cb], [-self.cb.conj(), self.ca.conj()]])
+        r, c = self.ca.shape
+        adj = np.empty((2 * r, 2 * c), complex)
+        adj[:r, :c] = self.ca
+        adj[:r, c:] = self.cb
+        adj[r:, :c] = -self.cb.conj()
+        adj[r:, c:] = self.ca.conj()
+        return adj
 
     @classmethod
     def from_adjoint(cls, arr):
@@ -276,11 +294,30 @@ def _as_pair(q):
     return complex(q), 0j
 
 
-def inverse_via_adjoint(m: QMatrix) -> QMatrix:
-    """Generic inverse through the complex adjoint."""
-    if m.rows != m.cols:
-        raise ShapeMismatchError("inverse requires a square matrix")
-    return QMatrix.from_adjoint(np.linalg.inv(m.adjoint()))
+class _Spectrum(NamedTuple):
+    adj: np.ndarray
+    adj_norm: float
+    evals: np.ndarray
+    evecs: np.ndarray
+
+
+def _adjoint_spectrum(m: QMatrix) -> _Spectrum:
+    """The complex adjoint of ``m``, its Frobenius norm and its ``eig``.
+
+    Every eigen routine reads this one decomposition.  A frozen matrix
+    cannot change, so it keeps the result, with read-only arrays, and later
+    calls reuse it; for an unfrozen matrix it is recomputed on each call.
+    """
+    if m._spectrum is not None:
+        return m._spectrum
+    adj = m.adjoint()
+    evals, evecs = np.linalg.eig(adj)
+    spectrum = _Spectrum(adj, float(np.linalg.norm(adj)), evals, evecs)
+    if not (m.ca.flags.writeable or m.cb.flags.writeable):
+        for arr in (adj, evals, evecs):
+            arr.flags.writeable = False
+        m._spectrum = spectrum
+    return spectrum
 
 
 def _pair_adjoint_eigenvalues(evals, tol, scale=None):
@@ -323,9 +360,8 @@ def right_eigenvalues(m: QMatrix, tol=PAIRING_TOL):
     """
     if m.rows != m.cols:
         raise ShapeMismatchError("eigenvalues require a square matrix")
-    adj = m.adjoint()
-    evals = np.linalg.eigvals(adj)
-    reps = _pair_adjoint_eigenvalues(evals, tol, scale=max(1.0, float(np.linalg.norm(adj))))
+    spectrum = _adjoint_spectrum(m)
+    reps = _pair_adjoint_eigenvalues(spectrum.evals, tol, scale=max(1.0, spectrum.adj_norm))
     reps.sort(key=lambda lam: (abs(lam), lam.real))
     return reps
 
@@ -339,7 +375,7 @@ def right_eigenpairs(m: QMatrix, tol=1e-8):
     """
     if m.rows != m.cols:
         raise ShapeMismatchError("eigenpairs require a square matrix")
-    evals, evecs = np.linalg.eig(m.adjoint())
+    _, _, evals, evecs = _adjoint_spectrum(m)
     size = m.rows
     j_unit = Quaternion(0.0, 0.0, 1.0, 0.0)
     candidates = []
@@ -373,7 +409,7 @@ def eigenspace_basis(m: QMatrix, lam, atol=1e-6):
     Works on the complex adjoint via SVD, so it is robust for defective
     eigenvalues where the eigenvector matrix of ``eig`` degrades.
     """
-    adj = m.adjoint()
+    adj = _adjoint_spectrum(m).adj
     shifted = adj - complex(lam) * np.eye(adj.shape[0])
     _, svals, vh = np.linalg.svd(shifted)
     scale = max(1.0, float(svals.max())) if len(svals) else 1.0

@@ -241,19 +241,6 @@ def loxodromic_data(g: SpElement, tol=UNIT_MODULUS_TOL) -> LoxodromicData:
     )
 
 
-def diagonal_of(g: SpElement, conjugator: SpElement):
-    """Diagonal entries of ``conjugator^-1 g conjugator`` plus the defect.
-
-    Returns (entries, off_diagonal_norm); the entries are Quaternion values.
-    """
-    from .spn1 import group_inverse
-
-    d = group_inverse(conjugator).m @ g.m @ conjugator.m
-    entries = [d[i, i] for i in range(d.rows)]
-    off = d - QMatrix.diag(entries)
-    return entries, off.norm_max()
-
-
 def spectral_report(g: SpElement, tol=UNIT_MODULUS_TOL) -> dict:
     """JSON-ready classification report for one element."""
     cls = classify(g, tol=tol)

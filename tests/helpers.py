@@ -1,10 +1,11 @@
 """Shared generators for the test suite, and the reference sampler."""
 
 import math
+from collections import Counter
 
 import numpy as np
 
-from qhspace.errors import MembershipError
+from qhspace.errors import MembershipError, ShapeMismatchError
 from qhspace.geometry import ProjectivePoint, from_lift
 from qhspace.qmatrix import QMatrix
 from qhspace.quaternion import Quaternion, random_unit
@@ -12,8 +13,10 @@ from qhspace.spn1 import (
     ADMISSION_TOL,
     LOXO_MODULUS_RANGE,
     NormalFormParams,
+    SpElement,
     StabilizerKind,
     compose,
+    group_inverse,
     is_member,
     make_normal_form,
 )
@@ -78,6 +81,38 @@ def swap_element(n):
     rows.append([Quaternion(0.0)] * (n - 1) + [Quaternion(0.0), Quaternion(1.0)])
     rows.append([Quaternion(0.0)] * (n - 1) + [Quaternion(1.0), Quaternion(0.0)])
     return is_member(QMatrix.from_quaternions(rows))
+
+
+def inverse_via_adjoint(m: QMatrix) -> QMatrix:
+    """Generic inverse through the complex adjoint."""
+    if m.rows != m.cols:
+        raise ShapeMismatchError("inverse requires a square matrix")
+    return QMatrix.from_adjoint(np.linalg.inv(m.adjoint()))
+
+
+def diagonal_of(g: SpElement, conjugator: SpElement):
+    """Diagonal entries of ``conjugator^-1 g conjugator`` plus the defect.
+
+    Returns (entries, off_diagonal_norm); the entries are Quaternion values.
+    """
+    d = group_inverse(conjugator).m @ g.m @ conjugator.m
+    entries = [d[i, i] for i in range(d.rows)]
+    off = d - QMatrix.diag(entries)
+    return entries, off.norm_max()
+
+
+def count_linalg(monkeypatch, names=("eig", "eigvals", "svd", "eigvalsh", "inv")):
+    """Count calls of ``numpy.linalg`` routines for the rest of a test."""
+    calls = Counter()
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def same_bits(x: QMatrix, y: QMatrix) -> bool:

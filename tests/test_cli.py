@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,9 +10,9 @@ from helpers import small_perturbation
 
 import qhspace.cli as cli
 import qhspace.jsonio as jsonio
-from qhspace.cli import main
+from qhspace.cli import build_parser, main
 from qhspace.quaternion import Quaternion
-from qhspace.spn1 import make_loxodromic
+from qhspace.spn1 import ADMISSION_TOL, make_loxodromic
 
 
 def run(argv, capsys):
@@ -152,3 +154,63 @@ def test_float_formatting_round_trips():
     values = [0.1, 41.0 / 420.0, 1e-300, -2.5e17, 3.0]
     text = jsonio.dumps(values)
     assert json.loads(text) == values
+
+
+def test_parser_built_once_and_not_at_import(tmp_path, monkeypatch, capsys):
+    script = "import qhspace.cli as c; print(c._shared_parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.stdout.strip() == "0"
+
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._shared_parser.cache_clear()
+    g_path, h_path = write_pair(str(tmp_path))
+    for argv in (["test", g_path, h_path], ["classify", h_path], ["test", g_path, h_path]):
+        assert run(argv, capsys)[0] == 0
+    assert len(built) == 1
+
+
+def test_parser_reuse_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def record(args):
+        seen.append(args)
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_classify", record)
+    out = str(tmp_path / "report.json")
+    assert main(["classify", "e.json", "--tol", "1e-3", "--out", out]) == 0
+    assert main(["classify", "e.json"]) == 0
+    assert (seen[0].tol, seen[0].out) == (1e-3, out)
+    assert (seen[1].tol, seen[1].out) == (ADMISSION_TOL, None)
+    assert seen[0] is not seen[1]
+
+
+def test_usage_error_then_valid_call(tmp_path, capsys):
+    g_path, h_path = write_pair(str(tmp_path))
+    code, first, _ = run(["test", g_path, h_path], capsys)
+    assert code == 0
+    code, _, err = run(["test", g_path, "--steps", "4"], capsys)
+    assert code == 1
+    assert "error:" in err
+    code, again, err = run(["test", g_path, h_path], capsys)
+    assert (code, again, err) == (0, first, "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["test", "--help"], ["verify", "--help"]])
+def test_help_matches_fresh_parser(argv, capsys):
+    main(["classify", "--tol", "oops", "e.json"])
+    capsys.readouterr()
+    code, shared_text, _ = run(argv, capsys)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert code == 0
+    assert shared_text == capsys.readouterr().out
+    assert shared_text.startswith("usage: qhspace")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    count_linalg,
     parabolic_factor,
     random_unit_quaternion,
     small_perturbation,
@@ -293,3 +294,13 @@ def test_orbit_trace_csv_rows():
     assert header[:4] == ["k", "pi", "sqrt_pi", "bound"]
     assert len(rows) == 5
     assert rows[0][0] == 0
+
+
+def test_jorgensen_test_decomposes_g_once(monkeypatch):
+    g = slow_loxodromic()
+    h = random_element(n=2, seed=7, word_length=8)
+    calls = count_linalg(monkeypatch)
+    assert jorgensen_test(g, h).verdict is Verdict.CONDITION_HOLDS
+    assert calls["eig"] == 1
+    assert calls["eigvals"] == 0
+    assert calls["svd"] <= 1

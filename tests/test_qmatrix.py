@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import same_bits
+from helpers import count_linalg, inverse_via_adjoint, same_bits
 
 from qhspace.errors import ShapeMismatchError
 from qhspace.qmatrix import (
     QMatrix,
+    _adjoint_spectrum,
     eigenspace_basis,
-    inverse_via_adjoint,
     right_eigenpairs,
     right_eigenvalues,
 )
@@ -196,3 +196,45 @@ def test_element_only_methods_reject_stacks():
     ):
         with pytest.raises(ShapeMismatchError):
             call()
+
+
+def test_frozen_matrix_keeps_one_read_only_spectrum(monkeypatch):
+    for n in (1, 2, 4):
+        m = random_qmatrix(n, n)
+        unfrozen = m.copy()
+        m.freeze()
+        calls = count_linalg(monkeypatch)
+        cached = _adjoint_spectrum(m)
+        right_eigenvalues(m)
+        right_eigenpairs(m)
+        eigenspace_basis(m, cached.evals[0])
+        assert calls["eig"] == 1 and calls["eigvals"] == 0
+        assert _adjoint_spectrum(m) is cached
+        fresh = _adjoint_spectrum(unfrozen)
+        assert unfrozen._spectrum is None
+        assert cached.adj_norm == fresh.adj_norm
+        for name in ("adj", "evals", "evecs"):
+            arr = getattr(cached, name)
+            assert arr.tobytes() == getattr(fresh, name).tobytes()
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert right_eigenvalues(m) == right_eigenvalues(unfrozen)
+        for (lam1, v1, r1), (lam2, v2, r2) in zip(right_eigenpairs(m), right_eigenpairs(unfrozen)):
+            assert (lam1, r1) == (lam2, r2) and same_bits(v1, v2)
+
+
+def test_adjoint_layout():
+    m = random_qmatrix(2, 3)
+    adj = m.adjoint()
+    want = np.block([[m.ca, m.cb], [-m.cb.conj(), m.ca.conj()]])
+    assert adj.shape == (4, 6) and adj.tobytes() == want.tobytes()
+    assert adj.flags.writeable
+
+
+def test_from_blocks_matches_np_block():
+    blocks = [[random_qmatrix(2, 2), random_qmatrix(2, 1)], [random_qmatrix(1, 2), random_qmatrix(1, 1)]]
+    got = QMatrix.from_blocks(blocks)
+    want = QMatrix(np.block([[b.ca for b in row] for row in blocks]),
+                   np.block([[b.cb for b in row] for row in blocks]))
+    assert same_bits(got, want)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_unit_quaternion
+from helpers import count_linalg, diagonal_of, random_unit_quaternion
 
 from qhspace.errors import ClassificationError
 from qhspace.geometry import apply, projectively_close, q_infinity, q_zero
@@ -12,7 +12,6 @@ from qhspace.quaternion import I, Quaternion
 from qhspace.spectral import (
     ElementKind,
     classify,
-    diagonal_of,
     invariants_from_eigs,
     loxodromic_data,
     spectral_report,
@@ -26,6 +25,7 @@ from qhspace.spn1 import (
     is_member,
     make_loxodromic,
     make_normal_form,
+    random_element,
     sample_elements,
 )
 
@@ -175,3 +175,14 @@ def test_spectral_report_shape():
     par = spectral_report(vertical_parabolic())
     assert par["kind"] == "Parabolic"
     assert par["mg"] is None
+
+
+def test_spectral_report_decomposes_each_element_once(monkeypatch):
+    g = make_loxodromic([Quaternion(1)], Quaternion(1.05))
+    h = random_element(n=2, seed=7, word_length=8)
+    calls = count_linalg(monkeypatch)
+    assert spectral_report(g)["kind"] == "Loxodromic"
+    assert (calls["eig"], calls["eigvals"]) == (1, 0)
+    spectral_report(h)
+    spectral_report(g)
+    assert (calls["eig"], calls["eigvals"]) == (2, 0)

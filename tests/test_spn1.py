@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    inverse_via_adjoint,
     random_unit_quaternion,
     reference_factor_params,
     reference_normal_form,
@@ -11,7 +12,7 @@ from helpers import (
 )
 
 from qhspace.errors import MembershipError, NumericError, ParameterError
-from qhspace.qmatrix import QMatrix, inverse_via_adjoint
+from qhspace.qmatrix import QMatrix
 from qhspace.quaternion import I, Quaternion
 from qhspace.spn1 import (
     NormalFormParams,
