@@ -18,10 +18,11 @@ import sys
 import numpy as np
 
 from . import jsonio
-from .crossratio import corner_bound_slacks, entry_identity_check
+from .crossratio import corner_slack_table, entry_identity_table
 from .jorgensen import DegenerateOrbitError, conjugation_orbit, fk_sequence, jorgensen_test
+from .qmatrix import QMatrix
 from .spectral import spectral_report
-from .spn1 import ADMISSION_TOL, SpElement, identity_residuals, sample_elements
+from .spn1 import ADMISSION_TOL, SpElement, identity_residual_table, sample_elements
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,26 +143,15 @@ def _cmd_verify(args):
     # --tol is the verification threshold; admission stays at the default so
     # that a strict threshold reports failure instead of stalling the sampler.
     tol = args.tol
-    membership_worst = 0.0
-    identity_worst = np.zeros(13)
-    slack_worst = np.full(5, np.inf)
-    entry_worst = 0.0
-    degenerate_entries = 0
-    count = 0
-    for element in sample_elements(args.n, args.seed, args.count, args.word_length):
-        count += 1
-        membership_worst = max(membership_worst, element.residual)
-        identity_worst = np.maximum(identity_worst, identity_residuals(element))
-        slack_worst = np.minimum(slack_worst, corner_bound_slacks(element))
-        report = entry_identity_check(element)
-        if report.degenerate:
-            degenerate_entries += 1
-        else:
-            entry_worst = max(
-                entry_worst,
-                abs(report.lhs1 - report.rhs1) / max(report.rhs1, 1e-300),
-                abs(report.lhs2 - report.rhs2) / max(report.rhs2, 1e-300),
-            )
+    elements = list(sample_elements(args.n, args.seed, args.count, args.word_length))
+    stack = QMatrix(np.stack([e.m.ca for e in elements]), np.stack([e.m.cb for e in elements]))
+    membership_worst = max([0.0] + [e.residual for e in elements])
+    identity_worst = np.max(identity_residual_table(stack), axis=0, initial=0.0)
+    slack_worst = np.min(corner_slack_table(stack), axis=0, initial=np.inf)
+    lhs, rhs, vanishing = entry_identity_table(stack)
+    degenerate = vanishing.any(axis=(-2, -1))
+    relative = abs(lhs - rhs) / np.maximum(rhs, 1e-300)
+    entry_worst = float(np.max(relative[~degenerate], initial=0.0))
     checks = {
         "membership_max": (membership_worst, membership_worst <= tol),
         "identity_residual_max": (float(identity_worst.max()), identity_worst.max() <= tol),
@@ -171,12 +161,12 @@ def _cmd_verify(args):
     doc = {
         "n": args.n,
         "seed": args.seed,
-        "count": count,
+        "count": len(elements),
         "word_length": args.word_length,
         "tolerance": tol,
         "identity_residuals": [float(v) for v in identity_worst],
         "corner_slacks": [float(v) for v in slack_worst],
-        "degenerate_entry_identities": degenerate_entries,
+        "degenerate_entry_identities": int(degenerate.sum()),
         "checks": {k: {"value": v, "pass": bool(ok)} for k, (v, ok) in checks.items()},
     }
     ok = all(flag for _, flag in checks.values())

@@ -22,10 +22,22 @@ check.  Entry access, the complex adjoint, the
 eigen routines and JSON serialization are defined for a single matrix only
 and raise :class:`ShapeMismatchError` on a stack.
 
+Ownership: the public constructor copies both parts, so a QMatrix never
+holds a caller's array.  Every result the class computes itself (products,
+``star``, sums and differences, negation, scaling) takes ownership of the
+fresh arrays it made instead of copying them again.  ``submatrix`` of a
+frozen matrix is a read-only view of its storage; of an unfrozen matrix it is
+a copy.  ``copy()`` and group admission copy.  ``freeze()`` copies a part that
+is a view of other, writable storage before making it read-only, so freezing
+never makes a caller's array read-only and a frozen matrix never shares
+memory with a writable array.
+
 The eigen routines share one decomposition: the adjoint, its Frobenius norm
 and a single ``np.linalg.eig``.  A frozen matrix (see :meth:`QMatrix.freeze`;
 every group element is one) computes it on first use and keeps it, read-only,
-for every later routine; an unfrozen matrix recomputes it per call.
+for every later routine, together with the pairing of its eigenvalues into
+right-eigenvalue representatives; an unfrozen matrix recomputes both per
+call.
 """
 
 from __future__ import annotations
@@ -48,7 +60,8 @@ class QMatrix:
     module docstring).
     """
 
-    __slots__ = ("ca", "cb", "_spectrum")
+    # A frozen matrix caches its adjoint spectrum and the eigenvalue pairing.
+    __slots__ = ("ca", "cb", "_spectrum", "_pairing")
 
     def __init__(self, ca, cb):
         ca = np.array(ca, dtype=complex)
@@ -58,6 +71,17 @@ class QMatrix:
         self.ca = ca
         self.cb = cb
         self._spectrum = None
+        self._pairing = None
+
+    @classmethod
+    def _owning(cls, ca, cb):
+        """Wrap complex arrays that nothing else holds, without copying them."""
+        out = object.__new__(cls)
+        out.ca = ca
+        out.cb = cb
+        out._spectrum = None
+        out._pairing = None
+        return out
 
     # -- construction ------------------------------------------------------
 
@@ -152,17 +176,22 @@ class QMatrix:
             rows = slice(rows, rows + 1)
         if isinstance(cols, int):
             cols = slice(cols, cols + 1)
-        return QMatrix(self.ca[..., rows, cols], self.cb[..., rows, cols])
+        return QMatrix._owning(
+            _unshared(self.ca[..., rows, cols]), _unshared(self.cb[..., rows, cols])
+        )
 
     def copy(self):
-        return QMatrix(self.ca.copy(), self.cb.copy())
+        return QMatrix._owning(self.ca.copy(), self.cb.copy())
 
     def freeze(self):
         """Make the underlying storage read-only.
 
-        A frozen matrix keeps the adjoint eigendecomposition that the first
-        eigen routine called on it computes.
+        A part that views other, writable storage is copied first.  A frozen
+        matrix keeps the adjoint eigendecomposition that the first eigen
+        routine called on it computes.
         """
+        self.ca = _unshared(self.ca)
+        self.cb = _unshared(self.cb)
         self.ca.flags.writeable = False
         self.cb.flags.writeable = False
         return self
@@ -179,24 +208,24 @@ class QMatrix:
         # (a1 + b1 j)(a2 + b2 j) = (a1 a2 - b1 conj(b2)) + (a1 b2 + b1 conj(a2)) j
         ca = self.ca @ other.ca - self.cb @ other.cb.conj()
         cb = self.ca @ other.cb + self.cb @ other.ca.conj()
-        return QMatrix(ca, cb)
+        return QMatrix._owning(ca, cb)
 
     def star(self):
         """Quaternionic Hermitian transpose (conjugate transpose)."""
-        return QMatrix(self.ca.conj().swapaxes(-1, -2), -self.cb.swapaxes(-1, -2))
+        return QMatrix._owning(self.ca.conj().swapaxes(-1, -2), -self.cb.swapaxes(-1, -2))
 
     def __add__(self, other):
         if not isinstance(other, QMatrix):
             return NotImplemented
-        return QMatrix(self.ca + other.ca, self.cb + other.cb)
+        return QMatrix._owning(self.ca + other.ca, self.cb + other.cb)
 
     def __sub__(self, other):
         if not isinstance(other, QMatrix):
             return NotImplemented
-        return QMatrix(self.ca - other.ca, self.cb - other.cb)
+        return QMatrix._owning(self.ca - other.ca, self.cb - other.cb)
 
     def __neg__(self):
-        return QMatrix(-self.ca, -self.cb)
+        return QMatrix._owning(-self.ca, -self.cb)
 
     def scale_left(self, q):
         """Entrywise left multiplication q * M.
@@ -205,12 +234,16 @@ class QMatrix:
         real numbers or a stack of 1 x 1 matrices with one scalar per element.
         """
         qa, qb = _as_pair(q)
-        return QMatrix(qa * self.ca - qb * self.cb.conj(), qa * self.cb + qb * self.ca.conj())
+        return QMatrix._owning(
+            qa * self.ca - qb * self.cb.conj(), qa * self.cb + qb * self.ca.conj()
+        )
 
     def scale_right(self, q):
         """Entrywise right multiplication M * q; ``q`` as in :meth:`scale_left`."""
         qa, qb = _as_pair(q)
-        return QMatrix(self.ca * qa - self.cb * np.conj(qb), self.ca * qb + self.cb * np.conj(qa))
+        return QMatrix._owning(
+            self.ca * qa - self.cb * np.conj(qb), self.ca * qb + self.cb * np.conj(qa)
+        )
 
     # -- norms ----------------------------------------------------------------
 
@@ -282,6 +315,11 @@ class QMatrix:
         return f"QMatrix({stack}{self.rows}x{self.cols})"
 
 
+def _unshared(arr):
+    """``arr``, or a copy of it when it is a writable view of other storage."""
+    return arr.copy() if arr.base is not None and arr.flags.writeable else arr
+
+
 def _as_pair(q):
     if isinstance(q, Quaternion):
         return q.complex_pair()
@@ -306,7 +344,8 @@ def _adjoint_spectrum(m: QMatrix) -> _Spectrum:
 
     Every eigen routine reads this one decomposition.  A frozen matrix
     cannot change, so it keeps the result, with read-only arrays, and later
-    calls reuse it; for an unfrozen matrix it is recomputed on each call.
+    calls reuse it, as :func:`right_eigenvalues` reuses its pairing; for an
+    unfrozen matrix both are recomputed on each call.
     """
     if m._spectrum is not None:
         return m._spectrum
@@ -320,35 +359,31 @@ def _adjoint_spectrum(m: QMatrix) -> _Spectrum:
     return spectrum
 
 
-def _pair_adjoint_eigenvalues(evals, tol, scale=None):
+def _pair_adjoint_eigenvalues(evals):
     """Collapse the conjugate-paired adjoint spectrum to class representatives.
 
     Greedy nearest matching: repeatedly take the remaining eigenvalue with the
     largest imaginary part and pair it with the closest candidate for its
-    conjugate.  Representatives keep algebraic multiplicity.  The mismatch
-    guard is scaled by the matrix norm: the exact adjoint spectrum is
-    conjugate-symmetric, so any split is eigensolver rounding, which grows
-    with norm and conditioning.
+    conjugate.  Representatives keep algebraic multiplicity.  Returns the
+    representatives, sorted by (modulus, real part), and the mismatch
+    ``|partner - conj(lam)|`` of each pair in matching order.  No step
+    depends on a tolerance, so one pairing serves every tolerance.
     """
     order = np.argsort(-evals.imag, kind="stable")
     pool = list(evals[order])
-    if scale is None:
-        scale = max(1.0, float(np.abs(evals).max())) if len(evals) else 1.0
     reps = []
+    mismatches = []
     while pool:
         lam = pool.pop(0)
         target = np.conj(lam)
         dists = [abs(other - target) for other in pool]
         j = int(np.argmin(dists))
-        if dists[j] > tol * scale:
-            raise NumericError(
-                "adjoint spectrum does not split into conjugate pairs",
-                residual=dists[j],
-            )
+        mismatches.append(dists[j])
         partner = pool.pop(j)
         rep = 0.5 * (lam + np.conj(partner))
         reps.append(complex(rep.real, abs(rep.imag)))
-    return reps
+    reps.sort(key=lambda lam: (abs(lam), lam.real))
+    return tuple(reps), tuple(mismatches)
 
 
 def right_eigenvalues(m: QMatrix, tol=PAIRING_TOL):
@@ -357,13 +392,27 @@ def right_eigenvalues(m: QMatrix, tol=PAIRING_TOL):
     The representative is the class member with non-negative imaginary part;
     multiplicities are preserved, so a square matrix of size k yields k
     values.  Results are sorted by (modulus, real part) for determinism.
+    Raises :class:`NumericError` at the first pair, in matching order, whose
+    mismatch exceeds ``tol`` times the adjoint's norm (at least 1): the exact
+    adjoint spectrum is conjugate-symmetric, so any split is eigensolver
+    rounding, which grows with norm and conditioning.
     """
     if m.rows != m.cols:
         raise ShapeMismatchError("eigenvalues require a square matrix")
     spectrum = _adjoint_spectrum(m)
-    reps = _pair_adjoint_eigenvalues(spectrum.evals, tol, scale=max(1.0, spectrum.adj_norm))
-    reps.sort(key=lambda lam: (abs(lam), lam.real))
-    return reps
+    pairing = m._pairing
+    if pairing is None:
+        pairing = _pair_adjoint_eigenvalues(spectrum.evals)
+        if m._spectrum is spectrum:
+            m._pairing = pairing
+    reps, mismatches = pairing
+    limit = tol * max(1.0, spectrum.adj_norm)
+    for mismatch in mismatches:
+        if mismatch > limit:
+            raise NumericError(
+                "adjoint spectrum does not split into conjugate pairs", residual=mismatch
+            )
+    return list(reps)
 
 
 def right_eigenpairs(m: QMatrix, tol=1e-8):
@@ -375,7 +424,8 @@ def right_eigenpairs(m: QMatrix, tol=1e-8):
     """
     if m.rows != m.cols:
         raise ShapeMismatchError("eigenpairs require a square matrix")
-    _, _, evals, evecs = _adjoint_spectrum(m)
+    spectrum = _adjoint_spectrum(m)
+    evals, evecs = spectrum.evals, spectrum.evecs
     size = m.rows
     j_unit = Quaternion(0.0, 0.0, 1.0, 0.0)
     candidates = []

@@ -171,32 +171,45 @@ def is_member(m: QMatrix, tol=ADMISSION_TOL) -> SpElement:
     return SpElement(m.copy(), m.rows - 1, residual)
 
 
+@lru_cache(maxsize=32)
+def _inverse_layout(n: int):
+    """Row/column order and sign mask that turn ``g*`` into ``J g* J``.
+
+    J swaps the last two coordinates with a sign, so ``J g* J`` is ``g*``
+    with its last two rows and columns swapped and the blocks that couple
+    the first n-1 coordinates to the last two negated.
+    """
+    order = np.r_[0 : n - 1, n, n - 1]
+    top = np.arange(n + 1) < n - 1
+    return order[:, None], order, top[:, None] != top
+
+
+def _structure_inverse(m: QMatrix) -> QMatrix:
+    """``J m* J`` for one matrix or a stack; the inverse of a group element.
+
+    In blocks, with the starred blocks of m moved as ``J g* J`` moves them:
+
+        [[A*,     -theta*,       -gamma*     ],
+         [-beta*,  conj(a_n1n1),  conj(a_nn1)],
+         [-alpha*, conj(a_n1n),   conj(a_nn) ]]
+
+    Only entries are moved and negated, so no rounding is involved.
+    """
+    rows, cols, negated = _inverse_layout(m.rows - 1)
+    starred = m.star()
+    ca = starred.ca[..., rows, cols]
+    cb = starred.cb[..., rows, cols]
+    np.negative(ca, out=ca, where=negated)
+    np.negative(cb, out=cb, where=negated)
+    return QMatrix(ca, cb)
+
+
 def group_inverse(g: SpElement) -> SpElement:
     """Invert via the structure formula ``g^-1 = J g* J``.
 
-    Assembled directly from the blocks of g; no generic linear solve is
-    involved, so the cost is a handful of conjugations.
+    No generic linear solve is involved: see :func:`_structure_inverse`.
     """
-    gs = g.m.star()
-    # J g* J rearranges the starred blocks:
-    #   [[A*,     -theta*,       -gamma*     ],
-    #    [-beta*,  conj(a_n1n1),  conj(a_nn1)],
-    #    [-alpha*, conj(a_n1n),   conj(a_nn) ]]
-    inv = QMatrix.from_blocks(
-        [
-            [g.A.star(), -g.theta.star(), -g.gamma.star()],
-            [
-                -g.beta.star(),
-                QMatrix.diag([g.a_n1n1.conj()]),
-                QMatrix.diag([g.a_nn1.conj()]),
-            ],
-            [
-                -g.alpha.star(),
-                QMatrix.diag([g.a_n1n.conj()]),
-                QMatrix.diag([g.a_nn.conj()]),
-            ],
-        ]
-    )
+    inv = _structure_inverse(g.m)
     residual, _ = membership_residual(inv)
     return SpElement(inv, g.n, residual)
 
@@ -221,36 +234,36 @@ def identity_residuals(g: SpElement) -> np.ndarray:
     ``g @ group_inverse(g) = I`` the blocks (1,1)-I, (1,2), (1,3), (2,1),
     (2,2)-1, (2,3), (3,2); then from ``group_inverse(g) @ g = I`` the blocks
     (1,1)-I, (1,2), (1,3), (2,2)-1, (2,3), (3,2).  Regression baselines rely
-    on this ordering.
+    on this ordering.  This is the one-element case of
+    :func:`identity_residual_table`.
     """
-    n = g.n
-    inv = group_inverse(g)
+    return identity_residual_table(g.m)
+
+
+def identity_residual_table(m: QMatrix) -> np.ndarray:
+    """The thirteen residuals of :func:`identity_residuals` for a matrix or a stack.
+
+    ``m`` holds group elements of one n; the result has shape ``(..., 13)``.
+    Blocks that are empty at n = 1 give 0.
+    """
+    n = m.rows - 1
+    inv = _structure_inverse(m)
     eye = QMatrix.identity(n + 1)
-    e1 = g.m @ inv.m - eye
-    e2 = inv.m @ g.m - eye
-    top = slice(0, n - 1)
-    mid, bot = n - 1, n
-
-    def block_max(err, rows, cols):
-        return err.submatrix(rows, cols).norm_max()
-
-    return np.array(
-        [
-            block_max(e1, top, top),
-            block_max(e1, top, mid),
-            block_max(e1, top, bot),
-            block_max(e1, mid, top),
-            block_max(e1, mid, mid),
-            block_max(e1, mid, bot),
-            block_max(e1, bot, mid),
-            block_max(e2, top, top),
-            block_max(e2, top, mid),
-            block_max(e2, top, bot),
-            block_max(e2, mid, mid),
-            block_max(e2, mid, bot),
-            block_max(e2, bot, mid),
-        ]
+    e1 = (m @ inv - eye).entry_moduli()
+    e2 = (inv @ m - eye).entry_moduli()
+    top, mid, bot = slice(0, n - 1), slice(n - 1, n), slice(n, n + 1)
+    blocks = (
+        (e1, top, top), (e1, top, mid), (e1, top, bot), (e1, mid, top),
+        (e1, mid, mid), (e1, mid, bot), (e1, bot, mid),
+        (e2, top, top), (e2, top, mid), (e2, top, bot),
+        (e2, mid, mid), (e2, mid, bot), (e2, bot, mid),
     )
+    out = np.zeros(m.ca.shape[:-2] + (len(blocks),))
+    for k, (err, rows, cols) in enumerate(blocks):
+        block = err[..., rows, cols]
+        if block.shape[-2] and block.shape[-1]:
+            out[..., k] = block.max(axis=(-2, -1))
+    return out
 
 
 # -- stabilizer normal forms ------------------------------------------------
@@ -285,10 +298,6 @@ class NormalFormParams:
 #: stacked assembler takes kinds as indices into this tuple.
 _FACTOR_KINDS = (StabilizerKind.STAB_INFINITY, StabilizerKind.STAB_ZERO, StabilizerKind.STAB_BOTH)
 _STAB_ZERO, _STAB_BOTH = 1, 2
-
-
-def _element(stack: QMatrix, k: int) -> QMatrix:
-    return QMatrix(stack.ca[k], stack.cb[k])
 
 
 def _first(mask):
@@ -385,7 +394,7 @@ def make_normal_form(p: NormalFormParams, tol=CONSTRAINT_TOL) -> SpElement:
         np.array([s.to_json()]),
         tol,
     )
-    return SpElement(_element(mats, 0), m + 1, float(residual[0]))
+    return SpElement(QMatrix(mats.ca[0], mats.cb[0]), m + 1, float(residual[0]))
 
 
 def make_loxodromic(unit_eigs, lam_n: Quaternion, tol=CONSTRAINT_TOL) -> SpElement:
@@ -447,7 +456,7 @@ def random_unitary(rng, m: int) -> QMatrix:
 
 
 def _random_factors(rng, n: int, length: int) -> QMatrix:
-    """Draw and assemble the ``length`` stabilizer factors of one word.
+    """Draw and assemble ``length`` stabilizer factors, in stream order.
 
     The parameters are drawn factor by factor, each factor in the order kind,
     the columns of A, lam, then either the loxodromic stretch (StabBoth) or
@@ -483,6 +492,27 @@ def _random_factors(rng, n: int, length: int) -> QMatrix:
     return mats
 
 
+def _random_words(rng, n: int, count: int, word_length: int) -> QMatrix:
+    """Draw ``count`` words and multiply each left to right from the identity.
+
+    A word's factors are consecutive in the stream, so drawing all the
+    factors of all the words in one pass takes the values word by word.  The
+    words are multiplied as one stack, factor position by factor position.
+    """
+    factors = _random_factors(rng, n, count * word_length)
+    shape = (count, word_length, n + 1, n + 1)
+    ca, cb = factors.ca.reshape(shape), factors.cb.reshape(shape)
+    words = QMatrix.identity(n + 1)
+    for k in range(word_length):
+        words = words @ QMatrix(ca[:, k], cb[:, k])
+    return words
+
+
+#: The most words :func:`sample_elements` draws and multiplies as one stack,
+#: which bounds its memory for a large ``count``.
+_WORD_CHUNK = 64
+
+
 def sample_elements(n: int, seed: int, count: int, word_length: int = 8, tol=ADMISSION_TOL):
     """Yield ``count`` admitted random elements from one seeded PCG64 stream.
 
@@ -499,8 +529,13 @@ def sample_elements(n: int, seed: int, count: int, word_length: int = 8, tol=ADM
     * after ``20 * count`` words in total the sampler gives up with a
       :class:`NumericError` carrying the residual of the last rejected word.
 
-    The generator is lazy: each word is drawn only when the next element is
-    requested.
+    The generator is lazy by chunks: when it needs a word it draws all the
+    words still missing (at most a fixed number, and never past the
+    ``20 * count`` limit), assembles, multiplies and admits them as one
+    stack, and then yields the admitted ones in order.  Words never share
+    draws, so chunking does not change the stream or the elements.  It does
+    move errors earlier: a factor of a later word in a chunk that fails its
+    own checks raises before the earlier words of that chunk are yielded.
     """
     if n < 1 or count < 1 or word_length < 1:
         raise ValueError("n, count and word_length must be positive")
@@ -509,23 +544,22 @@ def sample_elements(n: int, seed: int, count: int, word_length: int = 8, tol=ADM
     attempts = 0
     residual = None
     while produced < count:
-        attempts += 1
-        if attempts > 20 * count:
+        chunk = min(count - produced, _WORD_CHUNK, 20 * count - attempts)
+        if chunk == 0:
             raise NumericError(
-                f"sampler admitted {produced} of {count} elements in {attempts - 1} words "
+                f"sampler admitted {produced} of {count} elements in {attempts} words "
                 f"at tolerance {tol:.3e}",
                 residual=residual,
             )
-        factors = _random_factors(rng, n, word_length)
-        word = QMatrix.identity(n + 1)
-        for k in range(word_length):
-            word = word @ _element(factors, k)
-        try:
-            yield is_member(word, tol=tol)
-        except MembershipError as exc:
-            residual = exc.residual
-            continue
-        produced += 1
+        words = _random_words(rng, n, chunk, word_length)
+        attempts += chunk
+        residuals, _ = membership_residual(words)
+        for k in range(chunk):
+            if not (residuals[k] <= tol):
+                residual = float(residuals[k])
+                continue
+            yield SpElement(QMatrix(words.ca[k], words.cb[k]), n, float(residuals[k]))
+            produced += 1
 
 
 def random_element(n: int, seed: int, word_length: int = 8) -> SpElement:

@@ -1,12 +1,14 @@
-"""Shared generators for the test suite, and the reference sampler."""
+"""Shared generators for the test suite, the reference sampler and the
+per-element reference checks."""
 
 import math
 from collections import Counter
 
 import numpy as np
 
-from qhspace.errors import MembershipError, ShapeMismatchError
-from qhspace.geometry import ProjectivePoint, from_lift
+from qhspace.crossratio import DEGENERACY_TOL, CrossRatioValue, EntryIdentityReport
+from qhspace.errors import MembershipError, NumericError, ShapeMismatchError
+from qhspace.geometry import ProjectivePoint, apply, from_lift, q_infinity, q_zero
 from qhspace.qmatrix import QMatrix
 from qhspace.quaternion import Quaternion, random_unit
 from qhspace.spn1 import (
@@ -17,8 +19,13 @@ from qhspace.spn1 import (
     StabilizerKind,
     compose,
     group_inverse,
+    herm_form,
+    identity_element,
     is_member,
+    make_loxodromic,
     make_normal_form,
+    membership_residual,
+    sample_elements,
 )
 
 
@@ -99,6 +106,25 @@ def diagonal_of(g: SpElement, conjugator: SpElement):
     entries = [d[i, i] for i in range(d.rows)]
     off = d - QMatrix.diag(entries)
     return entries, off.norm_max()
+
+
+def stack_of(elements) -> QMatrix:
+    """The matrices of equal-size elements as one stack."""
+    return QMatrix(np.stack([g.m.ca for g in elements]), np.stack([g.m.cb for g in elements]))
+
+
+def check_elements(n, seed=0):
+    """Elements for the check batteries: sampled words, normal forms (some fix
+    q0 or qinf, so their entry identities are degenerate), a diagonal
+    loxodromic, the identity and the swap of q0 and qinf."""
+    rng = np.random.default_rng(seed)
+    out = list(sample_elements(n, seed, 6, 8))
+    out += [reference_normal_form(reference_factor_params(rng, n)) for _ in range(6)]
+    out += [parabolic_factor(n, rng, kind) for kind in (StabilizerKind.STAB_INFINITY, StabilizerKind.STAB_ZERO)]
+    out.append(make_loxodromic([Quaternion(1.0)] * (n - 1), Quaternion(1.2, 0.3)))
+    out.append(identity_element(n))
+    out.append(swap_element(n))
+    return out
 
 
 def count_linalg(monkeypatch, names=("eig", "eigvals", "svd", "eigvalsh", "inv")):
@@ -183,19 +209,217 @@ def reference_factor_params(rng, n: int) -> NormalFormParams:
     return NormalFormParams(which, lam=lam, mu=mu, A=A, a=a, s=s)
 
 
+def reference_words(n, seed, word_length):
+    """Endless words from one stream, each the 2-D product of its factors."""
+    rng = np.random.default_rng(seed)
+    while True:
+        word = QMatrix.identity(n + 1)
+        for _ in range(word_length):
+            word = word @ reference_normal_form(reference_factor_params(rng, n)).m
+        yield word
+
+
 def reference_sample(n, seed, count, word_length, tol=ADMISSION_TOL):
     """The admitted words, as a list, and the number of words drawn."""
-    rng = np.random.default_rng(seed)
+    words = reference_words(n, seed, word_length)
     out, attempts = [], 0
     while len(out) < count:
         attempts += 1
         if attempts > 20 * count:
             raise RuntimeError("sampler failed to produce admitted elements")
-        word = QMatrix.identity(n + 1)
-        for _ in range(word_length):
-            word = word @ reference_normal_form(reference_factor_params(rng, n)).m
         try:
-            out.append(is_member(word, tol=tol))
+            out.append(is_member(next(words), tol=tol))
         except MembershipError:
             continue
     return out, attempts
+
+
+def reference_sample_elements(n, seed, count, word_length, tol=ADMISSION_TOL):
+    """The word-by-word sampler: each word is drawn and admitted when asked for.
+
+    It gives up after ``20 * count`` words with the message and residual that
+    ``spn1.sample_elements`` uses.
+    """
+    words = reference_words(n, seed, word_length)
+    produced = attempts = 0
+    residual = None
+    while produced < count:
+        attempts += 1
+        if attempts > 20 * count:
+            raise NumericError(
+                f"sampler admitted {produced} of {count} elements in {attempts - 1} words "
+                f"at tolerance {tol:.3e}",
+                residual=residual,
+            )
+        try:
+            element = is_member(next(words), tol=tol)
+        except MembershipError as exc:
+            residual = exc.residual
+            continue
+        yield element
+        produced += 1
+
+
+# -- per-element reference checks -------------------------------------------
+#
+# The per-element checks that ``spn1.identity_residual_table`` and the
+# ``crossratio`` tables reproduce bit for bit: each element is inverted from
+# its blocks, multiplied and measured on its own, and every modulus is a
+# scalar ``Quaternion.modulus``.
+
+
+def reference_group_inverse(g: SpElement) -> SpElement:
+    """``J g* J`` assembled from the starred blocks of g."""
+    inv = QMatrix.from_blocks(
+        [
+            [g.A.star(), -g.theta.star(), -g.gamma.star()],
+            [
+                -g.beta.star(),
+                QMatrix.diag([g.a_n1n1.conj()]),
+                QMatrix.diag([g.a_nn1.conj()]),
+            ],
+            [
+                -g.alpha.star(),
+                QMatrix.diag([g.a_n1n.conj()]),
+                QMatrix.diag([g.a_nn.conj()]),
+            ],
+        ]
+    )
+    residual, _ = membership_residual(inv)
+    return SpElement(inv, g.n, residual)
+
+
+def reference_identity_residuals(g: SpElement) -> np.ndarray:
+    n = g.n
+    inv = reference_group_inverse(g)
+    eye = QMatrix.identity(n + 1)
+    e1 = g.m @ inv.m - eye
+    e2 = inv.m @ g.m - eye
+    top = slice(0, n - 1)
+    mid, bot = n - 1, n
+
+    def block_max(err, rows, cols):
+        return err.submatrix(rows, cols).norm_max()
+
+    return np.array(
+        [
+            block_max(e1, top, top),
+            block_max(e1, top, mid),
+            block_max(e1, top, bot),
+            block_max(e1, mid, top),
+            block_max(e1, mid, mid),
+            block_max(e1, mid, bot),
+            block_max(e1, bot, mid),
+            block_max(e2, top, top),
+            block_max(e2, top, mid),
+            block_max(e2, top, bot),
+            block_max(e2, mid, mid),
+            block_max(e2, mid, bot),
+            block_max(e2, bot, mid),
+        ]
+    )
+
+
+def reference_cross_ratio(z1, z2, w1, w2) -> CrossRatioValue:
+    points = (z1, z2, w1, w2)
+    f_w1z1 = herm_form(z1.lift, w1.lift)
+    f_w1z2 = herm_form(z2.lift, w1.lift)
+    f_w2z2 = herm_form(z2.lift, w2.lift)
+    f_w2z1 = herm_form(z1.lift, w2.lift)
+    norms = [p.lift.norm_fro() for p in points]
+    cut = DEGENERACY_TOL
+    vanishing = []
+    for name, value, na, nb in (
+        ("w1z1", f_w1z1, norms[2], norms[0]),
+        ("w1z2", f_w1z2, norms[2], norms[1]),
+        ("w2z2", f_w2z2, norms[3], norms[1]),
+        ("w2z1", f_w2z1, norms[3], norms[0]),
+    ):
+        if value.modulus() <= cut * na * nb:
+            vanishing.append(name)
+    degenerate = "w1z2" in vanishing or "w2z1" in vanishing
+    if degenerate:
+        return CrossRatioValue(Quaternion(math.nan), math.nan, True, tuple(vanishing))
+    value = f_w1z1 * f_w1z2.inverse() * f_w2z2 * f_w2z1.inverse()
+    abs_value = (f_w1z1.modulus() * f_w2z2.modulus()) / (
+        f_w1z2.modulus() * f_w2z1.modulus()
+    )
+    return CrossRatioValue(value, abs_value, False, tuple(vanishing))
+
+
+def reference_entry_identity_check(h: SpElement) -> EntryIdentityReport:
+    qi = q_infinity(h.n)
+    qz = q_zero(h.n)
+    h_qi = apply(h, qi)
+    h_qz = apply(h, qz)
+    first = reference_cross_ratio(h_qi, qz, qi, h_qz)
+    second = reference_cross_ratio(h_qi, qi, qz, h_qz)
+    rhs1 = h.a_n1n.modulus() * h.a_nn1.modulus()
+    rhs2 = h.a_nn.modulus() * h.a_n1n1.modulus()
+    return EntryIdentityReport(
+        lhs1=first.abs_value if not first.degenerate else math.nan,
+        rhs1=rhs1,
+        lhs2=second.abs_value if not second.degenerate else math.nan,
+        rhs2=rhs2,
+        vanishing1=first.vanishing,
+        vanishing2=second.vanishing,
+    )
+
+
+def reference_corner_bound_slacks(h: SpElement) -> np.ndarray:
+    p = math.sqrt(h.a_nn.modulus() * h.a_n1n1.modulus())
+    q = math.sqrt(h.a_nn1.modulus() * h.a_n1n.modulus())
+    beta_alpha = (h.beta.star() @ h.alpha)[0, 0].modulus()
+    gamma_theta = (h.gamma @ h.theta.star())[0, 0].modulus()
+    return np.array(
+        [
+            2.0 * p * q - beta_alpha,
+            2.0 * p * q - gamma_theta,
+            (q + 1.0) - p,
+            (p + 1.0) - q,
+            (p + q) - 1.0,
+        ]
+    )
+
+
+def reference_verify(n, seed, count, word_length, tol=ADMISSION_TOL):
+    """The ``verify`` document, built element by element from the references."""
+    membership_worst = 0.0
+    identity_worst = np.zeros(13)
+    slack_worst = np.full(5, np.inf)
+    entry_worst = 0.0
+    degenerate_entries = 0
+    produced = 0
+    for element in sample_elements(n, seed, count, word_length):
+        produced += 1
+        membership_worst = max(membership_worst, element.residual)
+        identity_worst = np.maximum(identity_worst, reference_identity_residuals(element))
+        slack_worst = np.minimum(slack_worst, reference_corner_bound_slacks(element))
+        report = reference_entry_identity_check(element)
+        if report.degenerate:
+            degenerate_entries += 1
+        else:
+            entry_worst = max(
+                entry_worst,
+                abs(report.lhs1 - report.rhs1) / max(report.rhs1, 1e-300),
+                abs(report.lhs2 - report.rhs2) / max(report.rhs2, 1e-300),
+            )
+    checks = {
+        "membership_max": (membership_worst, membership_worst <= tol),
+        "identity_residual_max": (float(identity_worst.max()), identity_worst.max() <= tol),
+        "corner_slack_min": (float(slack_worst.min()), slack_worst.min() >= -tol),
+        "entry_identity_rel_max": (entry_worst, entry_worst <= tol),
+    }
+    doc = {
+        "n": n,
+        "seed": seed,
+        "count": produced,
+        "word_length": word_length,
+        "tolerance": tol,
+        "identity_residuals": [float(v) for v in identity_worst],
+        "corner_slacks": [float(v) for v in slack_worst],
+        "degenerate_entry_identities": degenerate_entries,
+        "checks": {k: {"value": v, "pass": bool(ok)} for k, (v, ok) in checks.items()},
+    }
+    doc["pass"] = all(flag for _, flag in checks.values())
+    return doc

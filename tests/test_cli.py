@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import small_perturbation
+from helpers import reference_verify, small_perturbation
 
 import qhspace.cli as cli
 import qhspace.jsonio as jsonio
@@ -95,6 +95,17 @@ def test_verify_passes(capsys):
     doc = json.loads(out)
     assert doc["pass"] is True
     assert doc["checks"]["membership_max"]["pass"] is True
+
+
+@pytest.mark.parametrize("count", [1, 3, 10])
+def test_verify_matches_per_element_reference(count, capsys):
+    for n, seed, word_length, tol in ((1, 0, 16, ADMISSION_TOL), (2, 3, 8, 1e-13), (3, 7, 16, 1e-18), (5, 1, 8, ADMISSION_TOL)):
+        argv = ["verify", "--n", str(n), "--seed", str(seed), "--count", str(count),
+                "--word-length", str(word_length), "--tol", repr(tol)]
+        code, out, _ = run(argv, capsys)
+        ref = reference_verify(n, seed, count, word_length, tol)
+        assert out == jsonio.dumps(ref) + "\n"
+        assert code == (0 if ref["pass"] else 2)
 
 
 def test_verify_fails_with_strict_tolerance(capsys):

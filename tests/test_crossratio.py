@@ -4,13 +4,25 @@ import numpy as np
 import pytest
 
 from helpers import (
+    check_elements,
     random_boundary_point,
     random_interior_point,
     random_quaternion,
+    reference_corner_bound_slacks,
+    reference_cross_ratio,
+    reference_entry_identity_check,
+    stack_of,
     swap_element,
 )
 
-from qhspace.crossratio import corner_bound_slacks, cross_ratio, entry_identity_check
+from qhspace.crossratio import (
+    _moduli,
+    corner_bound_slacks,
+    corner_slack_table,
+    cross_ratio,
+    entry_identity_check,
+    entry_identity_table,
+)
 from qhspace.geometry import q_infinity, q_zero
 from qhspace.qmatrix import QMatrix
 from qhspace.quaternion import Quaternion
@@ -108,3 +120,83 @@ def test_corner_slacks_nonnegative_on_samples():
         for h in sample_elements(n, seed=83, count=150, word_length=10):
             worst = min(worst, corner_bound_slacks(h).min())
     assert worst >= -1e-9
+
+
+def same_report(got, ref):
+    """Equal fields, with equal bits for the floats (NaN included)."""
+    floats = ("lhs1", "rhs1", "lhs2", "rhs2")
+    return (
+        np.array([getattr(got, f) for f in floats]).tobytes()
+        == np.array([getattr(ref, f) for f in floats]).tobytes()
+        and all(type(getattr(got, f)) is float for f in floats)
+        and (got.vanishing1, got.vanishing2) == (ref.vanishing1, ref.vanishing2)
+    )
+
+
+def test_moduli_match_quaternion_modulus():
+    # x * x differs from Python's x ** 2 in about one square in a thousand.
+    gen = np.random.default_rng(8)
+    comp = gen.standard_normal((50, 200, 4)) * 10.0 ** gen.integers(-8, 8, (50, 1, 1))
+    want = [[Quaternion(*q).modulus() for q in row] for row in comp]
+    assert _moduli(QMatrix.from_components(comp)).tobytes() == np.array(want).tobytes()
+
+
+def test_cross_ratio_matches_scalar_reference():
+    n_points = [(n, kind) for n in (1, 2, 3, 5) for kind in range(3)]
+    for n, kind in n_points:
+        for _ in range(10):
+            points = [
+                random_interior_point(n, rng) if (i + kind) % 3 == 0 else random_boundary_point(n, rng)
+                for i in range(4)
+            ]
+            points[kind] = points[(kind + 1) % 4]  # a repeated point
+            for args in (points, points[::-1], (q_infinity(n), q_zero(n), q_zero(n), points[0])):
+                got, ref = cross_ratio(*args), reference_cross_ratio(*args)
+                assert got.degenerate == ref.degenerate and got.vanishing == ref.vanishing
+                assert np.array([got.abs_value]).tobytes() == np.array([ref.abs_value]).tobytes()
+                assert type(got.abs_value) is float
+                assert got.value.to_json() == ref.value.to_json() or got.degenerate
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_entry_identity_table_matches_per_element_reference(n):
+    elements = check_elements(n)
+    lhs, rhs, vanishing = entry_identity_table(stack_of(elements))
+    assert lhs.shape == rhs.shape == (len(elements), 2)
+    assert vanishing.shape == (len(elements), 2, 4)
+    degenerate = 0
+    for k, h in enumerate(elements):
+        ref = reference_entry_identity_check(h)
+        got = entry_identity_check(h)
+        assert same_report(got, ref)
+        assert np.array([lhs[k, 0], rhs[k, 0], lhs[k, 1], rhs[k, 1]]).tobytes() == np.array(
+            [ref.lhs1, ref.rhs1, ref.lhs2, ref.rhs2]
+        ).tobytes()
+        degenerate += ref.degenerate
+        assert ref.degenerate == bool(vanishing[k].any())
+    # The normal forms that fix q0 or qinf, the diagonal element, the
+    # identity and the swap all have vanishing pairings.
+    assert degenerate >= 5
+
+
+def test_entry_identity_names_the_vanishing_pairings():
+    for n in (1, 2, 3, 5):
+        *_, lox, eye, swap = check_elements(n)
+        for h in (lox, eye):
+            report = entry_identity_check(h)
+            assert report.vanishing1 == ("w1z1", "w2z2")
+            assert same_report(report, reference_entry_identity_check(h))
+        report = entry_identity_check(swap)
+        assert report.degenerate and report.rhs2 == 0.0
+        assert same_report(report, reference_entry_identity_check(swap))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_corner_slack_table_matches_per_element_reference(n):
+    elements = check_elements(n)
+    table = corner_slack_table(stack_of(elements))
+    assert table.shape == (len(elements), 5)
+    for row, h in zip(table, elements):
+        ref = reference_corner_bound_slacks(h)
+        assert row.tobytes() == ref.tobytes()
+        assert corner_bound_slacks(h).tobytes() == ref.tobytes()

@@ -3,7 +3,8 @@ import pytest
 
 from helpers import count_linalg, inverse_via_adjoint, same_bits
 
-from qhspace.errors import ShapeMismatchError
+import qhspace.qmatrix as qmatrix
+from qhspace.errors import NumericError, ShapeMismatchError
 from qhspace.qmatrix import (
     QMatrix,
     _adjoint_spectrum,
@@ -238,3 +239,101 @@ def test_from_blocks_matches_np_block():
     want = QMatrix(np.block([[b.ca for b in row] for row in blocks]),
                    np.block([[b.cb for b in row] for row in blocks]))
     assert same_bits(got, want)
+
+
+def test_freeze_never_makes_a_callers_array_read_only():
+    ca, cb = rng.standard_normal((2, 3, 3)) + 0j, np.zeros((2, 3, 3), complex)
+    m = QMatrix(ca, cb).freeze()
+    assert ca.flags.writeable and cb.flags.writeable
+    assert not np.shares_memory(m.ca, ca) and not np.shares_memory(m.cb, cb)
+    # A view of a writable matrix is copied before it is frozen.
+    parent = random_qmatrix(3, 3)
+    for frozen in (parent.submatrix(slice(0, 2), 1).freeze(), parent.star().freeze()):
+        assert parent.ca.flags.writeable and parent.cb.flags.writeable
+        assert not frozen.ca.flags.writeable and not frozen.cb.flags.writeable
+        for part in (frozen.ca, frozen.cb):
+            assert not np.shares_memory(part, parent.ca) and not np.shares_memory(part, parent.cb)
+
+
+def test_frozen_matrix_never_shares_memory_with_a_writable_array():
+    parent = random_qmatrix(4, 4)
+    block = parent.submatrix(slice(1, 3), slice(0, 2))
+    assert not np.shares_memory(block.ca, parent.ca)  # an unfrozen parent's block is a copy
+    block.ca[0, 0] = 7.0
+    assert parent.ca[1, 0] != 7.0
+    parent.freeze()
+    view = parent.submatrix(slice(1, 3), slice(0, 2))
+    assert np.shares_memory(view.ca, parent.ca)  # a frozen parent's block is a view
+    assert not view.ca.flags.writeable and not view.cb.flags.writeable
+    for result in (parent @ parent, parent.star(), parent + parent, parent - parent, -parent,
+                   parent.scale_left(I), parent.scale_right(2.0), parent.copy()):
+        for part in (result.ca, result.cb):
+            assert part.flags.writeable
+            assert not np.shares_memory(part, parent.ca) and not np.shares_memory(part, parent.cb)
+
+
+def test_computed_results_take_ownership(monkeypatch):
+    m, other = random_qmatrix(3, 3), random_qmatrix(3, 3)
+    frozen = random_qmatrix(3, 3).freeze()
+    copies = []
+    original = QMatrix.__init__
+
+    def counted(self, ca, cb):
+        copies.append(1)
+        original(self, ca, cb)
+
+    monkeypatch.setattr(QMatrix, "__init__", counted)
+    results = [m @ other, m.star(), m + other, m - other, -m, m.scale_left(I),
+               m.scale_right(2.0), frozen.submatrix(slice(0, 2), 1), m.copy()]
+    assert copies == []
+    monkeypatch.setattr(QMatrix, "__init__", original)
+    ref = QMatrix(m.ca, m.cb)
+    want = [ref @ other, ref.star(), ref + other, ref - other, -ref, ref.scale_left(I),
+            ref.scale_right(2.0), QMatrix(frozen.ca[0:2, 1:2], frozen.cb[0:2, 1:2]), ref]
+    for got, exp in zip(results, want):
+        assert got.ca.dtype == complex and np.array_equal(got.ca, exp.ca)
+        assert np.array_equal(got.cb, exp.cb)
+
+
+def test_eigenvalue_pairing_runs_once_per_frozen_element(monkeypatch):
+    from qhspace.spectral import classify, spectral_report
+    from qhspace.spn1 import sample_elements
+
+    pairings = []
+    pair = qmatrix._pair_adjoint_eigenvalues
+
+    def counted(evals):
+        pairings.append(1)
+        return pair(evals)
+
+    monkeypatch.setattr(qmatrix, "_pair_adjoint_eigenvalues", counted)
+    elements = list(sample_elements(2, seed=3, count=4, word_length=2))
+    unfrozen = [g.m.copy() for g in elements]
+    for g in elements:
+        classify(g)
+        spectral_report(g)
+        right_eigenpairs(g.m)
+        right_eigenvalues(g.m)
+    assert len(pairings) == len(elements)
+    for g, m in zip(elements, unfrozen):
+        cached = right_eigenvalues(g.m)
+        assert np.array(cached).tobytes() == np.array(right_eigenvalues(m)).tobytes()
+    # The unfrozen copies pair on every call.
+    assert len(pairings) == 2 * len(elements)
+
+
+def test_cached_pairing_raises_as_a_fresh_one():
+    m = QMatrix.from_components(np.random.default_rng(5).standard_normal((3, 3, 4)))
+    unfrozen = m.copy()
+    m.freeze()
+    right_eigenvalues(m)
+    for tol in (1e-8, 1e-12, 1e-300, 0.0):
+        outcomes = []
+        for target in (m, unfrozen):
+            try:
+                outcomes.append(("ok", np.array(right_eigenvalues(target, tol=tol)).tobytes()))
+            except NumericError as exc:
+                outcomes.append(("error", str(exc), exc.residual))
+        assert outcomes[0] == outcomes[1]
+    with pytest.raises(NumericError):
+        right_eigenvalues(m, tol=0.0)

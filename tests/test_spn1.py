@@ -2,14 +2,21 @@ import numpy as np
 import pytest
 
 from helpers import (
+    check_elements,
     inverse_via_adjoint,
     random_unit_quaternion,
     reference_factor_params,
+    reference_group_inverse,
+    reference_identity_residuals,
     reference_normal_form,
     reference_sample,
+    reference_sample_elements,
     reference_unitary,
     same_bits,
+    stack_of,
 )
+
+import qhspace.spn1 as spn1
 
 from qhspace.errors import MembershipError, NumericError, ParameterError
 from qhspace.qmatrix import QMatrix
@@ -22,6 +29,7 @@ from qhspace.spn1 import (
     group_inverse,
     herm_form,
     identity_element,
+    identity_residual_table,
     identity_residuals,
     is_member,
     make_loxodromic,
@@ -297,3 +305,79 @@ def test_membership_residual_on_a_stack():
         one, one_worst = membership_residual(g)
         assert residual[k] == one
         assert (rows[k], cols[k]) == one_worst
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_chunked_sampler_matches_per_word_reference(monkeypatch, chunk):
+    monkeypatch.setattr(spn1, "_WORD_CHUNK", chunk)
+    for n, count, word_length in ((1, 9, 8), (2, 10, 16), (3, 5, 1), (5, 4, 8)):
+        for seed in range(2):
+            ref = list(reference_sample_elements(n, seed, count, word_length))
+            assert_same_elements(list(sample_elements(n, seed, count, word_length)), ref)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, None])
+def test_chunked_sampler_redraws_match_per_word_reference(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(spn1, "_WORD_CHUNK", chunk)
+    ref, attempts = reference_sample(2, 1, 6, 8, tol=1e-15)
+    assert attempts > 6  # the tolerance rejects some words
+    assert_same_elements(list(sample_elements(2, 1, 6, 8, tol=1e-15)), ref)
+
+
+def _drain(elements):
+    """The elements yielded before an error, and the error."""
+    got = []
+    with pytest.raises(NumericError) as err:
+        for element in elements:
+            got.append(element)
+    return got, err.value
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, None])
+def test_chunked_sampler_exhaustion_matches_per_word_reference(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(spn1, "_WORD_CHUNK", chunk)
+    # At count 4 the chunks do not divide the 80-word budget evenly.
+    for count, seed, admitted in ((3, 0, 2), (3, 3, 1), (4, 2, 2), (4, 9, 1)):
+        ref, ref_err = _drain(reference_sample_elements(2, seed, count, 8, tol=6e-16))
+        got, err = _drain(sample_elements(2, seed, count, 8, tol=6e-16))
+        assert len(ref) == admitted
+        assert_same_elements(got, ref)
+        assert str(err) == str(ref_err)
+        assert err.residual == ref_err.residual
+
+
+def test_random_element_draws_one_word(monkeypatch):
+    lengths = []
+    draw = spn1._random_factors
+
+    def counted(rng, n, length):
+        lengths.append(length)
+        return draw(rng, n, length)
+
+    monkeypatch.setattr(spn1, "_random_factors", counted)
+    for n in (1, 5):
+        g = random_element(n, seed=4, word_length=6)
+        (ref,), _ = reference_sample(n, 4, 1, 6)
+        assert_same_elements([g], [ref])
+    assert lengths == [6, 6]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_group_inverse_matches_block_reference(n):
+    for g in check_elements(n):
+        got, ref = group_inverse(g), reference_group_inverse(g)
+        assert same_bits(got.m, ref.m)
+        assert got.residual == ref.residual
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_identity_residual_table_matches_per_element_reference(n):
+    elements = check_elements(n)
+    table = identity_residual_table(stack_of(elements))
+    assert table.shape == (len(elements), 13)
+    for row, g in zip(table, elements):
+        ref = reference_identity_residuals(g)
+        assert row.tobytes() == ref.tobytes()
+        assert identity_residuals(g).tobytes() == ref.tobytes()
