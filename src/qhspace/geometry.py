@@ -69,9 +69,7 @@ class ProjectivePoint:
         return f"ProjectivePoint(n={self.n}, {self.position.value})"
 
     def to_json_dict(self):
-        return {"lift": [
-            [float(v) for v in self.lift.components[i, 0]] for i in range(self.lift.rows)
-        ]}
+        return {"lift": self.lift.components[:, 0].tolist()}
 
     @classmethod
     def from_json_dict(cls, data):

@@ -3,47 +3,93 @@
 Artifacts written by the command line are byte-stable for a fixed seed and
 configuration: every float is rendered with 17 significant digits, enough to
 round-trip IEEE doubles exactly.
+
+:func:`dumps` writes a document in one recursive pass and produces the bytes
+of ``json.dumps(obj, indent=indent, sort_keys=True)`` except that floats go
+through :func:`format_float`: strings are ASCII-escaped as ``json`` escapes
+them, dict keys are sorted, and ``NaN``/``Infinity`` use the conventional
+json extension tokens.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
+from json.encoder import encode_basestring_ascii
 
 
 def format_float(value) -> str:
     value = float(value)
+    if math.isfinite(value):
+        return format(value, ".17g")
     if math.isnan(value):
         return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    return format(value, ".17g")
-
-
-_MARK = "@float:"
-_MARK_RE = re.compile('"' + re.escape(_MARK) + '([^"]*)"')
-
-
-def _tag_floats(obj):
-    if isinstance(obj, float):
-        return _MARK + format_float(obj)
-    if isinstance(obj, dict):
-        return {key: _tag_floats(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_tag_floats(val) for val in obj]
-    return obj
+    return "Infinity" if value > 0 else "-Infinity"
 
 
 def dumps(obj, indent=2) -> str:
-    """json.dumps with fixed-width float formatting.
+    """JSON text of ``obj`` with fixed-width float formatting.
 
-    Floats are temporarily encoded as marked strings and unquoted afterwards,
-    so the emitted document contains plain JSON numbers (NaN/Infinity use the
-    conventional json extension tokens).
+    ``indent`` is a number of spaces or a string, as for ``json.dumps``;
+    ``None`` gives the one-line form with ``", "`` between items.
     """
-    text = json.dumps(_tag_floats(obj), indent=indent, sort_keys=True)
-    return _MARK_RE.sub(lambda m: m.group(1), text)
+    if indent is None:
+        sep, newline, indent = ", ", "", ""
+    else:
+        sep, newline = ",", "\n"
+        if not isinstance(indent, str):
+            indent = " " * indent
+    out = []
+    _emit(obj, out, newline, indent, sep)
+    return "".join(out)
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it: non-string keys keep their json form."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _emit(obj, out, newline, indent, sep):
+    """Append the text of ``obj`` to ``out``; ``newline`` ends with its indent."""
+    if isinstance(obj, float):
+        out.append(format_float(obj))
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + indent
+        out.append("[")
+        for k, value in enumerate(obj):
+            out.append(sep + inner if k else inner)
+            _emit(value, out, inner, indent, sep)
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + indent
+        out.append("{")
+        for k, (key, value) in enumerate(sorted(obj.items())):
+            out.append(sep + inner if k else inner)
+            out.append(encode_basestring_ascii(_key(key)) + ": ")
+            _emit(value, out, inner, indent, sep)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def load_file(path: str):

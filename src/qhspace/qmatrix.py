@@ -297,11 +297,7 @@ class QMatrix:
 
     def to_json_dict(self):
         self._require_single("JSON serialization")
-        entries = [
-            [float(v) for v in self.components[i, j]]
-            for i in range(self.rows)
-            for j in range(self.cols)
-        ]
+        entries = self.components.reshape(-1, 4).tolist()
         return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
     @classmethod

@@ -226,5 +226,5 @@ def modulus_components(a):
 def random_unit(rng) -> Quaternion:
     """A quaternion drawn uniformly from the unit 3-sphere."""
     v = rng.standard_normal(4)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v.dot(v))
     return Quaternion(*v)

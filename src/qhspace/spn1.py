@@ -38,7 +38,6 @@ from .quaternion import (
     conj_components,
     modulus_components,
     mul_components,
-    random_unit,
 )
 
 #: Default absolute max-norm tolerance for group admission.
@@ -153,8 +152,14 @@ def membership_residual(m: QMatrix):
     if m.rows < 2:
         raise ShapeMismatchError("group elements have size at least 2")
     n = m.rows - 1
+    # J is a signed permutation, so J m moves and negates rows of m exactly.
+    _, order, _, low = _inverse_layout(n)
+    ca, cb = m.ca[..., order, :], m.cb[..., order, :]
+    np.negative(ca, out=ca, where=low)
+    np.negative(cb, out=cb, where=low)
+    jm = QMatrix._owning(ca, cb)
     j = form_matrix(n)
-    diff = m.star() @ (j @ m) - j
+    diff = m.star() @ jm - j
     moduli = diff.entry_moduli()
     if not m.is_stack:
         worst = np.unravel_index(int(np.argmax(moduli)), moduli.shape)
@@ -173,15 +178,16 @@ def is_member(m: QMatrix, tol=ADMISSION_TOL) -> SpElement:
 
 @lru_cache(maxsize=32)
 def _inverse_layout(n: int):
-    """Row/column order and sign mask that turn ``g*`` into ``J g* J``.
+    """Row/column order and sign masks that turn ``g*`` into ``J g* J``.
 
     J swaps the last two coordinates with a sign, so ``J g* J`` is ``g*``
     with its last two rows and columns swapped and the blocks that couple
-    the first n-1 coordinates to the last two negated.
+    the first n-1 coordinates to the last two negated.  ``J m`` is m in
+    the same row order with the rows that the last item masks negated.
     """
     order = np.r_[0 : n - 1, n, n - 1]
     top = np.arange(n + 1) < n - 1
-    return order[:, None], order, top[:, None] != top
+    return order[:, None], order, top[:, None] != top, ~top[:, None]
 
 
 def _structure_inverse(m: QMatrix) -> QMatrix:
@@ -195,7 +201,7 @@ def _structure_inverse(m: QMatrix) -> QMatrix:
 
     Only entries are moved and negated, so no rounding is involved.
     """
-    rows, cols, negated = _inverse_layout(m.rows - 1)
+    rows, cols, negated, _ = _inverse_layout(m.rows - 1)
     starred = m.star()
     ca = starred.ca[..., rows, cols]
     cb = starred.cb[..., rows, cols]
@@ -458,36 +464,54 @@ def random_unitary(rng, m: int) -> QMatrix:
 def _random_factors(rng, n: int, length: int) -> QMatrix:
     """Draw and assemble ``length`` stabilizer factors, in stream order.
 
-    The parameters are drawn factor by factor, each factor in the order kind,
-    the columns of A, lam, then either the loxodromic stretch (StabBoth) or
-    the translation a and the imaginary part of s.  All the m columns of A
-    come from one draw, which takes the same values as m column draws.
-    Everything after the draws runs on the whole stack.
+    With m = n - 1, each factor draws, in this order:
+
+    * one ``random()`` that picks its kind from :data:`_FACTOR_KIND_CDF`;
+    * one block of normals: the m columns of A (4m^2 values), the 4 of the
+      unit quaternion and, for StabInfinity and StabZero only, the 4m of the
+      translation a and the 3 of the imaginary part of s;
+    * for StabBoth only, one ``random()`` and, when it is below 0.6, one
+      ``uniform`` for the log-modulus of the loxodromic stretch.
+
+    One normal block takes the values that drawing its parts one after
+    another takes.  The loop only draws; lam, mu and s are finished as
+    arrays afterwards, and everything after the draws runs on the whole
+    stack.
     """
     m = n - 1
     log_lo, log_hi = (math.log(x) for x in LOXO_MODULUS_RANGE)
+    a_end = 4 * m * m  # A's normals, then lam's 4, a's 4m and s's 3
+    lam_end = a_end + 4
+    width = lam_end + 4 * m + 3
     kinds = np.empty(length, dtype=np.intp)
-    lam = np.empty((length, 4))
-    mu = np.empty((length, 4))
-    imag = np.zeros((length, 4))
-    unitary = np.empty((length, m, m, 1, 4))
-    shift = np.zeros((length, m, 1, 4))
+    normals = np.zeros((length, width))
+    stretch = np.ones(length)
+    random, normal = rng.random, rng.standard_normal
     for k in range(length):
-        kind = kinds[k] = bisect.bisect_right(_FACTOR_KIND_CDF, rng.random())
-        unitary[k] = rng.standard_normal((m, m, 1, 4))
-        q = random_unit(rng)
+        kind = kinds[k] = bisect.bisect_right(_FACTOR_KIND_CDF, random())
         if kind == _STAB_BOTH:
-            if rng.random() < 0.6:
-                q = q * math.exp(rng.uniform(log_lo, log_hi))
+            normal(out=normals[k, :lam_end])
+            if random() < 0.6:
+                stretch[k] = math.exp(rng.uniform(log_lo, log_hi))
         else:
-            shift[k] = rng.standard_normal((m, 1, 4))
-            imag[k, 1:] = rng.standard_normal(3)
-        lam[k] = q.to_json()
-        mu[k] = q.conj().inverse().to_json()
+            normal(out=normals[k])
+    # lam is the drawn 4-vector over its norm, times the stretch; the norm is
+    # taken as ``np.linalg.norm`` takes it, and mu = conj(lam)^-1 = lam/|lam|^2
+    # squares like ``Quaternion.modulus_sq`` (``np.float_power`` is the C
+    # ``pow`` that Python's ``**`` calls) and sums left to right.
+    v = normals[:, a_end:lam_end]
+    norms = np.array([math.sqrt(row.dot(row)) for row in v])
+    lam = v / norms[:, None] * stretch[:, None]
+    sq = np.float_power(lam, 2)
+    mu = lam / (sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])[:, None]
+    imag = np.zeros((length, 4))
+    imag[:, 1:] = normals[:, width - 3 :]
+    shift = normals[:, lam_end : width - 3].reshape(length, m, 1, 4)
     a = QMatrix.from_components(_TRANSLATION_SCALE * shift)
     a_sq = (a.entry_moduli() ** 2).sum(axis=(-2, -1))
     # s = mu |a|^2/2 + mu * imag, so that Re(conj(mu) s) = |a|^2/2.
     s = mu * (0.5 * a_sq)[:, None] + mul_components(mu, _TRANSLATION_SCALE * imag)
+    unitary = normals[:, :a_end].reshape(length, m, m, 1, 4)
     mats, _ = _assemble_normal_forms(kinds, lam, mu, _orthonormal_columns(unitary), a, s)
     return mats
 
@@ -521,8 +545,11 @@ def sample_elements(n: int, seed: int, count: int, word_length: int = 8, tol=ADM
     artifacts rest on this contract:
 
     * one ``numpy.random.default_rng(seed)`` stream feeds every draw, in a
-      fixed order: word by word, and within a word factor by factor (kind,
-      unitary block, lam, then the loxodromic stretch or the translation);
+      fixed order: word by word, and within a word factor by factor, each
+      factor one ``random()`` for its kind, one block of normals (the
+      unitary block, lam and, for StabInfinity and StabZero, the
+      translation and the imaginary part of s), then, for StabBoth, the
+      uniforms of the loxodromic stretch (see :func:`_random_factors`);
     * a word whose product fails admission at ``tol`` is discarded and a new
       word is drawn from where the stream stands, so the redraw consumes the
       same values at every run;

@@ -1,7 +1,9 @@
-"""Shared generators for the test suite, the reference sampler and the
-per-element reference checks."""
+"""Shared generators for the test suite, the reference sampler, the
+per-element reference checks and the reference JSON emitter."""
 
+import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -9,8 +11,9 @@ import numpy as np
 from qhspace.crossratio import DEGENERACY_TOL, CrossRatioValue, EntryIdentityReport
 from qhspace.errors import MembershipError, NumericError, ShapeMismatchError
 from qhspace.geometry import ProjectivePoint, apply, from_lift, q_infinity, q_zero
+from qhspace.jsonio import format_float
 from qhspace.qmatrix import QMatrix
-from qhspace.quaternion import Quaternion, random_unit
+from qhspace.quaternion import Quaternion
 from qhspace.spn1 import (
     ADMISSION_TOL,
     LOXO_MODULUS_RANGE,
@@ -18,6 +21,7 @@ from qhspace.spn1 import (
     SpElement,
     StabilizerKind,
     compose,
+    form_matrix,
     group_inverse,
     herm_form,
     identity_element,
@@ -191,10 +195,17 @@ def reference_normal_form(p: NormalFormParams):
     return is_member(QMatrix.from_blocks(blocks))
 
 
+def reference_random_unit(rng) -> Quaternion:
+    """A unit quaternion normalised by ``np.linalg.norm``."""
+    v = rng.standard_normal(4)
+    v /= np.linalg.norm(v)
+    return Quaternion(*v)
+
+
 def reference_factor_params(rng, n: int) -> NormalFormParams:
     kind = rng.choice(3, p=[0.3, 0.3, 0.4])
     A = reference_unitary(rng, n - 1)
-    lam = random_unit(rng)
+    lam = reference_random_unit(rng)
     if kind == 2:
         if rng.random() < 0.6:
             lo, hi = LOXO_MODULUS_RANGE
@@ -266,6 +277,18 @@ def reference_sample_elements(n, seed, count, word_length, tol=ADMISSION_TOL):
 # ``crossratio`` tables reproduce bit for bit: each element is inverted from
 # its blocks, multiplied and measured on its own, and every modulus is a
 # scalar ``Quaternion.modulus``.
+
+
+def reference_membership_residual(m: QMatrix):
+    """Residual of ``m* J m - J`` and its worst index, with ``J @ m`` a product."""
+    n = m.rows - 1
+    j = form_matrix(n)
+    moduli = (m.star() @ (j @ m) - j).entry_moduli()
+    if not m.is_stack:
+        worst = np.unravel_index(int(np.argmax(moduli)), moduli.shape)
+        return float(moduli[worst]), (int(worst[0]), int(worst[1]))
+    flat = moduli.reshape(moduli.shape[:-2] + (-1,))
+    return flat.max(axis=-1), divmod(np.argmax(flat, axis=-1), m.cols)
 
 
 def reference_group_inverse(g: SpElement) -> SpElement:
@@ -423,3 +446,45 @@ def reference_verify(n, seed, count, word_length, tol=ADMISSION_TOL):
     }
     doc["pass"] = all(flag for _, flag in checks.values())
     return doc
+
+
+# -- reference JSON emitter -------------------------------------------------
+#
+# The emitter that ``jsonio.dumps`` reproduces byte for byte: floats are
+# tagged as marked strings, the document goes through ``json.dumps`` and the
+# marks are unquoted with a regex.  The ``reference_*_dict`` functions build
+# the matrix, element and point documents entry by entry.
+
+
+_MARK = "@float:"
+_MARK_RE = re.compile('"' + re.escape(_MARK) + '([^"]*)"')
+
+
+def _tag_floats(obj):
+    if isinstance(obj, float):
+        return _MARK + format_float(obj)
+    if isinstance(obj, dict):
+        return {key: _tag_floats(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_tag_floats(val) for val in obj]
+    return obj
+
+
+def reference_dumps(obj, indent=2) -> str:
+    text = json.dumps(_tag_floats(obj), indent=indent, sort_keys=True)
+    return _MARK_RE.sub(lambda m: m.group(1), text)
+
+
+def reference_matrix_dict(m: QMatrix):
+    entries = [
+        [float(v) for v in m.components[i, j]] for i in range(m.rows) for j in range(m.cols)
+    ]
+    return {"rows": m.rows, "cols": m.cols, "entries": entries}
+
+
+def reference_element_dict(g: SpElement):
+    return {**reference_matrix_dict(g.m), "n": g.n, "residual": g.residual}
+
+
+def reference_point_dict(p: ProjectivePoint):
+    return {"lift": [[float(v) for v in p.lift.components[i, 0]] for i in range(p.lift.rows)]}

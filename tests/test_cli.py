@@ -6,13 +6,20 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import reference_verify, small_perturbation
+from helpers import (
+    reference_dumps,
+    reference_element_dict,
+    reference_factor_params,
+    reference_sample_elements,
+    reference_verify,
+    small_perturbation,
+)
 
 import qhspace.cli as cli
 import qhspace.jsonio as jsonio
 from qhspace.cli import build_parser, main
 from qhspace.quaternion import Quaternion
-from qhspace.spn1 import ADMISSION_TOL, make_loxodromic
+from qhspace.spn1 import ADMISSION_TOL, StabilizerKind, make_loxodromic
 
 
 def run(argv, capsys):
@@ -225,3 +232,27 @@ def test_help_matches_fresh_parser(argv, capsys):
     assert code == 0
     assert shared_text == capsys.readouterr().out
     assert shared_text.startswith("usage: qhspace")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_sample_bytes_match_reference_pipeline(n, tmp_path, capsys):
+    # Words of one factor show the factor shapes of the stream directly.
+    rng = np.random.default_rng(6)
+    params = [reference_factor_params(rng, n) for _ in range(24)]
+    both = [abs(p.lam.modulus() - 1.0) for p in params if p.kind is StabilizerKind.STAB_BOTH]
+    assert {p.kind for p in params} == set(StabilizerKind)
+    assert min(both) < 1e-12 and max(both) > 1e-3  # with and without the stretch
+    for seed, count, word_length in ((6, 24, 1), (0, 3, 8), (2, 2, 16)):
+        ref = list(reference_sample_elements(n, seed, count, word_length))
+        argv = ["sample", "--n", str(n), "--seed", str(seed), "--count", str(count),
+                "--word-length", str(word_length)]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out == reference_dumps([reference_element_dict(g) for g in ref]) + "\n"
+        out_dir = tmp_path / f"n{n}-seed{seed}"
+        code, _, _ = run(argv + ["--out", str(out_dir)], capsys)
+        assert code == 0
+        assert sorted(os.listdir(out_dir)) == [f"element_{k:04d}.json" for k in range(count)]
+        for k, g in enumerate(ref):
+            text = (out_dir / f"element_{k:04d}.json").read_text(encoding="utf-8")
+            assert text == reference_dumps(reference_element_dict(g))

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_boundary_point, random_interior_point, random_quaternion
+from helpers import (
+    random_boundary_point,
+    random_interior_point,
+    random_quaternion,
+    reference_dumps,
+    reference_point_dict,
+)
 
 from qhspace.geometry import (
     POINT_AT_INFINITY,
@@ -140,3 +146,13 @@ def test_point_json_round_trip():
     back = ProjectivePoint.from_json_dict(p.to_json_dict())
     assert (back.lift - p.lift).norm_max() == 0.0
     assert back.position is p.position
+
+
+def test_point_json_matches_per_row_reference():
+    points = [q_infinity(3), q_zero(1), from_lift([Quaternion(-0.0, 1.0, -0.0, 2.0), 1.0])]
+    points += [random_interior_point(n, rng) for n in (1, 2, 5)]
+    points += [random_boundary_point(n, rng).rescaled(random_quaternion(rng)) for n in (2, 3)]
+    for p in points:
+        doc, ref = p.to_json_dict(), reference_point_dict(p)
+        assert reference_dumps(doc) == reference_dumps(ref)
+        assert all(type(v) is float for row in doc["lift"] for v in row)

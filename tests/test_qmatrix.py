@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import count_linalg, inverse_via_adjoint, same_bits
+from helpers import (
+    count_linalg,
+    inverse_via_adjoint,
+    reference_dumps,
+    reference_matrix_dict,
+    same_bits,
+)
 
 import qhspace.qmatrix as qmatrix
 from qhspace.errors import NumericError, ShapeMismatchError
@@ -337,3 +343,16 @@ def test_cached_pairing_raises_as_a_fresh_one():
         assert outcomes[0] == outcomes[1]
     with pytest.raises(NumericError):
         right_eigenvalues(m, tol=0.0)
+
+
+def test_json_dict_matches_per_entry_reference():
+    mats = [random_qmatrix(r, c) for r, c in ((1, 1), (2, 3), (4, 4), (6, 6), (3, 1))]
+    mats.append(QMatrix.zeros(0, 0))
+    signed = random_qmatrix(3, 3)
+    signed.ca[0, 1] = complex(-0.0, 0.0)
+    signed.cb[2, 2] = complex(0.0, -0.0)
+    mats.append(signed)
+    for m in mats:
+        doc, ref = m.to_json_dict(), reference_matrix_dict(m)
+        assert reference_dumps(doc) == reference_dumps(ref)
+        assert all(type(v) is float for entry in doc["entries"] for v in entry)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_random_unit
+
 from qhspace.quaternion import (
     I,
     J,
@@ -14,6 +16,7 @@ from qhspace.quaternion import (
     conj_components,
     modulus_components,
     mul_components,
+    random_unit,
     similar,
 )
 
@@ -158,3 +161,10 @@ def test_component_kernels_match_scalar_ops():
     assert np.allclose(
         modulus_components(a), [Quaternion(*row).modulus() for row in a]
     )
+
+
+def test_random_unit_matches_linalg_norm_bit_for_bit():
+    rng, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(100_000):
+        q, ref = random_unit(rng), reference_random_unit(rng_ref)
+        assert (q.w, q.x, q.y, q.z) == (ref.w, ref.x, ref.y, ref.z)

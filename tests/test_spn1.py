@@ -8,6 +8,7 @@ from helpers import (
     reference_factor_params,
     reference_group_inverse,
     reference_identity_residuals,
+    reference_membership_residual,
     reference_normal_form,
     reference_sample,
     reference_sample_elements,
@@ -381,3 +382,74 @@ def test_identity_residual_table_matches_per_element_reference(n):
         ref = reference_identity_residuals(g)
         assert row.tobytes() == ref.tobytes()
         assert identity_residuals(g).tobytes() == ref.tobytes()
+
+
+def _draws_and_coverage(n, seed, length):
+    """The reference factors of one stream and which factor shapes it drew."""
+    rng = np.random.default_rng(seed)
+    params = [reference_factor_params(rng, n) for _ in range(length)]
+    both = [abs(p.lam.modulus() - 1.0) for p in params if p.kind is StabilizerKind.STAB_BOTH]
+    shapes = {p.kind for p in params}
+    if any(d < 1e-12 for d in both):
+        shapes.add("unstretched")
+    if any(d > 1e-3 for d in both):
+        shapes.add("stretched")
+    return [reference_normal_form(p) for p in params], shapes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_factor_draws_match_reference_bit_for_bit(n):
+    length = 40
+    for seed in range(3):
+        ref, shapes = _draws_and_coverage(n, seed, length)
+        assert shapes == set(StabilizerKind) | {"stretched", "unstretched"}
+        factors = spn1._random_factors(np.random.default_rng(seed), n, length)
+        assert factors.ca.shape == (length, n + 1, n + 1)
+        for k, r in enumerate(ref):
+            assert same_bits(QMatrix(factors.ca[k], factors.cb[k]), r.m)
+
+
+def _perturbed(n, rng):
+    """Matrices near the group and far from it, with their stack."""
+    mats = [g.m for g in check_elements(n)]
+    mats += [QMatrix.from_components(rng.standard_normal((n + 1, n + 1, 4))) for _ in range(4)]
+    mats += [
+        QMatrix(g.ca + 1e-7 * rng.standard_normal(g.ca.shape), g.cb) for g in mats[:4]
+    ]
+    return mats, QMatrix(np.stack([g.ca for g in mats]), np.stack([g.cb for g in mats]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_membership_residual_matches_matmul_reference(n):
+    mats, stack = _perturbed(n, np.random.default_rng(n))
+    for m in mats:
+        residual, worst = membership_residual(m)
+        ref_residual, ref_worst = reference_membership_residual(m)
+        assert np.float64(residual).tobytes() == np.float64(ref_residual).tobytes()
+        assert worst == ref_worst
+    residual, (rows, cols) = membership_residual(stack)
+    ref_residual, (ref_rows, ref_cols) = reference_membership_residual(stack)
+    assert residual.tobytes() == ref_residual.tobytes()
+    assert (rows == ref_rows).all() and (cols == ref_cols).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_membership_rejects_non_finite_entries(bad):
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 5):
+        for _ in range(6):
+            m = random_element(n, seed=int(rng.integers(100)), word_length=4).m.copy()
+            i, j = rng.integers(0, n + 1, 2)
+            if rng.random() < 0.5:
+                m.ca[i, j] = complex(bad, 0.0)
+            else:
+                m.cb[i, j] = complex(0.0, bad)
+            with np.errstate(all="ignore"):
+                residual, worst = membership_residual(m)
+                ref_residual, ref_worst = reference_membership_residual(m)
+                with pytest.raises(MembershipError) as err:
+                    is_member(m)
+            assert not residual <= 1.0
+            assert np.float64(residual).tobytes() == np.float64(ref_residual).tobytes()
+            assert worst == ref_worst
+            assert err.value.worst_index == ref_worst
