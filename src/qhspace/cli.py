@@ -23,6 +23,7 @@ from .jorgensen import DegenerateOrbitError, conjugation_orbit, fk_sequence, jor
 from .qmatrix import QMatrix
 from .spectral import spectral_report
 from .spn1 import ADMISSION_TOL, SpElement, identity_residual_table, sample_elements
+from .tolerances import ENTRY_IDENTITY_FLOOR
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,6 +40,16 @@ def _write_output(text, path):
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _write_table(args, header, rows, summary):
+    """Write ``rows`` as CSV, or as the ``steps`` of a JSON document with ``summary``."""
+    if args.format == "json":
+        doc = dict(summary, steps=[dict(zip(header, row)) for row in rows])
+        _write_output(jsonio.dumps(doc), args.out)
+    else:
+        _write_output(jsonio.csv_text(header, rows), args.out)
+    return 0
 
 
 def _load_element(path, tol):
@@ -79,22 +90,17 @@ def _cmd_iterate(args):
     h = _load_element(args.h, args.tol)
     trace = conjugation_orbit(g, h, steps=args.steps)
     header, rows = trace.csv_rows()
-    if args.format == "json":
-        doc = {
-            "mg": trace.mg,
-            "T1": trace.T1,
-            "T2": trace.T2,
-            "R": trace.R,
-            "branch": trace.branch,
-            "bounds_applicable": trace.bounds_applicable,
-            "bounds_hold": trace.bounds_hold,
-            "degenerate_at": trace.degenerate_at,
-            "steps": [dict(zip(header, row)) for row in rows],
-        }
-        _write_output(jsonio.dumps(doc), args.out)
-    else:
-        _write_output(jsonio.csv_text(header, rows), args.out)
-    return 0
+    summary = {
+        "mg": trace.mg,
+        "T1": trace.T1,
+        "T2": trace.T2,
+        "R": trace.R,
+        "branch": trace.branch,
+        "bounds_applicable": trace.bounds_applicable,
+        "bounds_hold": trace.bounds_hold,
+        "degenerate_at": trace.degenerate_at,
+    }
+    return _write_table(args, header, rows, summary)
 
 
 def _cmd_fk(args):
@@ -124,19 +130,14 @@ def _cmd_fk(args):
                 report.log10_scale[i],
             ]
         )
-    if args.format == "json":
-        doc = {
-            "converged": report.converged,
-            "distinct": report.distinct,
-            "expanding_modulus": report.expanding_modulus,
-            "contracting_modulus": report.contracting_modulus,
-            "threshold": report.threshold,
-            "steps": [dict(zip(header, row)) for row in rows],
-        }
-        _write_output(jsonio.dumps(doc), args.out)
-    else:
-        _write_output(jsonio.csv_text(header, rows), args.out)
-    return 0
+    summary = {
+        "converged": report.converged,
+        "distinct": report.distinct,
+        "expanding_modulus": report.expanding_modulus,
+        "contracting_modulus": report.contracting_modulus,
+        "threshold": report.threshold,
+    }
+    return _write_table(args, header, rows, summary)
 
 
 def _cmd_verify(args):
@@ -150,7 +151,7 @@ def _cmd_verify(args):
     slack_worst = np.min(corner_slack_table(stack), axis=0, initial=np.inf)
     lhs, rhs, vanishing = entry_identity_table(stack)
     degenerate = vanishing.any(axis=(-2, -1))
-    relative = abs(lhs - rhs) / np.maximum(rhs, 1e-300)
+    relative = abs(lhs - rhs) / np.maximum(rhs, ENTRY_IDENTITY_FLOOR)
     entry_worst = float(np.max(relative[~degenerate], initial=0.0))
     checks = {
         "membership_max": (membership_worst, membership_worst <= tol),

@@ -24,12 +24,7 @@ import numpy as np
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
 from .spn1 import SpElement, form_matrix
-
-#: Relative tolerance (times the product of lift norms) below which a form
-#: pairing is treated as vanishing.  Deliberately tight: degenerate cases are
-#: routed to the fixed-point analysis, where a false negative is worse than a
-#: false positive.
-DEGENERACY_TOL = 1e-12
+from .tolerances import DEGENERACY_TOL
 
 
 @dataclass(frozen=True)

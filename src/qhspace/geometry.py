@@ -16,9 +16,7 @@ from .errors import ShapeMismatchError
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
 from .spn1 import SpElement, herm_form
-
-#: Relative tolerance (times the squared lift norm) for the null-cone test.
-POSITION_TOL = 1e-9
+from .tolerances import POSITION_TOL, PROJECTIVE_TOL
 
 
 class Position(Enum):
@@ -42,7 +40,7 @@ class ProjectivePoint:
 
     __slots__ = ("lift", "n", "position", "self_product")
 
-    def __init__(self, lift: QMatrix, tol=POSITION_TOL):
+    def __init__(self, lift: QMatrix):
         if lift.cols != 1 or lift.rows < 2:
             raise ShapeMismatchError("a lift is a column vector of length n+1 >= 2")
         norm_sq = lift.norm_fro() ** 2
@@ -52,7 +50,7 @@ class ProjectivePoint:
         self.n = lift.rows - 1
         self.self_product = herm_form(lift, lift)
         value = self.self_product.re()
-        if abs(value) <= tol * norm_sq:
+        if abs(value) <= POSITION_TOL * norm_sq:
             self.position = Position.BOUNDARY
         elif value < 0:
             self.position = Position.INTERIOR
@@ -93,7 +91,7 @@ def q_infinity(n: int) -> ProjectivePoint:
     return from_lift([0.0] * (n - 1) + [1.0, 0.0])
 
 
-def project(p: ProjectivePoint, tol=POSITION_TOL):
+def project(p: ProjectivePoint):
     """Siegel-domain coordinates of a point, or the infinity marker.
 
     Right division by the last lift coordinate makes the result independent
@@ -103,7 +101,7 @@ def project(p: ProjectivePoint, tol=POSITION_TOL):
         raise ValueError("cannot project a lift outside the closed domain")
     last = p.lift[p.n, 0]
     scale = p.lift.entry_moduli().max()
-    if last.modulus() <= tol * scale:
+    if last.modulus() <= POSITION_TOL * scale:
         return POINT_AT_INFINITY
     inv = last.inverse()
     return tuple(p.lift[i, 0] * inv for i in range(p.n))
@@ -132,7 +130,7 @@ def apply(g: SpElement, p: ProjectivePoint) -> ProjectivePoint:
     return ProjectivePoint(g.m @ p.lift)
 
 
-def projectively_close(p: ProjectivePoint, q: ProjectivePoint, tol=1e-9) -> bool:
+def projectively_close(p: ProjectivePoint, q: ProjectivePoint, tol=PROJECTIVE_TOL) -> bool:
     """Whether two points agree projectively (cross-scaling residual test).
 
     Both lifts are right-normalized by their entry of largest modulus; the

@@ -32,27 +32,22 @@ from .geometry import apply, projectively_close
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
 from .spectral import ElementKind, LoxodromicData, classify, loxodromic_data
-from .spn1 import ADMISSION_TOL, SpElement, group_inverse, is_member
-
-#: Absolute threshold below which a conjugated corner entry counts as zero.
-#: Conjugated elements are unit scale, so this sits at the admission noise
-#: level; the product threshold is its square.
-CORNER_ZERO_TOL = 1e-12
-
-#: Unit-modulus margin used when certifying the second generator as
-#: loxodromic inside the degenerate branches.  A defective (parabolic)
-#: spectrum splits by roughly the square root of the working precision under
-#: conjugation, so the sharper shared-fixed-point certificate only fires when
-#: an eigenvalue modulus clears 1 by more than that; the elementary verdict
-#: is valid in either case.
-LOXODROMY_MARGIN = 1e-6
+from .spn1 import SpElement, group_inverse, is_member
+from .tolerances import (
+    BOUND_FLOOR,
+    BOUND_SLACK,
+    CORNER_ZERO_TOL,
+    DIAGONAL_TOL,
+    FK_CONVERGENCE_TOL,
+    LOXODROMY_MARGIN,
+    ORBIT_UNDERFLOW,
+    PULLBACK_ADMISSION_TOL,
+    frame_admission_tol,
+    orbit_admission_tol,
+)
 
 #: Default iteration cap; geometric decay makes longer orbits pointless.
 DEFAULT_ORBIT_STEPS = 64
-
-#: Relative slack and absolute floor for the per-step contraction bound.
-BOUND_SLACK = 1e-6
-BOUND_FLOOR = 1e-28
 
 
 class Verdict(Enum):
@@ -118,7 +113,7 @@ class _DiagonalFrame:
     data: LoxodromicData
 
 
-def _diagonal_frame(g: SpElement, h: SpElement, tol=1e-7) -> _DiagonalFrame:
+def _diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
     data = loxodromic_data(g)
     conj = data.conjugator
     if conj is None:
@@ -127,7 +122,7 @@ def _diagonal_frame(g: SpElement, h: SpElement, tol=1e-7) -> _DiagonalFrame:
     d_mat = conj_inv.m @ g.m @ conj.m
     entries = [d_mat[i, i] for i in range(d_mat.rows)]
     off = (d_mat - QMatrix.diag(entries)).norm_max()
-    if off > 1e-8:
+    if off > DIAGONAL_TOL:
         raise NumericError("conjugated generator is not diagonal", residual=off)
     # Snap to an exactly admitted diagonal: unit classes get unit modulus and
     # the contracting entry is recomputed from the expanding one.
@@ -135,11 +130,11 @@ def _diagonal_frame(g: SpElement, h: SpElement, tol=1e-7) -> _DiagonalFrame:
     lam_n = entries[-2]
     lam_n1 = lam_n.conj().inverse()
     g_diag = is_member(QMatrix.diag(list(unit_diag) + [lam_n, lam_n1]))
-    h_conj = is_member(conj_inv.m @ h.m @ conj.m, tol=max(tol, 100.0 * (g.residual + h.residual + 1e-12)))
+    h_conj = is_member(conj_inv.m @ h.m @ conj.m, tol=frame_admission_tol(g.residual, h.residual))
     return _DiagonalFrame(g_diag, unit_diag, lam_n, lam_n1, h_conj, data)
 
 
-def _corner_flags(h_conj: SpElement, tol=CORNER_ZERO_TOL):
+def _corner_flags(h_conj: SpElement):
     """Vanishing flags of the conjugated corner entries.
 
     In the diagonal frame the unitarity identities force the equivalences
@@ -148,14 +143,14 @@ def _corner_flags(h_conj: SpElement, tol=CORNER_ZERO_TOL):
     a_n1n1 = 0 iff h maps repelling to attracting.
     """
     return {
-        "fixes_repelling": h_conj.a_nn1.modulus() <= tol,
-        "fixes_attracting": h_conj.a_n1n.modulus() <= tol,
-        "attracting_to_repelling": h_conj.a_nn.modulus() <= tol,
-        "repelling_to_attracting": h_conj.a_n1n1.modulus() <= tol,
+        "fixes_repelling": h_conj.a_nn1.modulus() <= CORNER_ZERO_TOL,
+        "fixes_attracting": h_conj.a_n1n.modulus() <= CORNER_ZERO_TOL,
+        "attracting_to_repelling": h_conj.a_nn.modulus() <= CORNER_ZERO_TOL,
+        "repelling_to_attracting": h_conj.a_n1n1.modulus() <= CORNER_ZERO_TOL,
     }
 
 
-def elementary_certificate(g: SpElement, h: SpElement, tol=1e-9) -> Certificate:
+def elementary_certificate(g: SpElement, h: SpElement) -> Certificate:
     """Classify how h moves the fixed-point pair of a loxodromic g.
 
     The SharesExactlyOne value is the non-discreteness certificate for two
@@ -167,9 +162,9 @@ def elementary_certificate(g: SpElement, h: SpElement, tol=1e-9) -> Certificate:
     data = loxodromic_data(g)
     u, v = data.attracting, data.repelling
     hu, hv = apply(h, u), apply(h, v)
-    fixes_u = projectively_close(hu, u, tol)
-    fixes_v = projectively_close(hv, v, tol)
-    swaps = projectively_close(hu, v, tol) and projectively_close(hv, u, tol)
+    fixes_u = projectively_close(hu, u)
+    fixes_v = projectively_close(hv, v)
+    swaps = projectively_close(hu, v) and projectively_close(hv, u)
     if (fixes_u and fixes_v) or swaps:
         return Certificate.PRESERVES_PAIR
     if fixes_u or fixes_v:
@@ -178,7 +173,7 @@ def elementary_certificate(g: SpElement, h: SpElement, tol=1e-9) -> Certificate:
             shared = sum(
                 1
                 for fp in (h_data.attracting, h_data.repelling)
-                if projectively_close(fp, u, tol) or projectively_close(fp, v, tol)
+                if projectively_close(fp, u) or projectively_close(fp, v)
             )
             if shared == 1:
                 return Certificate.SHARES_EXACTLY_ONE
@@ -186,7 +181,7 @@ def elementary_certificate(g: SpElement, h: SpElement, tol=1e-9) -> Certificate:
     return Certificate.NEITHER
 
 
-def jorgensen_test(g: SpElement, h: SpElement, tol=1e-7) -> TestOutcome:
+def jorgensen_test(g: SpElement, h: SpElement) -> TestOutcome:
     """Evaluate the discreteness condition for the pair (g, h).
 
     Requires g loxodromic.  Degenerate corner configurations are routed to
@@ -197,7 +192,7 @@ def jorgensen_test(g: SpElement, h: SpElement, tol=1e-7) -> TestOutcome:
     """
     if classify(g).kind is not ElementKind.LOXODROMIC:
         raise ClassificationError("the first generator must be loxodromic")
-    return _test_in_frame(h, _diagonal_frame(g, h, tol=tol))
+    return _test_in_frame(h, _diagonal_frame(g, h))
 
 
 def _test_in_frame(h: SpElement, frame: _DiagonalFrame) -> TestOutcome:
@@ -322,7 +317,7 @@ def _block_update(h: SpElement, unit_diag, lam_n: Quaternion, lam_n1: Quaternion
     return QMatrix.from_blocks([row1, row2, row3])
 
 
-def conjugation_orbit(g: SpElement, h: SpElement, steps=DEFAULT_ORBIT_STEPS, tol=1e-7) -> IterationTrace:
+def conjugation_orbit(g: SpElement, h: SpElement, steps=DEFAULT_ORBIT_STEPS) -> IterationTrace:
     """Iterate ``h_{k+1} = h_k g h_k^-1`` in the diagonal frame of g.
 
     Records the corner products ``pi_k = |a_nn1^(k) * a_n1n^(k)|`` with the
@@ -333,7 +328,7 @@ def conjugation_orbit(g: SpElement, h: SpElement, steps=DEFAULT_ORBIT_STEPS, tol
     bounds marked inapplicable.  Iteration stops early once pi underflows or
     vanishes exactly.
     """
-    return _orbit_in_frame(_diagonal_frame(g, h, tol=tol), steps)
+    return _orbit_in_frame(_diagonal_frame(g, h), steps)
 
 
 def _orbit_in_frame(frame: _DiagonalFrame, steps) -> IterationTrace:
@@ -392,16 +387,14 @@ def _orbit_in_frame(frame: _DiagonalFrame, steps) -> IterationTrace:
             degenerate_at = k
         if k == steps:
             break
-        if 0.0 < pi < 1e-300:
+        if 0.0 < pi < ORBIT_UNDERFLOW:
             truncated_at = k
             break
         formula = _block_update(current, frame.unit_diag, frame.lam_n, frame.lam_n1)
         direct = current.m @ frame.g_diag.m @ group_inverse(current).m
         discrepancy = (formula - direct).norm_max()
-        # Expanding orbits grow exponentially and the form residual scales
-        # with the squared norm, so relax the admission tolerance accordingly.
         scale = max(1.0, formula.norm_max())
-        current = is_member(formula, tol=max(100.0 * ADMISSION_TOL, 1e3 * current.residual) * scale**2)
+        current = is_member(formula, tol=orbit_admission_tol(current.residual, scale))
     applicable = branch is not None
     checked = [s.bound_ok for s in records if s.bound_ok is not None]
     return IterationTrace(
@@ -437,17 +430,18 @@ class FkReport:
     threshold: float
 
 
-def fk_sequence(g: SpElement, h: SpElement, K=8, threshold=1e-6, tol=1e-7):
+def fk_sequence(g: SpElement, h: SpElement, K=8):
     """Build f_k = g^-k h_{2k} g^k for k = 0..K and report its limits.
 
     Under the contraction regime the six off-diagonal blocks and the
     unitarity defect of the leading block go to zero while the two corner
     moduli approach ``|lam_n|`` and ``1/|lam_n|``; together with pairwise
-    distinctness this is the non-discreteness witness.  The blocks are
-    assembled from the stored orbit elements with eigenvalue powers applied
-    per block, never by forming g^k as a matrix.
+    distinctness this is the non-discreteness witness, read at
+    :data:`FK_CONVERGENCE_TOL`.  The blocks are assembled from the stored
+    orbit elements with eigenvalue powers applied per block, never by
+    forming g^k as a matrix.
     """
-    frame = _diagonal_frame(g, h, tol=tol)
+    frame = _diagonal_frame(g, h)
     trace = _orbit_in_frame(frame, 2 * K)
     if trace.degenerate_at is not None:
         raise DegenerateOrbitError(trace.degenerate_at, _test_in_frame(h, frame).verdict)
@@ -489,7 +483,7 @@ def fk_sequence(g: SpElement, h: SpElement, K=8, threshold=1e-6, tol=1e-7):
                 [f31, cell(f32), cell(f33)],
             ]
         )
-        elements.append(is_member(f_mat, tol=1e-6))
+        elements.append(is_member(f_mat, tol=PULLBACK_ADMISSION_TOL))
         off = (
             f12.norm_fro(),
             f13.norm_fro(),
@@ -508,10 +502,10 @@ def fk_sequence(g: SpElement, h: SpElement, K=8, threshold=1e-6, tol=1e-7):
     last_off = report_rows["off"][-1]
     last_corners = report_rows["corners"][-1]
     converged = (
-        max(last_off) <= threshold
-        and report_rows["defect"][-1] <= threshold
-        and abs(last_corners[0] - mod_n) <= threshold
-        and abs(last_corners[1] - 1.0 / mod_n) <= threshold
+        max(last_off) <= FK_CONVERGENCE_TOL
+        and report_rows["defect"][-1] <= FK_CONVERGENCE_TOL
+        and abs(last_corners[0] - mod_n) <= FK_CONVERGENCE_TOL
+        and abs(last_corners[1] - 1.0 / mod_n) <= FK_CONVERGENCE_TOL
     )
     distinct = all(
         (elements[i].m - elements[j].m).norm_max() > 0.0
@@ -528,6 +522,6 @@ def fk_sequence(g: SpElement, h: SpElement, K=8, threshold=1e-6, tol=1e-7):
         log10_scale=report_rows["logs"],
         converged=converged,
         distinct=distinct,
-        threshold=threshold,
+        threshold=FK_CONVERGENCE_TOL,
     )
     return elements, report

@@ -48,9 +48,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeMismatchError
 from .quaternion import Quaternion
-
-#: Tolerance used when pairing conjugate eigenvalues of the complex adjoint.
-PAIRING_TOL = 1e-8
+from .tolerances import CLUSTER_TOL, EIGENPAIR_TOL, PAIRING_TOL
 
 
 class QMatrix:
@@ -267,9 +265,6 @@ class QMatrix:
             return np.sqrt(squares.sum(axis=(-2, -1)))
         return float(np.sqrt(squares.sum()))
 
-    def allclose(self, other, tol=1e-12):
-        return (self - other).norm_max() <= tol
-
     # -- complex adjoint --------------------------------------------------------
 
     def adjoint(self):
@@ -282,16 +277,6 @@ class QMatrix:
         adj[r:, :c] = -self.cb.conj()
         adj[r:, c:] = self.ca.conj()
         return adj
-
-    @classmethod
-    def from_adjoint(cls, arr):
-        """Invert :meth:`adjoint`, symmetrizing away rounding asymmetry."""
-        arr = np.asarray(arr, dtype=complex)
-        r2, c2 = arr.shape
-        r, c = r2 // 2, c2 // 2
-        ca = 0.5 * (arr[:r, :c] + arr[r:, c:].conj())
-        cb = 0.5 * (arr[:r, c:] - arr[r:, :c].conj())
-        return cls(ca, cb)
 
     # -- serialization -----------------------------------------------------------
 
@@ -411,7 +396,7 @@ def right_eigenvalues(m: QMatrix, tol=PAIRING_TOL):
     return list(reps)
 
 
-def right_eigenpairs(m: QMatrix, tol=1e-8):
+def right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):
     """Eigenvalue representatives together with quaternionic eigenvectors.
 
     Returns a list of ``(lam, v, residual)`` with ``m @ v`` close to
@@ -449,7 +434,7 @@ def right_eigenpairs(m: QMatrix, tol=1e-8):
     return pairs
 
 
-def eigenspace_basis(m: QMatrix, lam, atol=1e-6):
+def eigenspace_basis(m: QMatrix, lam, atol=CLUSTER_TOL):
     """Orthonormal basis (columns) of the adjoint eigenspace for ``lam``.
 
     Works on the complex adjoint via SVD, so it is robust for defective

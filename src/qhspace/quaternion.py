@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-#: Default tolerance for scalar comparisons.
-SCALAR_TOL = 1e-10
+from .tolerances import SCALAR_TOL
 
 
 class Quaternion:
@@ -61,9 +60,6 @@ class Quaternion:
         if m2 == 0.0:
             raise ZeroDivisionError("quaternion not invertible")
         return Quaternion(self.w / m2, -self.x / m2, -self.y / m2, -self.z / m2)
-
-    def is_finite(self) -> bool:
-        return all(map(math.isfinite, (self.w, self.x, self.y, self.z)))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -143,9 +139,6 @@ class Quaternion:
 
     def __hash__(self):
         return hash((self.w, self.x, self.y, self.z))
-
-    def approx_equal(self, other, tol=SCALAR_TOL) -> bool:
-        return (self - other).modulus() <= tol
 
     def __repr__(self):
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"

@@ -30,12 +30,15 @@ from .geometry import Position, ProjectivePoint
 from .qmatrix import QMatrix, eigenspace_basis, quaternion_vector_from_adjoint, right_eigenpairs, right_eigenvalues
 from .quaternion import Quaternion
 from .spn1 import SpElement, form_matrix, is_member
-
-#: Relative tolerance on |eigenvalue modulus - 1| used by classification.
-UNIT_MODULUS_TOL = 1e-7
-
-#: Radius used to cluster eigenvalue representatives into classes.
-CLUSTER_TOL = 1e-6
+from .tolerances import (
+    CLUSTER_TOL,
+    CONJUGATOR_ADMISSION_TOL,
+    FORM_POSITIVITY_TOL,
+    NULL_PAIRING_TOL,
+    PAIRING_TOL,
+    RECIPROCAL_TOL,
+    UNIT_MODULUS_TOL,
+)
 
 
 class ElementKind(Enum):
@@ -81,7 +84,7 @@ def _restricted_form_eigs(g: SpElement, lam, atol):
 def classify(g: SpElement, tol=UNIT_MODULUS_TOL) -> Classification:
     """Sort an element into identity / elliptic / parabolic / loxodromic."""
     eye = QMatrix.identity(g.n + 1)
-    reps = right_eigenvalues(g.m, tol=max(1e-8, tol))
+    reps = right_eigenvalues(g.m, tol=max(PAIRING_TOL, tol))
     moduli = tuple(abs(lam) for lam in reps)
     if (g.m - eye).norm_max() <= tol:
         return Classification(ElementKind.IDENTITY, moduli, 0)
@@ -137,7 +140,7 @@ def invariants_from_eigs(unit_eigs, lam_n, lam_n1):
     return delta, mg
 
 
-def _unit_block_columns(g: SpElement, unit_reps, tol):
+def _unit_block_columns(g: SpElement, unit_reps):
     """J-orthonormal eigenvector columns spanning the unit-modulus part.
 
     Within one eigenvalue class the form values between eigenvectors are
@@ -148,7 +151,7 @@ def _unit_block_columns(g: SpElement, unit_reps, tol):
     accepted = []
     for cluster in _cluster(unit_reps, CLUSTER_TOL):
         lam_hat = sum(cluster) / len(cluster)
-        basis = eigenspace_basis(g.m, lam_hat, atol=max(CLUSTER_TOL, tol))
+        basis = eigenspace_basis(g.m, lam_hat, atol=CLUSTER_TOL)
         candidates = [
             quaternion_vector_from_adjoint(basis[:, i]) for i in range(basis.shape[1])
         ]
@@ -165,7 +168,7 @@ def _unit_block_columns(g: SpElement, unit_reps, tol):
             if norm_sq == 0.0:
                 continue
             value = (vec.star() @ (j_mat @ vec))[0, 0].re()
-            if value <= 1e-6 * norm_sq:
+            if value <= FORM_POSITIVITY_TOL * norm_sq:
                 continue
             accepted.append(vec.scale_right(1.0 / np.sqrt(value)))
             found += 1
@@ -176,26 +179,26 @@ def _unit_block_columns(g: SpElement, unit_reps, tol):
     return accepted
 
 
-def _build_conjugator(g: SpElement, unit_reps, u_vec, v_vec, tol):
+def _build_conjugator(g: SpElement, unit_reps, u_vec, v_vec):
     """Assemble C in the group with C^-1 g C diagonal, or None on failure."""
     j_mat = form_matrix(g.n)
     pairing = (u_vec.star() @ (j_mat @ v_vec))[0, 0]
-    if pairing.modulus() < 1e-12:
+    if pairing.modulus() < NULL_PAIRING_TOL:
         return None
     v_scaled = v_vec.scale_right(-pairing.inverse())
     try:
-        columns = _unit_block_columns(g, unit_reps, tol)
+        columns = _unit_block_columns(g, unit_reps)
     except NumericError:
         return None
     mat = QMatrix.from_blocks([columns + [u_vec, v_scaled]])
     try:
-        conj = is_member(mat, tol=1e-8)
+        conj = is_member(mat, tol=CONJUGATOR_ADMISSION_TOL)
     except Exception:
         return None
     return conj
 
 
-def loxodromic_data(g: SpElement, tol=UNIT_MODULUS_TOL) -> LoxodromicData:
+def loxodromic_data(g: SpElement) -> LoxodromicData:
     """Extract eigenvalue classes, fixed points and invariants of a loxodromic g.
 
     Raises :class:`ClassificationError` unless the spectrum splits into n-1
@@ -203,10 +206,10 @@ def loxodromic_data(g: SpElement, tol=UNIT_MODULUS_TOL) -> LoxodromicData:
     class, and :class:`NumericError` when eigenvector residuals or fixed-point
     positions cannot be certified.
     """
-    pairs = right_eigenpairs(g.m, tol=max(1e-8, tol))
+    pairs = right_eigenpairs(g.m, tol=UNIT_MODULUS_TOL)
     moduli = [abs(p[0]) for p in pairs]
-    big = [i for i, m in enumerate(moduli) if m > 1.0 + tol]
-    small = [i for i, m in enumerate(moduli) if m < 1.0 - tol]
+    big = [i for i, m in enumerate(moduli) if m > 1.0 + UNIT_MODULUS_TOL]
+    small = [i for i, m in enumerate(moduli) if m < 1.0 - UNIT_MODULUS_TOL]
     if len(big) != 1 or len(small) != 1:
         raise ClassificationError(
             "element is not loxodromic: expected exactly one expanding and one "
@@ -214,21 +217,21 @@ def loxodromic_data(g: SpElement, tol=UNIT_MODULUS_TOL) -> LoxodromicData:
         )
     lam_n, u_vec, _ = pairs[big[0]]
     lam_n1, v_vec, _ = pairs[small[0]]
-    if abs(abs(lam_n) * abs(lam_n1) - 1.0) > 1e-9 * abs(lam_n):
+    if abs(abs(lam_n) * abs(lam_n1) - 1.0) > RECIPROCAL_TOL * abs(lam_n):
         raise NumericError(
             "expanding/contracting moduli are not reciprocal",
             residual=abs(abs(lam_n) * abs(lam_n1) - 1.0),
         )
     unit_reps = [p[0] for i, p in enumerate(pairs) if i not in (big[0], small[0])]
     for lam in unit_reps:
-        if abs(abs(lam) - 1.0) > tol:
+        if abs(abs(lam) - 1.0) > UNIT_MODULUS_TOL:
             raise ClassificationError(f"unit block contains modulus {abs(lam)}")
     attracting = ProjectivePoint(u_vec)
     repelling = ProjectivePoint(v_vec)
     if attracting.position is not Position.BOUNDARY or repelling.position is not Position.BOUNDARY:
         raise NumericError("fixed points did not land on the boundary")
     delta, mg = invariants_from_eigs(unit_reps, lam_n, lam_n1)
-    conjugator = _build_conjugator(g, unit_reps, u_vec, v_vec, tol)
+    conjugator = _build_conjugator(g, unit_reps, u_vec, v_vec)
     return LoxodromicData(
         unit_eigs=tuple(unit_reps),
         lam_n=lam_n,
@@ -241,12 +244,12 @@ def loxodromic_data(g: SpElement, tol=UNIT_MODULUS_TOL) -> LoxodromicData:
     )
 
 
-def spectral_report(g: SpElement, tol=UNIT_MODULUS_TOL) -> dict:
+def spectral_report(g: SpElement) -> dict:
     """JSON-ready classification report for one element."""
-    cls = classify(g, tol=tol)
+    cls = classify(g)
     report = {
         "kind": cls.kind.value,
-        "eigs": [[lam.real, lam.imag] for lam in right_eigenvalues(g.m, tol=max(1e-8, tol))],
+        "eigs": [[lam.real, lam.imag] for lam in right_eigenvalues(g.m, tol=UNIT_MODULUS_TOL)],
         "delta": None,
         "mg": None,
         "u": None,
@@ -255,7 +258,7 @@ def spectral_report(g: SpElement, tol=UNIT_MODULUS_TOL) -> dict:
         "low_confidence": cls.low_confidence,
     }
     if cls.kind is ElementKind.LOXODROMIC:
-        data = loxodromic_data(g, tol=tol)
+        data = loxodromic_data(g)
         report["delta"] = data.delta
         report["mg"] = data.mg
         report["u"] = data.attracting.to_json_dict()

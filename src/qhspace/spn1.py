@@ -39,12 +39,7 @@ from .quaternion import (
     modulus_components,
     mul_components,
 )
-
-#: Default absolute max-norm tolerance for group admission.
-ADMISSION_TOL = 1e-9
-
-#: Tolerance for normal-form parameter constraints.
-CONSTRAINT_TOL = 1e-10
+from .tolerances import ADMISSION_TOL, CONSTRAINT_TOL, compose_admission_tol
 
 
 @lru_cache(maxsize=32)
@@ -220,13 +215,11 @@ def group_inverse(g: SpElement) -> SpElement:
     return SpElement(inv, g.n, residual)
 
 
-def compose(g: SpElement, h: SpElement, tol=None) -> SpElement:
+def compose(g: SpElement, h: SpElement) -> SpElement:
     """Group product, admitted at a tolerance relaxed by the inputs' residuals."""
     if g.n != h.n:
         raise ShapeMismatchError("elements act on different spaces")
-    if tol is None:
-        tol = ADMISSION_TOL + 10.0 * (g.residual + h.residual)
-    return is_member(g.m @ h.m, tol=tol)
+    return is_member(g.m @ h.m, tol=compose_admission_tol(g.residual, h.residual))
 
 
 def identity_element(n: int) -> SpElement:
@@ -320,26 +313,26 @@ def _complex_pairs(comp):
     return np.ascontiguousarray(comp, dtype=float).view(complex)
 
 
-def _assemble_normal_forms(kinds, lam, mu, A: QMatrix, a: QMatrix, s, tol=CONSTRAINT_TOL):
+def _assemble_normal_forms(kinds, lam, mu, A: QMatrix, a: QMatrix, s):
     """Check, assemble and admit a stack of stabilizer normal forms.
 
     ``kinds`` indexes :data:`_FACTOR_KINDS`; ``lam``, ``mu`` and ``s`` are
     (count, 4) component arrays, ``A`` a stack of (n-1) x (n-1) unitary blocks
     and ``a`` a stack of (n-1)-columns.  StabBoth elements ignore ``a`` and
-    ``s``.  Every constraint of :class:`NormalFormParams` and the admission at
-    :data:`ADMISSION_TOL` are checked on the whole stack; the first element
+    ``s``.  Every constraint of :class:`NormalFormParams`, at
+    :data:`CONSTRAINT_TOL`, and the admission at :data:`ADMISSION_TOL` are checked on the whole stack; the first element
     that fails raises.  Returns the stack and its membership residuals.
     """
     pairing = modulus_components(mul_components(conj_components(mu), lam) - (1.0, 0.0, 0.0, 0.0))
-    if (k := _first(pairing > tol)) is not None:
+    if (k := _first(pairing > CONSTRAINT_TOL)) is not None:
         raise ParameterError(f"conj(mu)*lam = 1 violated by {pairing[k]:.3e}")
     defect = (A.star() @ A - QMatrix.identity(A.rows)).norm_max()
-    if (k := _first(defect > tol)) is not None:
+    if (k := _first(defect > CONSTRAINT_TOL)) is not None:
         raise ParameterError(f"A is not unitary: ||A*A - I|| = {defect[k]:.3e}")
     translating = kinds != _STAB_BOTH
     a_sq = (a.components ** 2).sum(axis=(-3, -2, -1))
     re_ms = (mu * s).sum(axis=-1)  # Re(conj(mu) s) is the dot product of the components
-    off = np.abs(re_ms - 0.5 * a_sq) > tol * np.maximum(1.0, a_sq)
+    off = np.abs(re_ms - 0.5 * a_sq) > CONSTRAINT_TOL * np.maximum(1.0, a_sq)
     if (k := _first(off & translating)) is not None:
         raise ParameterError(
             f"Re(conj(mu)*s) = |a|^2/2 violated: {re_ms[k]:.6e} vs {0.5 * a_sq[k]:.6e}"
@@ -379,7 +372,7 @@ def _assemble_normal_forms(kinds, lam, mu, A: QMatrix, a: QMatrix, s, tol=CONSTR
     return mats, residual
 
 
-def make_normal_form(p: NormalFormParams, tol=CONSTRAINT_TOL) -> SpElement:
+def make_normal_form(p: NormalFormParams) -> SpElement:
     """Assemble a stabilizer normal form and admit it into the group."""
     translating = p.kind is not StabilizerKind.STAB_BOTH
     if p.A is None:
@@ -398,18 +391,17 @@ def make_normal_form(p: NormalFormParams, tol=CONSTRAINT_TOL) -> SpElement:
         QMatrix(p.A.ca[None], p.A.cb[None]),
         QMatrix(a.ca[None], a.cb[None]),
         np.array([s.to_json()]),
-        tol,
     )
     return SpElement(QMatrix(mats.ca[0], mats.cb[0]), m + 1, float(residual[0]))
 
 
-def make_loxodromic(unit_eigs, lam_n: Quaternion, tol=CONSTRAINT_TOL) -> SpElement:
+def make_loxodromic(unit_eigs, lam_n: Quaternion) -> SpElement:
     """Diagonal loxodromic element diag(unit_eigs, lam_n, conj(lam_n)^-1)."""
     unit_eigs = list(unit_eigs)
     for idx, q in enumerate(unit_eigs):
-        if abs(q.modulus() - 1.0) > tol:
+        if abs(q.modulus() - 1.0) > CONSTRAINT_TOL:
             raise ParameterError(f"unit eigenvalue {idx} has modulus {q.modulus():.12f}")
-    if abs(lam_n.modulus() - 1.0) <= tol:
+    if abs(lam_n.modulus() - 1.0) <= CONSTRAINT_TOL:
         raise ParameterError("not loxodromic: |lam_n| = 1 within tolerance")
     lam_last = lam_n.conj().inverse()
     return is_member(QMatrix.diag(unit_eigs + [lam_n, lam_last]))

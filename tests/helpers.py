@@ -94,11 +94,31 @@ def swap_element(n):
     return is_member(QMatrix.from_quaternions(rows))
 
 
+def allclose(a: QMatrix, b: QMatrix, tol) -> bool:
+    """Whether two matrices differ by at most ``tol`` in max-norm."""
+    return (a - b).norm_max() <= tol
+
+
+def approx_equal(p: Quaternion, q: Quaternion, tol) -> bool:
+    """Whether two quaternions differ by at most ``tol`` in modulus."""
+    return (p - q).modulus() <= tol
+
+
+def from_adjoint(arr) -> QMatrix:
+    """Invert :meth:`QMatrix.adjoint`, symmetrizing away rounding asymmetry."""
+    arr = np.asarray(arr, dtype=complex)
+    r2, c2 = arr.shape
+    r, c = r2 // 2, c2 // 2
+    ca = 0.5 * (arr[:r, :c] + arr[r:, c:].conj())
+    cb = 0.5 * (arr[:r, c:] - arr[r:, :c].conj())
+    return QMatrix(ca, cb)
+
+
 def inverse_via_adjoint(m: QMatrix) -> QMatrix:
     """Generic inverse through the complex adjoint."""
     if m.rows != m.cols:
         raise ShapeMismatchError("inverse requires a square matrix")
-    return QMatrix.from_adjoint(np.linalg.inv(m.adjoint()))
+    return from_adjoint(np.linalg.inv(m.adjoint()))
 
 
 def diagonal_of(g: SpElement, conjugator: SpElement):

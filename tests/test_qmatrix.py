@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from helpers import (
+    allclose,
     count_linalg,
+    from_adjoint,
     inverse_via_adjoint,
     reference_dumps,
     reference_matrix_dict,
@@ -48,7 +50,7 @@ def test_shape_mismatch():
 
 
 def test_star_examples():
-    assert QMatrix.identity(3).star().allclose(QMatrix.identity(3), 0.0)
+    assert allclose(QMatrix.identity(3).star(), QMatrix.identity(3), 0.0)
     assert QMatrix.diag([I]).star()[0, 0] == -I
 
 
@@ -72,7 +74,7 @@ def test_adjoint_homomorphism():
 
 def test_adjoint_round_trip():
     m = random_qmatrix(3, 2)
-    assert QMatrix.from_adjoint(m.adjoint()).allclose(m, 0.0)
+    assert allclose(from_adjoint(m.adjoint()), m, 0.0)
 
 
 def test_eigenvalues_real_diagonal():
@@ -132,7 +134,7 @@ def test_entry_access_and_components():
     assert m[0, 0] == Quaternion(1, 2, 3, 4)
     assert m[1, 0] == J
     rebuilt = QMatrix.from_components(m.components)
-    assert rebuilt.allclose(m, 0.0)
+    assert allclose(rebuilt, m, 0.0)
 
 
 def test_scaling_sides_differ():
@@ -155,7 +157,7 @@ def test_json_round_trip():
     m = random_qmatrix(2, 3)
     doc = m.to_json_dict()
     assert doc["rows"] == 2 and doc["cols"] == 3 and len(doc["entries"]) == 6
-    assert QMatrix.from_json_dict(doc).allclose(m, 0.0)
+    assert allclose(QMatrix.from_json_dict(doc), m, 0.0)
 
 
 def _element(stack, k):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_random_unit
+from helpers import approx_equal, reference_random_unit
 
 from qhspace.quaternion import (
     I,
@@ -53,7 +53,7 @@ def test_inverse_examples():
     assert Quaternion(2.0).inverse() == Quaternion(0.5)
     q = Quaternion(1, 1, 1, 1)
     assert q.inverse() == Quaternion(0.25, -0.25, -0.25, -0.25)
-    assert (q * q.inverse()).approx_equal(ONE, 1e-15)
+    assert approx_equal(q * q.inverse(), ONE, 1e-15)
 
 
 def test_zero_not_invertible():
@@ -70,7 +70,7 @@ def test_similar_examples():
 def test_similar_matches_explicit_conjugation():
     # j maps i to -i: j i j^-1 = -i, so 1+i and 1-i are conjugate.
     lhs = J * Quaternion(1, 1) * J.inverse()
-    assert lhs.approx_equal(Quaternion(1, -1), 1e-15)
+    assert approx_equal(lhs, Quaternion(1, -1), 1e-15)
 
 
 def test_similar_rejects_negative_tolerance():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    allclose,
     check_elements,
     inverse_via_adjoint,
     random_unit_quaternion,
@@ -97,7 +98,7 @@ def test_group_inverse_examples():
     assert (group_inverse(eye).m - eye.m).norm_max() == 0.0
     g = is_member(QMatrix.diag([Quaternion(1), Quaternion(2), Quaternion(0.5)]))
     gi = group_inverse(g)
-    assert gi.m.allclose(QMatrix.diag([Quaternion(1), Quaternion(0.5), Quaternion(2)]), 0.0)
+    assert allclose(gi.m, QMatrix.diag([Quaternion(1), Quaternion(0.5), Quaternion(2)]), 0.0)
 
 
 def test_group_inverse_property_and_adjoint_oracle():
@@ -150,7 +151,7 @@ def test_normal_form_diagonal_loxodromic():
         StabilizerKind.STAB_BOTH, lam=Quaternion(2), mu=Quaternion(0.5), A=QMatrix.identity(1)
     )
     g = make_normal_form(p)
-    assert g.m.allclose(QMatrix.diag([Quaternion(1), Quaternion(2), Quaternion(0.5)]), 0.0)
+    assert allclose(g.m, QMatrix.diag([Quaternion(1), Quaternion(2), Quaternion(0.5)]), 0.0)
 
 
 def test_normal_form_stab_zero_is_member():
@@ -210,7 +211,7 @@ def test_translation_constraint_is_necessary():
 
 def test_make_loxodromic_examples():
     g = make_loxodromic([Quaternion(1)], Quaternion(2))
-    assert g.m.allclose(QMatrix.diag([Quaternion(1), Quaternion(2), Quaternion(0.5)]), 0.0)
+    assert allclose(g.m, QMatrix.diag([Quaternion(1), Quaternion(2), Quaternion(0.5)]), 0.0)
     g = make_loxodromic([I], Quaternion(1.05))
     assert (g.m[2, 2] - Quaternion(1 / 1.05)).modulus() < 1e-15
     g = make_loxodromic([Quaternion(1)], Quaternion(1, 1))
