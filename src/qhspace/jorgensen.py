@@ -31,8 +31,8 @@ from .errors import ClassificationError, NumericError
 from .geometry import apply, projectively_close
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
-from .spectral import ElementKind, LoxodromicData, classify, loxodromic_data
-from .spn1 import SpElement, group_inverse, is_member
+from .spectral import ElementKind, LoxodromicData, _fixed_point_data, classify, loxodromic_data
+from .spn1 import SpElement, _structure_inverse, is_member
 from .tolerances import (
     BOUND_FLOOR,
     BOUND_SLACK,
@@ -118,8 +118,8 @@ def _diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
     conj = data.conjugator
     if conj is None:
         raise NumericError("could not build a validated diagonalizing conjugator")
-    conj_inv = group_inverse(conj)
-    d_mat = conj_inv.m @ g.m @ conj.m
+    conj_inv = _structure_inverse(conj.m)
+    d_mat = conj_inv @ g.m @ conj.m
     entries = [d_mat[i, i] for i in range(d_mat.rows)]
     off = (d_mat - QMatrix.diag(entries)).norm_max()
     if off > DIAGONAL_TOL:
@@ -130,7 +130,7 @@ def _diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
     lam_n = entries[-2]
     lam_n1 = lam_n.conj().inverse()
     g_diag = is_member(QMatrix.diag(list(unit_diag) + [lam_n, lam_n1]))
-    h_conj = is_member(conj_inv.m @ h.m @ conj.m, tol=frame_admission_tol(g.residual, h.residual))
+    h_conj = is_member(conj_inv @ h.m @ conj.m, tol=frame_admission_tol(g.residual, h.residual))
     return _DiagonalFrame(g_diag, unit_diag, lam_n, lam_n1, h_conj, data)
 
 
@@ -159,7 +159,7 @@ def elementary_certificate(g: SpElement, h: SpElement) -> Certificate:
     configuration, re-deriving h's own fixed points instead of trusting any
     assumption about swaps).
     """
-    data = loxodromic_data(g)
+    data = _fixed_point_data(g)
     u, v = data.attracting, data.repelling
     hu, hv = apply(h, u), apply(h, v)
     fixes_u = projectively_close(hu, u)
@@ -169,7 +169,7 @@ def elementary_certificate(g: SpElement, h: SpElement) -> Certificate:
         return Certificate.PRESERVES_PAIR
     if fixes_u or fixes_v:
         if classify(h, tol=LOXODROMY_MARGIN).kind is ElementKind.LOXODROMIC:
-            h_data = loxodromic_data(h)
+            h_data = _fixed_point_data(h)
             shared = sum(
                 1
                 for fp in (h_data.attracting, h_data.repelling)
@@ -391,7 +391,7 @@ def _orbit_in_frame(frame: _DiagonalFrame, steps) -> IterationTrace:
             truncated_at = k
             break
         formula = _block_update(current, frame.unit_diag, frame.lam_n, frame.lam_n1)
-        direct = current.m @ frame.g_diag.m @ group_inverse(current).m
+        direct = current.m @ frame.g_diag.m @ _structure_inverse(current.m)
         discrepancy = (formula - direct).norm_max()
         scale = max(1.0, formula.norm_max())
         current = is_member(formula, tol=orbit_admission_tol(current.residual, scale))

@@ -37,7 +37,8 @@ and a single ``np.linalg.eig``.  A frozen matrix (see :meth:`QMatrix.freeze`;
 every group element is one) computes it on first use and keeps it, read-only,
 for every later routine, together with the pairing of its eigenvalues into
 right-eigenvalue representatives; an unfrozen matrix recomputes both per
-call.
+call.  ``right_eigenpairs`` checks all 2k eigenvector candidates of a k x k
+matrix as one stack of column vectors.
 """
 
 from __future__ import annotations
@@ -229,7 +230,8 @@ class QMatrix:
         """Entrywise left multiplication q * M.
 
         ``q`` is a Quaternion or a real number, or, for a stack, an array of
-        real numbers or a stack of 1 x 1 matrices with one scalar per element.
+        real or complex numbers (complex ``a`` is the quaternion ``a + 0*j``)
+        or a stack of 1 x 1 matrices with one scalar per element.
         """
         qa, qb = _as_pair(q)
         return QMatrix._owning(
@@ -401,35 +403,39 @@ def right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):
 
     Returns a list of ``(lam, v, residual)`` with ``m @ v`` close to
     ``v * lam`` and residual measured relative to ``|v|``.  Raises
-    :class:`NumericError` when a residual exceeds ``tol``.
+    :class:`NumericError` at the first candidate, in adjoint order, whose
+    residual exceeds ``tol``; the candidates are checked as one stack.
     """
     if m.rows != m.cols:
         raise ShapeMismatchError("eigenpairs require a square matrix")
     spectrum = _adjoint_spectrum(m)
     evals, evecs = spectrum.evals, spectrum.evecs
     size = m.rows
-    j_unit = Quaternion(0.0, 0.0, 1.0, 0.0)
-    candidates = []
-    for idx in range(2 * size):
-        lam = evals[idx]
-        vec = quaternion_vector_from_adjoint(evecs[:, idx])
-        if lam.imag < 0:
-            # Right-multiplying an eigenvector by j conjugates the eigenvalue,
-            # moving the representative into the upper half plane.
-            vec = vec.scale_right(j_unit)
-        rep = complex(lam.real, abs(lam.imag))
-        resid = (m @ vec - vec.scale_right(Quaternion.from_complex_pair(rep))).norm_max()
-        scale = vec.norm_fro()
-        if scale == 0.0 or resid > tol * max(scale, 1.0):
-            raise NumericError("eigenpair residual too large", residual=resid)
-        candidates.append((rep, vec, resid / scale))
+    # Candidate idx is adjoint eigenvector idx, split as
+    # quaternion_vector_from_adjoint splits it.
+    plain = QMatrix._owning(
+        np.ascontiguousarray(evecs[:size].T)[..., None],
+        np.ascontiguousarray(-evecs[size:].conj().T)[..., None],
+    )
+    # Right-multiplying an eigenvector by j conjugates the eigenvalue, moving
+    # the representative into the upper half plane.
+    rotated = plain.scale_right(Quaternion(0.0, 0.0, 1.0, 0.0))
+    lower = (evals.imag < 0)[:, None, None]
+    vecs = QMatrix._owning(np.where(lower, rotated.ca, plain.ca), np.where(lower, rotated.cb, plain.cb))
+    reps = [complex(lam.real, abs(lam.imag)) for lam in evals]
+    resid = (m @ vecs - vecs.scale_right(np.array(reps))).norm_max()
+    scale = vecs.norm_fro()
+    bad = (scale == 0.0) | (resid > tol * np.maximum(scale, 1.0))
+    if bad.any():
+        raise NumericError("eigenpair residual too large", residual=float(resid[np.argmax(bad)]))
     # Each similarity class appears twice per multiplicity; keep one candidate
     # per representative from the values-only path.
-    reps = right_eigenvalues(m, tol=max(tol, PAIRING_TOL))
+    remaining = list(range(2 * size))
     pairs = []
-    for rep in reps:
-        j = int(np.argmin([abs(p[0] - rep) for p in candidates]))
-        pairs.append(candidates.pop(j))
+    for rep in right_eigenvalues(m, tol=max(tol, PAIRING_TOL)):
+        i = remaining.pop(int(np.argmin([abs(reps[k] - rep) for k in remaining])))
+        vec = QMatrix._owning(vecs.ca[i], vecs.cb[i])
+        pairs.append((reps[i], vec, float(resid[i] / scale[i])))
     pairs.sort(key=lambda p: (abs(p[0]), p[0].real))
     return pairs
 

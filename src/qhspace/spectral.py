@@ -16,11 +16,13 @@ plus one expanding/contracting pair (lam_n, lam_n1) with
     mg    = 2*delta + |lam_n - 1| + |lam_n1 - 1|,
 
 both well defined because |lam - 1| depends only on (Re lam, |lam|).
+Only the diagonal frame of the Jørgensen test builds the conjugator that
+makes g diagonal; ``classify`` reads the invariants and fixed points alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -198,14 +200,8 @@ def _build_conjugator(g: SpElement, unit_reps, u_vec, v_vec):
     return conj
 
 
-def loxodromic_data(g: SpElement) -> LoxodromicData:
-    """Extract eigenvalue classes, fixed points and invariants of a loxodromic g.
-
-    Raises :class:`ClassificationError` unless the spectrum splits into n-1
-    unit-modulus classes plus exactly one expanding and one contracting
-    class, and :class:`NumericError` when eigenvector residuals or fixed-point
-    positions cannot be certified.
-    """
+def _fixed_point_data(g: SpElement) -> LoxodromicData:
+    """:func:`loxodromic_data` without the conjugator, which is left None."""
     pairs = right_eigenpairs(g.m, tol=UNIT_MODULUS_TOL)
     moduli = [abs(p[0]) for p in pairs]
     big = [i for i, m in enumerate(moduli) if m > 1.0 + UNIT_MODULUS_TOL]
@@ -231,7 +227,6 @@ def loxodromic_data(g: SpElement) -> LoxodromicData:
     if attracting.position is not Position.BOUNDARY or repelling.position is not Position.BOUNDARY:
         raise NumericError("fixed points did not land on the boundary")
     delta, mg = invariants_from_eigs(unit_reps, lam_n, lam_n1)
-    conjugator = _build_conjugator(g, unit_reps, u_vec, v_vec)
     return LoxodromicData(
         unit_eigs=tuple(unit_reps),
         lam_n=lam_n,
@@ -240,8 +235,23 @@ def loxodromic_data(g: SpElement) -> LoxodromicData:
         repelling=repelling,
         delta=delta,
         mg=mg,
-        conjugator=conjugator,
+        conjugator=None,
     )
+
+
+def loxodromic_data(g: SpElement) -> LoxodromicData:
+    """Extract eigenvalue classes, fixed points and invariants of a loxodromic g.
+
+    Raises :class:`ClassificationError` unless the spectrum splits into n-1
+    unit-modulus classes plus exactly one expanding and one contracting
+    class, and :class:`NumericError` when eigenvector residuals or fixed-point
+    positions cannot be certified.  Only the diagonal frame calls it; other
+    callers read the same data without the conjugator.
+    """
+    data = _fixed_point_data(g)
+    # The lifts are frozen copies of the eigenvectors, so C keeps its bits.
+    conjugator = _build_conjugator(g, data.unit_eigs, data.attracting.lift, data.repelling.lift)
+    return replace(data, conjugator=conjugator)
 
 
 def spectral_report(g: SpElement) -> dict:
@@ -258,7 +268,7 @@ def spectral_report(g: SpElement) -> dict:
         "low_confidence": cls.low_confidence,
     }
     if cls.kind is ElementKind.LOXODROMIC:
-        data = loxodromic_data(g)
+        data = _fixed_point_data(g)
         report["delta"] = data.delta
         report["mg"] = data.mg
         report["u"] = data.attracting.to_json_dict()

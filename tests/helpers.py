@@ -9,11 +9,13 @@ from collections import Counter
 import numpy as np
 
 from qhspace.crossratio import DEGENERACY_TOL, CrossRatioValue, EntryIdentityReport
-from qhspace.errors import MembershipError, NumericError, ShapeMismatchError
-from qhspace.geometry import ProjectivePoint, apply, from_lift, q_infinity, q_zero
+from qhspace.errors import ClassificationError, MembershipError, NumericError, ShapeMismatchError
+from qhspace.geometry import Position, ProjectivePoint, apply, from_lift, projectively_close, q_infinity, q_zero
+from qhspace.jorgensen import Certificate
 from qhspace.jsonio import format_float
-from qhspace.qmatrix import QMatrix
+from qhspace.qmatrix import QMatrix, _adjoint_spectrum, quaternion_vector_from_adjoint, right_eigenvalues
 from qhspace.quaternion import Quaternion
+from qhspace.spectral import ElementKind, LoxodromicData, _build_conjugator, classify, invariants_from_eigs
 from qhspace.spn1 import (
     ADMISSION_TOL,
     LOXO_MODULUS_RANGE,
@@ -30,6 +32,13 @@ from qhspace.spn1 import (
     make_normal_form,
     membership_residual,
     sample_elements,
+)
+from qhspace.tolerances import (
+    EIGENPAIR_TOL,
+    LOXODROMY_MARGIN,
+    PAIRING_TOL,
+    RECIPROCAL_TOL,
+    UNIT_MODULUS_TOL,
 )
 
 
@@ -130,6 +139,37 @@ def diagonal_of(g: SpElement, conjugator: SpElement):
     entries = [d[i, i] for i in range(d.rows)]
     off = d - QMatrix.diag(entries)
     return entries, off.norm_max()
+
+
+def shared_fixed_point_pairs(n, seed, count=8):
+    """Pairs (g, h) sharing a fixed point: c diag c^-1 and c k c^-1, where k
+    fixes q0 or qinf (or both) and is loxodromic for every other pair."""
+    rng = np.random.default_rng([seed, n])
+    conjugators = list(sample_elements(n, seed, count, 3))
+    kinds = (StabilizerKind.STAB_INFINITY, StabilizerKind.STAB_ZERO, StabilizerKind.STAB_BOTH)
+    pairs = []
+    for i, c in enumerate(conjugators):
+        diag = make_loxodromic(
+            [random_unit_quaternion(rng) for _ in range(n - 1)],
+            random_unit_quaternion(rng) * rng.uniform(1.05, 1.5),
+        )
+        lam = random_unit_quaternion(rng) * (rng.uniform(1.05, 1.3) if i % 2 else 1.0)
+        mu = lam.conj().inverse()
+        kind = kinds[i % 3]
+        a = QMatrix.from_components(0.35 * rng.standard_normal((n - 1, 1, 4)))
+        a_sq = float((a.entry_moduli() ** 2).sum()) if n > 1 else 0.0
+        s = mu * (0.5 * a_sq / mu.modulus_sq()) + mu * Quaternion(0.0, *(0.35 * rng.standard_normal(3)))
+        if kind is StabilizerKind.STAB_BOTH:
+            params = NormalFormParams(kind, lam=lam, mu=mu, A=reference_unitary(rng, n - 1))
+        else:
+            params = NormalFormParams(kind, lam=lam, mu=mu, A=reference_unitary(rng, n - 1), a=a, s=s)
+        k = make_normal_form(params)
+        c_inv = group_inverse(c)
+        try:
+            pairs.append((is_member(c.m @ diag.m @ c_inv.m), is_member(c.m @ k.m @ c_inv.m)))
+        except MembershipError:
+            continue
+    return pairs
 
 
 def stack_of(elements) -> QMatrix:
@@ -466,6 +506,124 @@ def reference_verify(n, seed, count, word_length, tol=ADMISSION_TOL):
     }
     doc["pass"] = all(flag for _, flag in checks.values())
     return doc
+
+
+# -- per-candidate spectral references ----------------------------------------
+#
+# The paths that ``qmatrix.right_eigenpairs``, ``spectral.spectral_report``
+# and ``jorgensen.elementary_certificate`` reproduce bit for bit: each
+# eigenvector candidate is converted, rotated and checked on its own, and
+# every loxodromic element gets its conjugator built, whether or not the
+# caller reads it.
+
+
+def reference_right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):
+    """``right_eigenpairs`` with one ``QMatrix`` per adjoint eigenvector."""
+    spectrum = _adjoint_spectrum(m)
+    evals, evecs = spectrum.evals, spectrum.evecs
+    j_unit = Quaternion(0.0, 0.0, 1.0, 0.0)
+    candidates = []
+    for idx in range(2 * m.rows):
+        lam = evals[idx]
+        vec = quaternion_vector_from_adjoint(evecs[:, idx])
+        if lam.imag < 0:
+            vec = vec.scale_right(j_unit)
+        rep = complex(lam.real, abs(lam.imag))
+        resid = (m @ vec - vec.scale_right(Quaternion.from_complex_pair(rep))).norm_max()
+        scale = vec.norm_fro()
+        if scale == 0.0 or resid > tol * max(scale, 1.0):
+            raise NumericError("eigenpair residual too large", residual=resid)
+        candidates.append((rep, vec, resid / scale))
+    pairs = []
+    for rep in right_eigenvalues(m, tol=max(tol, PAIRING_TOL)):
+        j = int(np.argmin([abs(p[0] - rep) for p in candidates]))
+        pairs.append(candidates.pop(j))
+    pairs.sort(key=lambda p: (abs(p[0]), p[0].real))
+    return pairs
+
+
+def reference_loxodromic_data(g: SpElement) -> LoxodromicData:
+    """``loxodromic_data`` from the per-candidate eigenpairs, with the
+    conjugator built from the eigenvectors themselves."""
+    pairs = reference_right_eigenpairs(g.m, tol=UNIT_MODULUS_TOL)
+    moduli = [abs(p[0]) for p in pairs]
+    big = [i for i, m in enumerate(moduli) if m > 1.0 + UNIT_MODULUS_TOL]
+    small = [i for i, m in enumerate(moduli) if m < 1.0 - UNIT_MODULUS_TOL]
+    if len(big) != 1 or len(small) != 1:
+        raise ClassificationError(
+            "element is not loxodromic: expected exactly one expanding and one "
+            f"contracting eigenvalue class, got moduli {moduli}"
+        )
+    lam_n, u_vec, _ = pairs[big[0]]
+    lam_n1, v_vec, _ = pairs[small[0]]
+    if abs(abs(lam_n) * abs(lam_n1) - 1.0) > RECIPROCAL_TOL * abs(lam_n):
+        raise NumericError(
+            "expanding/contracting moduli are not reciprocal",
+            residual=abs(abs(lam_n) * abs(lam_n1) - 1.0),
+        )
+    unit_reps = [p[0] for i, p in enumerate(pairs) if i not in (big[0], small[0])]
+    for lam in unit_reps:
+        if abs(abs(lam) - 1.0) > UNIT_MODULUS_TOL:
+            raise ClassificationError(f"unit block contains modulus {abs(lam)}")
+    attracting = ProjectivePoint(u_vec)
+    repelling = ProjectivePoint(v_vec)
+    if attracting.position is not Position.BOUNDARY or repelling.position is not Position.BOUNDARY:
+        raise NumericError("fixed points did not land on the boundary")
+    delta, mg = invariants_from_eigs(unit_reps, lam_n, lam_n1)
+    return LoxodromicData(
+        unit_eigs=tuple(unit_reps),
+        lam_n=lam_n,
+        lam_n1=lam_n1,
+        attracting=attracting,
+        repelling=repelling,
+        delta=delta,
+        mg=mg,
+        conjugator=_build_conjugator(g, unit_reps, u_vec, v_vec),
+    )
+
+
+def reference_spectral_report(g: SpElement) -> dict:
+    cls = classify(g)
+    report = {
+        "kind": cls.kind.value,
+        "eigs": [[lam.real, lam.imag] for lam in right_eigenvalues(g.m, tol=UNIT_MODULUS_TOL)],
+        "delta": None,
+        "mg": None,
+        "u": None,
+        "v": None,
+        "boundary_classes": cls.boundary_classes,
+        "low_confidence": cls.low_confidence,
+    }
+    if cls.kind is ElementKind.LOXODROMIC:
+        data = reference_loxodromic_data(g)
+        report["delta"] = data.delta
+        report["mg"] = data.mg
+        report["u"] = data.attracting.to_json_dict()
+        report["v"] = data.repelling.to_json_dict()
+    return report
+
+
+def reference_elementary_certificate(g: SpElement, h: SpElement) -> Certificate:
+    data = reference_loxodromic_data(g)
+    u, v = data.attracting, data.repelling
+    hu, hv = apply(h, u), apply(h, v)
+    fixes_u = projectively_close(hu, u)
+    fixes_v = projectively_close(hv, v)
+    swaps = projectively_close(hu, v) and projectively_close(hv, u)
+    if (fixes_u and fixes_v) or swaps:
+        return Certificate.PRESERVES_PAIR
+    if fixes_u or fixes_v:
+        if classify(h, tol=LOXODROMY_MARGIN).kind is ElementKind.LOXODROMIC:
+            h_data = reference_loxodromic_data(h)
+            shared = sum(
+                1
+                for fp in (h_data.attracting, h_data.repelling)
+                if projectively_close(fp, u) or projectively_close(fp, v)
+            )
+            if shared == 1:
+                return Certificate.SHARES_EXACTLY_ONE
+        return Certificate.FIXES_ONE_SWAPS_NONE
+    return Certificate.NEITHER
 
 
 # -- reference JSON emitter -------------------------------------------------

@@ -7,6 +7,8 @@ from helpers import (
     count_linalg,
     parabolic_factor,
     random_unit_quaternion,
+    reference_elementary_certificate,
+    shared_fixed_point_pairs,
     small_perturbation,
     swap_element,
 )
@@ -35,6 +37,7 @@ from qhspace.spn1 import (
     make_loxodromic,
     make_normal_form,
     random_element,
+    sample_elements,
 )
 
 
@@ -304,3 +307,33 @@ def test_jorgensen_test_decomposes_g_once(monkeypatch):
     assert calls["eig"] == 1
     assert calls["eigvals"] == 0
     assert calls["svd"] <= 1
+
+
+def test_readme_pair_linalg_counts(monkeypatch):
+    g = slow_loxodromic()
+    h = random_element(n=2, seed=7, word_length=8)
+    calls = count_linalg(monkeypatch)
+    assert jorgensen_test(g, h).verdict is Verdict.CONDITION_HOLDS
+    assert dict(calls) == {"eig": 1, "svd": 1}
+    # The certificate reads the fixed points without building a conjugator.
+    calls.clear()
+    assert elementary_certificate(slow_loxodromic(), h) is Certificate.NEITHER
+    assert dict(calls) == {"eig": 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_elementary_certificate_matches_reference(n):
+    pairs = list(zip(sample_elements(n, 90, 10, 3), sample_elements(n, 91, 10, 2)))
+    pairs += shared_fixed_point_pairs(n, 5)
+    seen = set()
+    for g, h in pairs:
+        try:
+            want = reference_elementary_certificate(g, h)
+        except (ClassificationError, ArithmeticError) as err:
+            with pytest.raises(type(err)) as got:
+                elementary_certificate(g, h)
+            assert str(got.value) == str(err)
+            continue
+        assert elementary_certificate(g, h) is want
+        seen.add(want)
+    assert len(seen) >= 3

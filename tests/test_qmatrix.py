@@ -6,8 +6,10 @@ from helpers import (
     count_linalg,
     from_adjoint,
     inverse_via_adjoint,
+    parabolic_factor,
     reference_dumps,
     reference_matrix_dict,
+    reference_right_eigenpairs,
     same_bits,
 )
 
@@ -21,6 +23,8 @@ from qhspace.qmatrix import (
     right_eigenvalues,
 )
 from qhspace.quaternion import I, J, K, Quaternion
+from qhspace.spectral import ElementKind, classify
+from qhspace.spn1 import identity_element, is_member, make_loxodromic, sample_elements
 
 rng = np.random.default_rng(20260809)
 
@@ -358,3 +362,62 @@ def test_json_dict_matches_per_entry_reference():
         doc, ref = m.to_json_dict(), reference_matrix_dict(m)
         assert reference_dumps(doc) == reference_dumps(ref)
         assert all(type(v) is float for entry in doc["entries"] for v in entry)
+
+
+def _eigenpair_oracle_cases(n):
+    """Sampled words of lengths 1, 2 and 8, then a diagonal loxodromic, an
+    elliptic, a parabolic and the identity, with their expected kinds."""
+    words = [g for length in (1, 2, 8) for g in sample_elements(n, 40 + length, 5, length)]
+    special = [
+        (make_loxodromic([J] * (n - 1), Quaternion(1.2, 0.3)), ElementKind.LOXODROMIC),
+        (is_member(QMatrix.diag([I] * (n - 1) + [J, J])), ElementKind.ELLIPTIC),
+        (parabolic_factor(n, np.random.default_rng(n)), ElementKind.PARABOLIC),
+        (identity_element(n), ElementKind.IDENTITY),
+    ]
+    for g, kind in special:
+        assert classify(g).kind is kind
+    return words + [g for g, _ in special]
+
+
+def _same_eigenpairs(got, want):
+    assert len(got) == len(want)
+    for (lam1, v1, r1), (lam2, v2, r2) in zip(got, want):
+        assert type(r1) is type(r2) is float
+        assert np.array([lam1, r1]).tobytes() == np.array([lam2, r2]).tobytes()
+        assert same_bits(v1, v2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_stacked_eigenpairs_match_per_candidate_reference(n):
+    for g in _eigenpair_oracle_cases(n):
+        _same_eigenpairs(right_eigenpairs(g.m), reference_right_eigenpairs(g.m))
+        unfrozen = g.m.copy()
+        _same_eigenpairs(right_eigenpairs(unfrozen), reference_right_eigenpairs(g.m.copy()))
+    # A generic matrix, large enough that a norm sums over more than eight
+    # squares.
+    m = random_qmatrix(9, 9)
+    _same_eigenpairs(right_eigenpairs(m), reference_right_eigenpairs(m.copy()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_stacked_eigenpairs_raise_like_the_reference(n):
+    raised = 0
+    for g in _eigenpair_oracle_cases(n):
+        for m in (g.m, g.m.copy()):
+            try:
+                want = reference_right_eigenpairs(m, tol=1e-18)
+            except NumericError as err:
+                want = err
+            try:
+                got = right_eigenpairs(m, tol=1e-18)
+            except NumericError as err:
+                got = err
+            if isinstance(want, NumericError):
+                raised += 1
+                assert isinstance(got, NumericError)
+                assert str(got) == str(want)
+                assert type(got.residual) is type(want.residual) is float
+                assert got.residual == want.residual
+            else:
+                _same_eigenpairs(got, want)
+    assert raised >= 30

@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import count_linalg, diagonal_of, random_unit_quaternion
+from helpers import (
+    count_linalg,
+    diagonal_of,
+    random_unit_quaternion,
+    reference_loxodromic_data,
+    reference_spectral_report,
+    same_bits,
+    shared_fixed_point_pairs,
+)
 
+from qhspace import jsonio
 from qhspace.errors import ClassificationError
 from qhspace.geometry import apply, projectively_close, q_infinity, q_zero
 from qhspace.qmatrix import QMatrix
@@ -186,3 +195,72 @@ def test_spectral_report_decomposes_each_element_once(monkeypatch):
     spectral_report(h)
     spectral_report(g)
     assert (calls["eig"], calls["eigvals"]) == (2, 0)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ClassificationError, ArithmeticError) as err:
+        return type(err), str(err)
+
+
+def _spectral_oracle_elements(n):
+    """Sampled words, conjugated diagonal loxodromics with unit classes, and
+    both generators of the shared-fixed-point pairs."""
+    local = np.random.default_rng(n)
+    out = [g for length in (1, 2, 8) for g in sample_elements(n, 60 + length, 6, length)]
+    for c in sample_elements(n, 70, 4, 4):
+        diag = make_loxodromic(
+            [random_unit_quaternion(local) for _ in range(n - 1)], random_unit_quaternion(local) * 1.3
+        )
+        out.append(compose(compose(c, diag), group_inverse(c)))
+    out += [x for pair in shared_fixed_point_pairs(n, 5) for x in pair]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_loxodromic_data_matches_the_conjugator_building_reference(n):
+    checked = 0
+    for g in _spectral_oracle_elements(n):
+        got, want = _outcome(loxodromic_data, g), _outcome(reference_loxodromic_data, g)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        checked += 1
+        for name in ("unit_eigs", "lam_n", "lam_n1", "delta", "mg"):
+            assert getattr(got, name) == getattr(want, name)
+        for name in ("attracting", "repelling"):
+            assert same_bits(getattr(got, name).lift, getattr(want, name).lift)
+        assert (got.conjugator is None) == (want.conjugator is None)
+        if want.conjugator is not None:
+            assert same_bits(got.conjugator.m, want.conjugator.m)
+            assert got.conjugator.residual == want.conjugator.residual
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spectral_report_matches_reference(n):
+    elements = _spectral_oracle_elements(n) + [identity_element(n)]
+    kinds = set()
+    for g in elements:
+        got, want = _outcome(spectral_report, g), _outcome(reference_spectral_report, g)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        kinds.add(want["kind"])
+        assert jsonio.dumps(got) == jsonio.dumps(want)
+    assert {"Loxodromic", "Identity"} <= kinds and len(kinds) >= 3
+
+
+def test_spectral_report_builds_no_conjugator(monkeypatch):
+    # Two unit classes: building a conjugator would take one SVD for each.
+    local = np.random.default_rng(8)
+    g = make_loxodromic([random_unit_quaternion(local) for _ in range(2)], Quaternion(1.2, 0.3))
+    c = next(iter(sample_elements(3, seed=81, count=1, word_length=4)))
+    g = compose(compose(c, g), group_inverse(c))
+    calls = count_linalg(monkeypatch)
+    assert spectral_report(g)["kind"] == "Loxodromic"
+    assert dict(calls) == {"eig": 1}
+    assert loxodromic_data(g).conjugator is not None
+    assert calls["svd"] == 2
