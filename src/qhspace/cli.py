@@ -22,7 +22,7 @@ from .crossratio import corner_slack_table, entry_identity_table
 from .jorgensen import DegenerateOrbitError, conjugation_orbit, fk_sequence, jorgensen_test
 from .qmatrix import QMatrix
 from .spectral import spectral_report
-from .spn1 import ADMISSION_TOL, SpElement, identity_residual_table, sample_elements
+from .spn1 import ADMISSION_TOL, identity_residual_table, is_member, sample_elements
 from .tolerances import ENTRY_IDENTITY_FLOOR
 
 
@@ -53,7 +53,12 @@ def _write_table(args, header, rows, summary):
 
 
 def _load_element(path, tol):
-    return SpElement.from_json_dict(jsonio.load_file(path), tol=tol)
+    data = jsonio.load_file(path)
+    try:
+        m = QMatrix.from_json_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"malformed element in {path}: {exc}") from exc
+    return is_member(m, tol=tol)
 
 
 def _cmd_sample(args):

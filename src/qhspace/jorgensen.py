@@ -32,7 +32,7 @@ from .geometry import apply, projectively_close
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
 from .spectral import ElementKind, LoxodromicData, _fixed_point_data, classify, loxodromic_data
-from .spn1 import SpElement, _structure_inverse, is_member
+from .spn1 import SpElement, _structure_inverse, is_member, make_loxodromic
 from .tolerances import (
     BOUND_FLOOR,
     BOUND_SLACK,
@@ -128,10 +128,9 @@ def _diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
     # the contracting entry is recomputed from the expanding one.
     unit_diag = tuple(q * (1.0 / q.modulus()) for q in entries[:-2])
     lam_n = entries[-2]
-    lam_n1 = lam_n.conj().inverse()
-    g_diag = is_member(QMatrix.diag(list(unit_diag) + [lam_n, lam_n1]))
+    g_diag = make_loxodromic(unit_diag, lam_n)
     h_conj = is_member(conj_inv @ h.m @ conj.m, tol=frame_admission_tol(g.residual, h.residual))
-    return _DiagonalFrame(g_diag, unit_diag, lam_n, lam_n1, h_conj, data)
+    return _DiagonalFrame(g_diag, unit_diag, lam_n, g_diag.a_n1n1, h_conj, data)
 
 
 def _corner_flags(h_conj: SpElement):
@@ -280,6 +279,11 @@ class IterationTrace:
         return header, rows
 
 
+def _cell(q: Quaternion) -> QMatrix:
+    """The 1 x 1 matrix holding ``q``."""
+    return QMatrix.diag([q])
+
+
 def _block_update(h: SpElement, unit_diag, lam_n: Quaternion, lam_n1: Quaternion) -> QMatrix:
     """One step of the closed-form recursion for h g h^-1 with diagonal g.
 
@@ -295,10 +299,6 @@ def _block_update(h: SpElement, unit_diag, lam_n: Quaternion, lam_n1: Quaternion
     a_l = a_blk @ l_mat
     ga_l = ga @ l_mat
     th_l = th @ l_mat
-
-    def one_by_one(q):
-        return QMatrix.diag([q])
-
     row1 = [
         a_l @ a_blk.star() - al.scale_right(lam_n) @ be.star() - be.scale_right(lam_n1) @ al.star(),
         -(a_l @ th.star()) + al.scale_right(lam_n * d.conj()) + be.scale_right(lam_n1 * c.conj()),
@@ -306,13 +306,13 @@ def _block_update(h: SpElement, unit_diag, lam_n: Quaternion, lam_n1: Quaternion
     ]
     row2 = [
         ga_l @ a_blk.star() - be.star().scale_left(a * lam_n) - al.star().scale_left(b * lam_n1),
-        -(ga_l @ th.star()) + one_by_one(a * lam_n * d.conj() + b * lam_n1 * c.conj()),
-        -(ga_l @ ga.star()) + one_by_one(a * lam_n * b.conj() + b * lam_n1 * a.conj()),
+        -(ga_l @ th.star()) + _cell(a * lam_n * d.conj() + b * lam_n1 * c.conj()),
+        -(ga_l @ ga.star()) + _cell(a * lam_n * b.conj() + b * lam_n1 * a.conj()),
     ]
     row3 = [
         th_l @ a_blk.star() - be.star().scale_left(c * lam_n) - al.star().scale_left(d * lam_n1),
-        -(th_l @ th.star()) + one_by_one(c * lam_n * d.conj() + d * lam_n1 * c.conj()),
-        -(th_l @ ga.star()) + one_by_one(c * lam_n * b.conj() + d * lam_n1 * a.conj()),
+        -(th_l @ th.star()) + _cell(c * lam_n * d.conj() + d * lam_n1 * c.conj()),
+        -(th_l @ ga.star()) + _cell(c * lam_n * b.conj() + d * lam_n1 * a.conj()),
     ]
     return QMatrix.from_blocks([row1, row2, row3])
 
@@ -472,15 +472,11 @@ def fk_sequence(g: SpElement, h: SpElement, K=8):
         f23 = lam_n_mk * hk.a_nn1 * lam_n1_k
         f32 = lam_n1_mk * hk.a_n1n * lam_n_k
         f33 = lam_n1_mk * hk.a_n1n1 * lam_n1_k
-
-        def cell(q):
-            return QMatrix.diag([q])
-
         f_mat = QMatrix.from_blocks(
             [
                 [top, f12, f13],
-                [f21, cell(f22), cell(f23)],
-                [f31, cell(f32), cell(f33)],
+                [f21, _cell(f22), _cell(f23)],
+                [f31, _cell(f32), _cell(f33)],
             ]
         )
         elements.append(is_member(f_mat, tol=PULLBACK_ADMISSION_TOL))

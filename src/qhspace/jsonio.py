@@ -5,10 +5,10 @@ configuration: every float is rendered with 17 significant digits, enough to
 round-trip IEEE doubles exactly.
 
 :func:`dumps` writes a document in one recursive pass and produces the bytes
-of ``json.dumps(obj, indent=indent, sort_keys=True)`` except that floats go
+of ``json.dumps(obj, indent=2, sort_keys=True)`` except that floats go
 through :func:`format_float`: strings are ASCII-escaped as ``json`` escapes
-them, dict keys are sorted, and ``NaN``/``Infinity`` use the conventional
-json extension tokens.
+them, dict keys are sorted and must be strings, and ``NaN``/``Infinity`` use
+the conventional json extension tokens.
 """
 
 from __future__ import annotations
@@ -27,33 +27,14 @@ def format_float(value) -> str:
     return "Infinity" if value > 0 else "-Infinity"
 
 
-def dumps(obj, indent=2) -> str:
-    """JSON text of ``obj`` with fixed-width float formatting.
-
-    ``indent`` is a number of spaces or a string, as for ``json.dumps``;
-    ``None`` gives the one-line form with ``", "`` between items.
-    """
-    if indent is None:
-        sep, newline, indent = ", ", "", ""
-    else:
-        sep, newline = ",", "\n"
-        if not isinstance(indent, str):
-            indent = " " * indent
+def dumps(obj) -> str:
+    """JSON text of ``obj``, indented by two spaces, with fixed-width floats."""
     out = []
-    _emit(obj, out, newline, indent, sep)
+    _emit(obj, out, "\n")
     return "".join(out)
 
 
-def _key(key) -> str:
-    """A dict key as ``json`` writes it: non-string keys keep their json form."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _emit(obj, out, newline, indent, sep):
+def _emit(obj, out, newline):
     """Append the text of ``obj`` to ``out``; ``newline`` ends with its indent."""
     if isinstance(obj, float):
         out.append(format_float(obj))
@@ -67,27 +48,21 @@ def _emit(obj, out, newline, indent, sep):
         out.append("false")
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, dict)):
+        keyed = isinstance(obj, dict)
+        brackets = "{}" if keyed else "[]"
         if not obj:
-            out.append("[]")
+            out.append(brackets)
             return
-        inner = newline + indent
-        out.append("[")
-        for k, value in enumerate(obj):
-            out.append(sep + inner if k else inner)
-            _emit(value, out, inner, indent, sep)
-        out.append(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + indent
-        out.append("{")
-        for k, (key, value) in enumerate(sorted(obj.items())):
-            out.append(sep + inner if k else inner)
-            out.append(encode_basestring_ascii(_key(key)) + ": ")
-            _emit(value, out, inner, indent, sep)
-        out.append(newline + "}")
+        inner = newline + "  "
+        out.append(brackets[0])
+        for k, item in enumerate(sorted(obj.items()) if keyed else obj):
+            out.append("," + inner if k else inner)
+            if keyed:
+                key, item = item
+                out.append(encode_basestring_ascii(key) + ": ")
+            _emit(item, out, inner)
+        out.append(newline + brackets[1])
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -106,15 +81,5 @@ def csv_text(header, rows) -> str:
     """Render a CSV document with the same float formatting as JSON output."""
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, bool):
-                cells.append(str(int(cell)))
-            elif isinstance(cell, int):
-                cells.append(str(cell))
-            elif isinstance(cell, float):
-                cells.append(format_float(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+        lines.append(",".join(format_float(c) if isinstance(c, float) else str(c) for c in row))
     return "\n".join(lines) + "\n"

@@ -34,9 +34,9 @@ memory with a writable array.
 
 The eigen routines share one decomposition: the adjoint, its Frobenius norm
 and a single ``np.linalg.eig``.  A frozen matrix (see :meth:`QMatrix.freeze`;
-every group element is one) computes it on first use and keeps it, read-only,
-for every later routine, together with the pairing of its eigenvalues into
-right-eigenvalue representatives; an unfrozen matrix recomputes both per
+every group element is one) computes it on first use, together with the
+pairing of its eigenvalues into right-eigenvalue representatives, and keeps
+it, read-only, for every later routine; an unfrozen matrix recomputes it per
 call.  ``right_eigenpairs`` checks all 2k eigenvector candidates of a k x k
 matrix as one stack of column vectors.
 """
@@ -59,8 +59,8 @@ class QMatrix:
     module docstring).
     """
 
-    # A frozen matrix caches its adjoint spectrum and the eigenvalue pairing.
-    __slots__ = ("ca", "cb", "_spectrum", "_pairing")
+    # A frozen matrix caches its adjoint spectrum.
+    __slots__ = ("ca", "cb", "_spectrum")
 
     def __init__(self, ca, cb):
         ca = np.array(ca, dtype=complex)
@@ -70,7 +70,6 @@ class QMatrix:
         self.ca = ca
         self.cb = cb
         self._spectrum = None
-        self._pairing = None
 
     @classmethod
     def _owning(cls, ca, cb):
@@ -79,7 +78,6 @@ class QMatrix:
         out.ca = ca
         out.cb = cb
         out._spectrum = None
-        out._pairing = None
         return out
 
     # -- construction ------------------------------------------------------
@@ -289,8 +287,18 @@ class QMatrix:
 
     @classmethod
     def from_json_dict(cls, data):
-        rows, cols = data["rows"], data["cols"]
-        comp = np.asarray(data["entries"], dtype=float).reshape(rows, cols, 4)
+        """Inverse of :meth:`to_json_dict`; a ValueError names the fields at fault."""
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, found {type(data).__name__}")
+        for key in ("rows", "cols", "entries"):
+            if key not in data:
+                raise ValueError(f"missing field {key!r}")
+        if not all(isinstance(data[key], int) and data[key] >= 0 for key in ("rows", "cols")):
+            raise ValueError("fields 'rows' and 'cols' must be non-negative integers")
+        try:
+            comp = np.asarray(data["entries"], dtype=float).reshape(data["rows"], data["cols"], 4)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"field 'entries' does not match 'rows' and 'cols': {exc}") from exc
         return cls.from_components(comp)
 
     def __repr__(self):
@@ -320,21 +328,23 @@ class _Spectrum(NamedTuple):
     adj_norm: float
     evals: np.ndarray
     evecs: np.ndarray
+    reps: tuple
+    mismatches: tuple
 
 
 def _adjoint_spectrum(m: QMatrix) -> _Spectrum:
-    """The complex adjoint of ``m``, its Frobenius norm and its ``eig``.
+    """The complex adjoint of ``m``, its Frobenius norm, its ``eig`` and pairing.
 
     Every eigen routine reads this one decomposition.  A frozen matrix
     cannot change, so it keeps the result, with read-only arrays, and later
-    calls reuse it, as :func:`right_eigenvalues` reuses its pairing; for an
-    unfrozen matrix both are recomputed on each call.
+    calls reuse it; for an unfrozen matrix it is recomputed on each call.
     """
     if m._spectrum is not None:
         return m._spectrum
     adj = m.adjoint()
     evals, evecs = np.linalg.eig(adj)
-    spectrum = _Spectrum(adj, float(np.linalg.norm(adj)), evals, evecs)
+    reps, mismatches = _pair_adjoint_eigenvalues(evals)
+    spectrum = _Spectrum(adj, float(np.linalg.norm(adj)), evals, evecs, reps, mismatches)
     if not (m.ca.flags.writeable or m.cb.flags.writeable):
         for arr in (adj, evals, evecs):
             arr.flags.writeable = False
@@ -383,19 +393,13 @@ def right_eigenvalues(m: QMatrix, tol=PAIRING_TOL):
     if m.rows != m.cols:
         raise ShapeMismatchError("eigenvalues require a square matrix")
     spectrum = _adjoint_spectrum(m)
-    pairing = m._pairing
-    if pairing is None:
-        pairing = _pair_adjoint_eigenvalues(spectrum.evals)
-        if m._spectrum is spectrum:
-            m._pairing = pairing
-    reps, mismatches = pairing
     limit = tol * max(1.0, spectrum.adj_norm)
-    for mismatch in mismatches:
+    for mismatch in spectrum.mismatches:
         if mismatch > limit:
             raise NumericError(
                 "adjoint spectrum does not split into conjugate pairs", residual=mismatch
             )
-    return list(reps)
+    return list(spectrum.reps)
 
 
 def right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ClassificationError, NumericError
+from .errors import ClassificationError, MembershipError, NumericError
 from .geometry import Position, ProjectivePoint
 from .qmatrix import QMatrix, eigenspace_basis, quaternion_vector_from_adjoint, right_eigenpairs, right_eigenvalues
 from .quaternion import Quaternion
@@ -80,7 +80,7 @@ def _restricted_form_eigs(g: SpElement, lam, atol):
     k_form = form_matrix(g.n).adjoint()
     gram = basis.conj().T @ k_form @ basis
     gram = 0.5 * (gram + gram.conj().T)
-    return np.linalg.eigvalsh(gram), basis
+    return np.linalg.eigvalsh(gram)
 
 
 def classify(g: SpElement, tol=UNIT_MODULUS_TOL) -> Classification:
@@ -97,7 +97,7 @@ def classify(g: SpElement, tol=UNIT_MODULUS_TOL) -> Classification:
     boundary = 0
     for cluster in _cluster(reps, CLUSTER_TOL):
         lam_hat = sum(cluster) / len(cluster)
-        eigs, _ = _restricted_form_eigs(g, lam_hat, atol=max(CLUSTER_TOL, tol))
+        eigs = _restricted_form_eigs(g, lam_hat, atol=max(CLUSTER_TOL, tol))
         smallest = eigs[0]
         if smallest < -tol:
             # An indefinite restriction meets the null cone as well.
@@ -194,10 +194,9 @@ def _build_conjugator(g: SpElement, unit_reps, u_vec, v_vec):
         return None
     mat = QMatrix.from_blocks([columns + [u_vec, v_scaled]])
     try:
-        conj = is_member(mat, tol=CONJUGATOR_ADMISSION_TOL)
-    except Exception:
+        return is_member(mat, tol=CONJUGATOR_ADMISSION_TOL)
+    except MembershipError:
         return None
-    return conj
 
 
 def _fixed_point_data(g: SpElement) -> LoxodromicData:

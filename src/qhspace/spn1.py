@@ -132,8 +132,8 @@ class SpElement:
         return out
 
     @classmethod
-    def from_json_dict(cls, data, tol=ADMISSION_TOL):
-        return is_member(QMatrix.from_json_dict(data), tol=tol)
+    def from_json_dict(cls, data):
+        return is_member(QMatrix.from_json_dict(data))
 
 
 def membership_residual(m: QMatrix):

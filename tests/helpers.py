@@ -11,17 +11,25 @@ import numpy as np
 from qhspace.crossratio import DEGENERACY_TOL, CrossRatioValue, EntryIdentityReport
 from qhspace.errors import ClassificationError, MembershipError, NumericError, ShapeMismatchError
 from qhspace.geometry import Position, ProjectivePoint, apply, from_lift, projectively_close, q_infinity, q_zero
-from qhspace.jorgensen import Certificate
+from qhspace.jorgensen import Certificate, _DiagonalFrame
 from qhspace.jsonio import format_float
 from qhspace.qmatrix import QMatrix, _adjoint_spectrum, quaternion_vector_from_adjoint, right_eigenvalues
 from qhspace.quaternion import Quaternion
-from qhspace.spectral import ElementKind, LoxodromicData, _build_conjugator, classify, invariants_from_eigs
+from qhspace.spectral import (
+    ElementKind,
+    LoxodromicData,
+    _build_conjugator,
+    classify,
+    invariants_from_eigs,
+    loxodromic_data,
+)
 from qhspace.spn1 import (
     ADMISSION_TOL,
     LOXO_MODULUS_RANGE,
     NormalFormParams,
     SpElement,
     StabilizerKind,
+    _structure_inverse,
     compose,
     form_matrix,
     group_inverse,
@@ -34,11 +42,13 @@ from qhspace.spn1 import (
     sample_elements,
 )
 from qhspace.tolerances import (
+    DIAGONAL_TOL,
     EIGENPAIR_TOL,
     LOXODROMY_MARGIN,
     PAIRING_TOL,
     RECIPROCAL_TOL,
     UNIT_MODULUS_TOL,
+    frame_admission_tol,
 )
 
 
@@ -626,6 +636,27 @@ def reference_elementary_certificate(g: SpElement, h: SpElement) -> Certificate:
     return Certificate.NEITHER
 
 
+def reference_diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
+    """The diagonal frame with ``lam_n1`` recomputed and ``g_diag`` admitted
+    from ``QMatrix.diag`` directly."""
+    data = loxodromic_data(g)
+    conj = data.conjugator
+    if conj is None:
+        raise NumericError("could not build a validated diagonalizing conjugator")
+    conj_inv = _structure_inverse(conj.m)
+    d_mat = conj_inv @ g.m @ conj.m
+    entries = [d_mat[i, i] for i in range(d_mat.rows)]
+    off = (d_mat - QMatrix.diag(entries)).norm_max()
+    if off > DIAGONAL_TOL:
+        raise NumericError("conjugated generator is not diagonal", residual=off)
+    unit_diag = tuple(q * (1.0 / q.modulus()) for q in entries[:-2])
+    lam_n = entries[-2]
+    lam_n1 = lam_n.conj().inverse()
+    g_diag = is_member(QMatrix.diag(list(unit_diag) + [lam_n, lam_n1]))
+    h_conj = is_member(conj_inv @ h.m @ conj.m, tol=frame_admission_tol(g.residual, h.residual))
+    return _DiagonalFrame(g_diag, unit_diag, lam_n, lam_n1, h_conj, data)
+
+
 # -- reference JSON emitter -------------------------------------------------
 #
 # The emitter that ``jsonio.dumps`` reproduces byte for byte: floats are
@@ -648,8 +679,8 @@ def _tag_floats(obj):
     return obj
 
 
-def reference_dumps(obj, indent=2) -> str:
-    text = json.dumps(_tag_floats(obj), indent=indent, sort_keys=True)
+def reference_dumps(obj) -> str:
+    text = json.dumps(_tag_floats(obj), indent=2, sort_keys=True)
     return _MARK_RE.sub(lambda m: m.group(1), text)
 
 

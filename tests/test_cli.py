@@ -159,6 +159,19 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     code, _, err = run(["classify", str(bad)], capsys)
     assert code == 1
     assert "offset" in err and "bad.json" in err
+    documents = {
+        '{"rows": 3}': "'cols'",
+        "[1, 2]": "JSON object",
+        '{"rows": 2, "cols": 2, "entries": [[1,0,0,0]]}': "'entries'",
+        '{"rows": -1, "cols": 2, "entries": [[1,0,0,0],[0,0,0,0],[0,0,0,0],[1,0,0,0]]}': "'rows'",
+        '{"rows": "2", "cols": 2, "entries": []}': "'rows'",
+    }
+    for text, field in documents.items():
+        bad.write_text(text)
+        code, out, err = run(["classify", str(bad)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("qhspace: error: ") and err.count("\n") == 1
+        assert "bad.json" in err and field in err
 
 
 def test_non_loxodromic_test_input(tmp_path, capsys):

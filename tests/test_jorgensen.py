@@ -7,19 +7,22 @@ from helpers import (
     count_linalg,
     parabolic_factor,
     random_unit_quaternion,
+    reference_diagonal_frame,
     reference_elementary_certificate,
+    same_bits,
     shared_fixed_point_pairs,
     small_perturbation,
     swap_element,
 )
 
 from qhspace.crossratio import cross_ratio
-from qhspace.errors import ClassificationError
+from qhspace.errors import ClassificationError, MembershipError
 from qhspace.geometry import apply
 from qhspace.jorgensen import (
     Certificate,
     DegenerateOrbitError,
     Verdict,
+    _diagonal_frame,
     conjugation_orbit,
     elementary_certificate,
     fk_sequence,
@@ -337,3 +340,47 @@ def test_elementary_certificate_matches_reference(n):
         assert elementary_certificate(g, h) is want
         seen.add(want)
     assert len(seen) >= 3
+
+
+def conjugated_pairs(n, count=12):
+    """(c d c^-1, h) with d diagonal loxodromic, |lam_n| - 1 from 0.3 down to
+    1e-5, and c, h sampled words."""
+    rng = np.random.default_rng([40, n])
+    pairs = []
+    for i, (c, h) in enumerate(zip(sample_elements(n, 11, count, 8), sample_elements(n, 12, count, 8))):
+        d = make_loxodromic(
+            [random_unit_quaternion(rng) for _ in range(n - 1)],
+            random_unit_quaternion(rng) * (1.0 + (0.3, 1e-1, 1e-3, 1e-5)[i % 4]),
+        )
+        try:
+            pairs.append((is_member(c.m @ d.m @ group_inverse(c).m), h))
+        except MembershipError:
+            continue
+    return pairs
+
+
+def quaternion_bits(q):
+    return np.array([q.w, q.x, q.y, q.z]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_diagonal_frame_matches_reference(n):
+    pairs = [(slow_loxodromic(), random_element(n=2, seed=7, word_length=8))] if n == 2 else []
+    pairs += conjugated_pairs(n)
+    built = 0
+    for g, h in pairs:
+        try:
+            want = reference_diagonal_frame(g, h)
+        except (ValueError, ArithmeticError) as err:
+            with pytest.raises(type(err)) as got:
+                _diagonal_frame(g, h)
+            assert str(got.value) == str(err)
+            continue
+        frame = _diagonal_frame(g, h)
+        built += 1
+        for got, ref in ((frame.g_diag, want.g_diag), (frame.h_conj, want.h_conj)):
+            assert same_bits(got.m, ref.m) and got.residual == ref.residual
+        assert quaternion_bits(frame.lam_n1) == quaternion_bits(want.lam_n1)
+        assert quaternion_bits(frame.lam_n) == quaternion_bits(want.lam_n)
+        assert [quaternion_bits(q) for q in frame.unit_diag] == [quaternion_bits(q) for q in want.unit_diag]
+    assert built >= 6

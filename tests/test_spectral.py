@@ -13,7 +13,7 @@ from helpers import (
     shared_fixed_point_pairs,
 )
 
-from qhspace import jsonio
+from qhspace import jsonio, spectral
 from qhspace.errors import ClassificationError
 from qhspace.geometry import apply, projectively_close, q_infinity, q_zero
 from qhspace.qmatrix import QMatrix
@@ -264,3 +264,13 @@ def test_spectral_report_builds_no_conjugator(monkeypatch):
     assert dict(calls) == {"eig": 1}
     assert loxodromic_data(g).conjugator is not None
     assert calls["svd"] == 2
+
+
+def test_conjugator_lets_programming_errors_through(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("broken admission")
+
+    g = make_loxodromic([Quaternion(1)], Quaternion(1.05))
+    monkeypatch.setattr(spectral, "is_member", broken)
+    with pytest.raises(TypeError, match="broken admission"):
+        loxodromic_data(g)
