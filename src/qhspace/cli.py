@@ -14,6 +14,7 @@ import argparse
 import functools
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -150,7 +151,7 @@ def _cmd_verify(args):
     # that a strict threshold reports failure instead of stalling the sampler.
     tol = args.tol
     elements = list(sample_elements(args.n, args.seed, args.count, args.word_length))
-    stack = QMatrix(np.stack([e.m.ca for e in elements]), np.stack([e.m.cb for e in elements]))
+    stack = QMatrix.stack([e.m for e in elements])
     membership_worst = max([0.0] + [e.residual for e in elements])
     identity_worst = np.max(identity_residual_table(stack), axis=0, initial=0.0)
     slack_worst = np.min(corner_slack_table(stack), axis=0, initial=np.inf)
@@ -244,8 +245,12 @@ def main(argv=None) -> int:
     # The parser outlives any rebinding of the handlers, so look them up by name.
     handler = globals()[f"_cmd_{args.command}"]
     try:
-        return handler(args)
-    except (ValueError, ArithmeticError, DegenerateOrbitError, OSError) as exc:
+        # numpy reports overflow and invalid values as RuntimeWarnings; raised,
+        # they end the call with one error line instead of reaching stderr.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return handler(args)
+    except (ValueError, ArithmeticError, RuntimeWarning, DegenerateOrbitError, OSError) as exc:
         print(f"qhspace: error: {exc}", file=sys.stderr)
         return 1
 

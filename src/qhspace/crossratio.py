@@ -59,9 +59,10 @@ def _cross_ratio_parts(z1: QMatrix, z2: QMatrix, w1: QMatrix, w2: QMatrix):
 
     Each lift is a column or a stack of columns.  Returns the four pairings
     ``<w, z> = w* J z`` (stacks of 1 x 1 matrices, in :data:`_PAIRING_NAMES`
-    order), the vanishing flags with a last axis in the same order, the
-    degeneracy flags, and the absolute value, NaN where the cross-ratio is
-    degenerate.
+    order), their moduli and vanishing flags with a last axis in the same
+    order, the degeneracy flags, and the absolute value, NaN where the
+    cross-ratio is degenerate.  The flags are the library's one rule for a
+    zero pairing, ``|<z, w>| <= DEGENERACY_TOL |z||w|``.
     """
     j = form_matrix(z1.rows - 1)
     jz1, jz2 = j @ z1, j @ z2
@@ -74,7 +75,7 @@ def _cross_ratio_parts(z1: QMatrix, z2: QMatrix, w1: QMatrix, w2: QMatrix):
     degenerate = vanishing[..., 1] | vanishing[..., 3]
     abs_value = np.full(degenerate.shape, math.nan)
     np.divide(moduli[0] * moduli[2], moduli[1] * moduli[3], out=abs_value, where=~degenerate)
-    return pairings, vanishing, degenerate, abs_value
+    return pairings, np.stack(np.broadcast_arrays(*moduli), axis=-1), vanishing, degenerate, abs_value
 
 
 def _names(flags) -> tuple:
@@ -89,7 +90,7 @@ def cross_ratio(z1, z2, w1, w2) -> CrossRatioValue:
     degenerate when one of the inverted pairings vanishes; a vanishing
     numerator is ordinary data (the value is zero).
     """
-    pairings, vanishing, degenerate, abs_value = _cross_ratio_parts(
+    pairings, _, vanishing, degenerate, abs_value = _cross_ratio_parts(
         z1.lift, z2.lift, w1.lift, w2.lift
     )
     names = _names(vanishing)
@@ -155,8 +156,8 @@ def entry_identity_table(m: QMatrix):
     qz = unit.submatrix(slice(0, n + 1), n)
     h_qi = m @ qi
     h_qz = m @ qz
-    _, vanishing1, _, lhs1 = _cross_ratio_parts(h_qi, qz, qi, h_qz)
-    _, vanishing2, _, lhs2 = _cross_ratio_parts(h_qi, qi, qz, h_qz)
+    _, _, vanishing1, _, lhs1 = _cross_ratio_parts(h_qi, qz, qi, h_qz)
+    _, _, vanishing2, _, lhs2 = _cross_ratio_parts(h_qi, qi, qz, h_qz)
     corners = _moduli(m.submatrix(slice(n - 1, n + 1), slice(n - 1, n + 1)))
     # corners = [[|a_nn|, |a_nn1|], [|a_n1n|, |a_n1n1|]]
     rhs1 = corners[..., 1, 0] * corners[..., 0, 1]

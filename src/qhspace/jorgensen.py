@@ -7,18 +7,18 @@ v (repelling), the test evaluates
     mg * (1 + |[h(u), u, v, h(v)]|^(1/2)) < 1.
 
 If either holds, the group generated by g and h is elementary or not
-discrete.  After conjugating the pair so that g is diagonal, the two
-cross-ratio absolute values are exactly the corner products
-``|a_nn1 * a_n1n|`` and ``|a_nn * a_n1n1]`` of the conjugated h, which is the
-form in which the test is computed.
+discrete.  Both are evaluated on g's fixed points directly; their
+pairings are the corner entries of h in the frame where g is diagonal, and
+whether they vanish (the cross-ratio module's one rule) decides whether h
+fixes or exchanges the fixed points, which routes the pair to the verdicts
+of :func:`elementary_certificate`.
 
-The supporting machinery is instrumented rather than asserted away: the
-conjugation orbit ``h_{k+1} = h_k g h_k^-1`` records the corner products
-``pi_k``, compares them against the geometric contraction bound per step,
-and cross-checks the closed-form block recursion against direct matrix
-conjugation.  The pullback sequence ``f_k = g^-k h_{2k} g^k`` then witnesses
-non-discreteness: its off-diagonal blocks decay while the elements stay
-pairwise distinct.
+The diagonal frame serves only the instrumented orbit: ``h_{k+1} = h_k g
+h_k^-1`` records the corner products ``pi_k``, compares them against the
+geometric contraction bound per step, and cross-checks the closed-form block
+recursion against direct matrix conjugation.  The pullback sequence
+``f_k = g^-k h_{2k} g^k`` then witnesses non-discreteness: its off-diagonal
+blocks decay while the elements stay pairwise distinct.
 """
 
 from __future__ import annotations
@@ -27,16 +27,15 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .crossratio import _cross_ratio_parts
 from .errors import ClassificationError, NumericError
-from .geometry import apply, projectively_close
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
 from .spectral import ElementKind, LoxodromicData, _fixed_point_data, classify, loxodromic_data
-from .spn1 import SpElement, _structure_inverse, is_member, make_loxodromic
+from .spn1 import SpElement, _structure_inverse, herm_form, is_member, make_loxodromic
 from .tolerances import (
     BOUND_FLOOR,
     BOUND_SLACK,
-    CORNER_ZERO_TOL,
     DIAGONAL_TOL,
     FK_CONVERGENCE_TOL,
     LOXODROMY_MARGIN,
@@ -80,8 +79,7 @@ class TestOutcome:
     """Result of :func:`jorgensen_test`.
 
     ``cross_abs1``/``cross_abs2`` are the two bracket values of the test
-    condition, computed as the corner products of the conjugated second
-    generator.  The verdict never claims discreteness: it is a certificate
+    condition.  The verdict never claims discreteness: it is a certificate
     of which branch fired, and Inconclusive is a first-class outcome.
     """
 
@@ -133,98 +131,109 @@ def _diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
     return _DiagonalFrame(g_diag, unit_diag, lam_n, g_diag.a_n1n1, h_conj, data)
 
 
-def _corner_flags(h_conj: SpElement):
-    """Vanishing flags of the conjugated corner entries.
+def _fixed_point_brackets(data: LoxodromicData, h: SpElement):
+    """``(cross_abs1, cross_abs2, corner_moduli, flags)`` of the test.
 
-    In the diagonal frame the unitarity identities force the equivalences
-    a_nn1 = 0 iff h fixes the repelling point, a_n1n = 0 iff h fixes the
-    attracting point, a_nn = 0 iff h maps attracting to repelling, and
-    a_n1n1 = 0 iff h maps repelling to attracting.
+    Evaluates [h(u), v, u, h(v)] and [h(u), u, v, h(v)] as one stack.  The
+    repelling lift v is scaled so that ``<v, u> = -1``, as in the
+    diagonalizing conjugator, so the pairings are h's corners in g's
+    diagonal frame.  Distinct boundary points never pair to zero, so a
+    vanishing pairing is a fixed-point relation.
     """
-    return {
-        "fixes_repelling": h_conj.a_nn1.modulus() <= CORNER_ZERO_TOL,
-        "fixes_attracting": h_conj.a_n1n.modulus() <= CORNER_ZERO_TOL,
-        "attracting_to_repelling": h_conj.a_nn.modulus() <= CORNER_ZERO_TOL,
-        "repelling_to_attracting": h_conj.a_n1n1.modulus() <= CORNER_ZERO_TOL,
+    u = data.attracting.lift
+    v = data.repelling.lift
+    v = v.scale_right(-herm_form(v, u).inverse())
+    hu, hv = h.m @ u, h.m @ v
+    _, moduli, vanishing, degenerate, abs_value = _cross_ratio_parts(
+        hu, QMatrix.stack([v, u]), QMatrix.stack([u, v]), hv
+    )
+    if degenerate.any():
+        raise NumericError("the fixed points of the first generator pair to zero")
+    # Bracket rows, pairings in w1z1, w1z2, w2z2, w2z1 order: the corners
+    # a_n1n = <h(u), u>, a_nn1 = <h(v), v>, a_nn = <h(u), v>, a_n1n1 = <h(v), u>.
+    (a_n1n, _, a_nn1, _), (a_nn, _, a_n1n1, _) = moduli.tolist()
+    (fixes_u, _, fixes_v, _), (u_to_v, _, v_to_u, _) = vanishing.tolist()
+    flags = {
+        "fixes_repelling": fixes_v,
+        "fixes_attracting": fixes_u,
+        "attracting_to_repelling": u_to_v,
+        "repelling_to_attracting": v_to_u,
     }
+    return float(abs_value[0]), float(abs_value[1]), [a_nn, a_nn1, a_n1n, a_n1n1], flags
+
+
+def _certificate(data: LoxodromicData, h: SpElement, flags) -> Certificate:
+    fixes_u = flags["fixes_attracting"]
+    fixes_v = flags["fixes_repelling"]
+    if (fixes_u and fixes_v) or (flags["attracting_to_repelling"] and flags["repelling_to_attracting"]):
+        return Certificate.PRESERVES_PAIR
+    if not (fixes_u or fixes_v):
+        return Certificate.NEITHER
+    try:
+        h_data = _fixed_point_data(h)
+    except (ClassificationError, NumericError):
+        # h is not loxodromic, or its fixed points are not certified; the
+        # group still fixes a point, so the elementary certificate stands.
+        return Certificate.FIXES_ONE_SWAPS_NONE
+    if abs(h_data.lam_n) > 1.0 + LOXODROMY_MARGIN:
+        # Pairings of h's fixed points p, q with u and v: <p,u>, <p,v>, <q,v>, <q,u>.
+        _, _, vanishing, _, _ = _cross_ratio_parts(
+            data.attracting.lift, data.repelling.lift, h_data.attracting.lift, h_data.repelling.lift
+        )
+        if int(vanishing[0] | vanishing[1]) + int(vanishing[2] | vanishing[3]) == 1:
+            return Certificate.SHARES_EXACTLY_ONE
+    return Certificate.FIXES_ONE_SWAPS_NONE
 
 
 def elementary_certificate(g: SpElement, h: SpElement) -> Certificate:
     """Classify how h moves the fixed-point pair of a loxodromic g.
 
-    The SharesExactlyOne value is the non-discreteness certificate for two
-    loxodromic elements sharing a single fixed point (an external theorem is
-    the authority for that conclusion; this routine only certifies the
-    configuration, re-deriving h's own fixed points instead of trusting any
-    assumption about swaps).
+    Fixed and exchanged points are read from the flags of the test's
+    brackets.  The SharesExactlyOne value is the non-discreteness
+    certificate for two loxodromic elements sharing a single fixed point
+    (an external theorem is the authority for that conclusion; this routine
+    only certifies the configuration, re-deriving h's own fixed points
+    instead of trusting any assumption about swaps).
     """
     data = _fixed_point_data(g)
-    u, v = data.attracting, data.repelling
-    hu, hv = apply(h, u), apply(h, v)
-    fixes_u = projectively_close(hu, u)
-    fixes_v = projectively_close(hv, v)
-    swaps = projectively_close(hu, v) and projectively_close(hv, u)
-    if (fixes_u and fixes_v) or swaps:
-        return Certificate.PRESERVES_PAIR
-    if fixes_u or fixes_v:
-        if classify(h, tol=LOXODROMY_MARGIN).kind is ElementKind.LOXODROMIC:
-            h_data = _fixed_point_data(h)
-            shared = sum(
-                1
-                for fp in (h_data.attracting, h_data.repelling)
-                if projectively_close(fp, u) or projectively_close(fp, v)
-            )
-            if shared == 1:
-                return Certificate.SHARES_EXACTLY_ONE
-        return Certificate.FIXES_ONE_SWAPS_NONE
-    return Certificate.NEITHER
+    return _certificate(data, h, _fixed_point_brackets(data, h)[3])
+
+
+#: Verdict and witness case of each certificate that decides the test.
+_DEGENERATE_VERDICTS = {
+    Certificate.PRESERVES_PAIR: (Verdict.DEGENERATE_ELEMENTARY, "pair preserved"),
+    Certificate.SHARES_EXACTLY_ONE: (Verdict.DEGENERATE_NON_DISCRETE, "shared fixed point"),
+    Certificate.FIXES_ONE_SWAPS_NONE: (Verdict.DEGENERATE_ELEMENTARY, "shared fixed point"),
+}
 
 
 def jorgensen_test(g: SpElement, h: SpElement) -> TestOutcome:
     """Evaluate the discreteness condition for the pair (g, h).
 
-    Requires g loxodromic.  Degenerate corner configurations are routed to
-    the fixed-point verdicts: a preserved pair or a shared fixed point with a
-    non-loxodromic h certifies an elementary group, while a loxodromic pair
-    sharing exactly one fixed point (directly, or through h g h^-1 when h
-    exchanges one fixed point into the other) certifies non-discreteness.
+    Requires g loxodromic.  Degenerate configurations get the verdict of
+    :func:`elementary_certificate`: a preserved pair or a fixed point shared
+    with a non-loxodromic h is elementary, while a loxodromic pair sharing
+    exactly one fixed point (directly, or through h g h^-1 when h maps one
+    fixed point onto the other) is not discrete.
     """
     if classify(g).kind is not ElementKind.LOXODROMIC:
         raise ClassificationError("the first generator must be loxodromic")
-    return _test_in_frame(h, _diagonal_frame(g, h))
-
-
-def _test_in_frame(h: SpElement, frame: _DiagonalFrame) -> TestOutcome:
-    """The test condition for (g, h) read off the diagonal frame of g."""
-    hc = frame.h_conj
-    mg = frame.data.mg
-    p_off = hc.a_nn1.modulus() * hc.a_n1n.modulus()
-    p_diag = hc.a_nn.modulus() * hc.a_n1n1.modulus()
-    flags = _corner_flags(hc)
-    witnesses = {
-        "corner_moduli": list(hc.corner_moduli()),
-        "flags": {k: bool(v) for k, v in flags.items()},
-        "degenerate_case": None,
-    }
-    fixes_u = flags["fixes_attracting"]
-    fixes_v = flags["fixes_repelling"]
-    u_to_v = flags["attracting_to_repelling"]
-    v_to_u = flags["repelling_to_attracting"]
-    if (fixes_u and fixes_v) or (u_to_v and v_to_u):
-        witnesses["degenerate_case"] = "pair preserved"
-        return TestOutcome(Verdict.DEGENERATE_ELEMENTARY, mg, p_off, p_diag, witnesses)
-    if fixes_u or fixes_v:
-        witnesses["degenerate_case"] = "shared fixed point"
-        if classify(h, tol=LOXODROMY_MARGIN).kind is ElementKind.LOXODROMIC:
-            return TestOutcome(Verdict.DEGENERATE_NON_DISCRETE, mg, p_off, p_diag, witnesses)
-        return TestOutcome(Verdict.DEGENERATE_ELEMENTARY, mg, p_off, p_diag, witnesses)
-    if u_to_v or v_to_u:
+    data = _fixed_point_data(g)
+    p_off, p_diag, corner_moduli, flags = _fixed_point_brackets(data, h)
+    mg = data.mg
+    witnesses = {"corner_moduli": corner_moduli, "flags": flags, "degenerate_case": None}
+    certificate = _certificate(data, h, flags)
+    if certificate in _DEGENERATE_VERDICTS:
+        verdict, witnesses["degenerate_case"] = _DEGENERATE_VERDICTS[certificate]
+    elif flags["attracting_to_repelling"] or flags["repelling_to_attracting"]:
         # h g h^-1 is loxodromic with fixed points {h(u), h(v)}, exactly one
         # of which lies in {u, v}.
+        verdict = Verdict.DEGENERATE_NON_DISCRETE
         witnesses["degenerate_case"] = "fixed point mapped onto the other"
-        return TestOutcome(Verdict.DEGENERATE_NON_DISCRETE, mg, p_off, p_diag, witnesses)
-    holds = mg * (1.0 + math.sqrt(p_off)) < 1.0 or mg * (1.0 + math.sqrt(p_diag)) < 1.0
-    verdict = Verdict.CONDITION_HOLDS if holds else Verdict.INCONCLUSIVE
+    elif mg * (1.0 + math.sqrt(p_off)) < 1.0 or mg * (1.0 + math.sqrt(p_diag)) < 1.0:
+        verdict = Verdict.CONDITION_HOLDS
+    else:
+        verdict = Verdict.INCONCLUSIVE
     return TestOutcome(verdict, mg, p_off, p_diag, witnesses)
 
 
@@ -444,7 +453,7 @@ def fk_sequence(g: SpElement, h: SpElement, K=8):
     frame = _diagonal_frame(g, h)
     trace = _orbit_in_frame(frame, 2 * K)
     if trace.degenerate_at is not None:
-        raise DegenerateOrbitError(trace.degenerate_at, _test_in_frame(h, frame).verdict)
+        raise DegenerateOrbitError(trace.degenerate_at, jorgensen_test(g, h).verdict)
     if trace.truncated_at is not None and trace.truncated_at < 2 * K:
         raise NumericError(
             f"orbit underflowed at step {trace.truncated_at}; reduce K"

@@ -131,6 +131,11 @@ class QMatrix:
         return cls(ca, cb)
 
     @classmethod
+    def stack(cls, matrices):
+        """Stack equal-shape matrices along a new leading axis."""
+        return cls._owning(np.stack([m.ca for m in matrices]), np.stack([m.cb for m in matrices]))
+
+    @classmethod
     def from_blocks(cls, blocks):
         """Assemble from a nested list of QMatrix blocks."""
         ca = np.concatenate([np.concatenate([b.ca for b in row], axis=-1) for row in blocks], axis=-2)

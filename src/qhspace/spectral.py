@@ -16,8 +16,9 @@ plus one expanding/contracting pair (lam_n, lam_n1) with
     mg    = 2*delta + |lam_n - 1| + |lam_n1 - 1|,
 
 both well defined because |lam - 1| depends only on (Re lam, |lam|).
-Only the diagonal frame of the Jørgensen test builds the conjugator that
-makes g diagonal; ``classify`` reads the invariants and fixed points alone.
+Only the diagonal frame of the conjugation orbit builds the conjugator
+that makes g diagonal; ``classify`` and the Jørgensen test read the
+invariants and fixed points alone.
 """
 
 from __future__ import annotations

@@ -5,14 +5,10 @@ of these names, and the modules import them from here, so a policy changes
 in this file alone.  The module imports nothing and sits below every other
 module of the package.
 
-Three rules answer the same question, "is this entry or pairing zero?", in
-three ways: :data:`CORNER_ZERO_TOL` is absolute, :data:`PROJECTIVE_TOL` is
-relative through :func:`qhspace.geometry.projectively_close`, and
-:data:`DEGENERACY_TOL` is scaled by the norms of the two lifts.  The
-discreteness test reads the first, the elementary certificate the second
-and the cross-ratio the third, so the two degenerate-branch paths can
-disagree on one configuration.  Naming them apart lets one rule replace all
-three.
+One rule, implemented once in the cross-ratio module, answers "is this
+pairing zero?" for the cross-ratio, the discreteness test and the elementary
+certificate: ``|<z, w>| <= DEGENERACY_TOL |z||w|``.  :data:`PROJECTIVE_TOL`
+serves only the public :func:`qhspace.geometry.projectively_close`.
 """
 
 #: Two quaternions are similar: real parts and moduli each within this.
@@ -64,18 +60,13 @@ FORM_POSITIVITY_TOL = 1e-6
 CONJUGATOR_ADMISSION_TOL = 1e-8
 
 #: A form pairing vanishes: its modulus is at most this times the product of
-#: its lifts' norms.  Tight on purpose: degenerate cases go to the
-#: fixed-point analysis, where a false negative is worse than a false
-#: positive.
-DEGENERACY_TOL = 1e-12
+#: its lifts' norms.  Decides a degenerate cross-ratio and whether h fixes,
+#: exchanges or shares a fixed point of g.
+DEGENERACY_TOL = 1e-8
 
 #: Least denominator of a corner-entry identity's relative error in
 #: ``qhspace verify``.
 ENTRY_IDENTITY_FLOOR = 1e-300
-
-#: A conjugated corner entry is zero at or below this modulus.  Conjugated
-#: elements are unit scale, so this sits at the admission noise level.
-CORNER_ZERO_TOL = 1e-12
 
 #: Unit-modulus margin for certifying the second generator as loxodromic in
 #: the degenerate branches.  Conjugation splits a defective (parabolic)

@@ -6,6 +6,7 @@ import math
 import re
 from collections import Counter
 
+import mpmath
 import numpy as np
 
 from qhspace.crossratio import DEGENERACY_TOL, CrossRatioValue, EntryIdentityReport
@@ -151,17 +152,20 @@ def diagonal_of(g: SpElement, conjugator: SpElement):
     return entries, off.norm_max()
 
 
-def shared_fixed_point_pairs(n, seed, count=8):
+def shared_fixed_point_pairs(n, seed, count=8, modulus_range=(1.05, 1.5), word_length=3):
     """Pairs (g, h) sharing a fixed point: c diag c^-1 and c k c^-1, where k
-    fixes q0 or qinf (or both) and is loxodromic for every other pair."""
+    fixes q0 or qinf (or both) and is loxodromic for every other pair.
+
+    The expanding modulus of diag is uniform in ``modulus_range`` and c is a
+    sampled word of ``word_length`` factors."""
     rng = np.random.default_rng([seed, n])
-    conjugators = list(sample_elements(n, seed, count, 3))
+    conjugators = list(sample_elements(n, seed, count, word_length))
     kinds = (StabilizerKind.STAB_INFINITY, StabilizerKind.STAB_ZERO, StabilizerKind.STAB_BOTH)
     pairs = []
     for i, c in enumerate(conjugators):
         diag = make_loxodromic(
             [random_unit_quaternion(rng) for _ in range(n - 1)],
-            random_unit_quaternion(rng) * rng.uniform(1.05, 1.5),
+            random_unit_quaternion(rng) * rng.uniform(*modulus_range),
         )
         lam = random_unit_quaternion(rng) * (rng.uniform(1.05, 1.3) if i % 2 else 1.0)
         mu = lam.conj().inverse()
@@ -179,6 +183,33 @@ def shared_fixed_point_pairs(n, seed, count=8):
             pairs.append((is_member(c.m @ diag.m @ c_inv.m), is_member(c.m @ k.m @ c_inv.m)))
         except MembershipError:
             continue
+    return pairs
+
+
+def stab_both_factor(n, rng, stretch=1.0) -> SpElement:
+    """A normal form fixing both q0 and qinf, with ``|lam| = stretch``."""
+    lam = random_unit_quaternion(rng) * stretch
+    return make_normal_form(
+        NormalFormParams(StabilizerKind.STAB_BOTH, lam=lam, mu=lam.conj().inverse(), A=reference_unitary(rng, n - 1))
+    )
+
+
+def preserved_pairs(n, seed, count=8):
+    """Pairs (g, h) that both fix q0 and qinf exactly: g = s d s^-1 with d
+    diagonal loxodromic, |lam_n| - 1 log-uniform in [1e-5, 1e-2], and s and h
+    products of StabBoth factors.  Near 1 the eigenvectors of g carry
+    rounding of order 1e-13, which is what an absolute cut trips on."""
+    rng = np.random.default_rng([seed, n])
+    pairs = []
+    for _ in range(count):
+        s = stab_both_factor(n, rng, rng.uniform(1.0, 3.0))
+        d = make_loxodromic(
+            [random_unit_quaternion(rng) for _ in range(n - 1)],
+            random_unit_quaternion(rng) * (1.0 + 10.0 ** rng.uniform(-5.0, -2.0)),
+        )
+        g = is_member(s.m @ d.m @ group_inverse(s).m)
+        h = compose(stab_both_factor(n, rng, rng.uniform(1.0, 3.0)), stab_both_factor(n, rng, rng.uniform(1.0, 3.0)))
+        pairs.append((g, h))
     return pairs
 
 
@@ -634,6 +665,85 @@ def reference_elementary_certificate(g: SpElement, h: SpElement) -> Certificate:
                 return Certificate.SHARES_EXACTLY_ONE
         return Certificate.FIXES_ONE_SWAPS_NONE
     return Certificate.NEITHER
+
+
+def _mp_pairing_modulus(w, z):
+    """|<z, w>| = |w* J z| of two mpmath quaternion columns (a, b), q = a + b j."""
+    size = len(z[0])
+    # J z: the identity on the first n - 1 entries, then (-z_n1, -z_n).
+    jz = [list(part[: size - 2]) + [-part[size - 1], -part[size - 2]] for part in z]
+    sa = sb = mpmath.mpc(0)
+    for wa, wb, za, zb in zip(w[0], w[1], jz[0], jz[1]):
+        # conj(wa + wb j) = conj(wa) - wb j, times (za + zb j).
+        sa += mpmath.conj(wa) * za + wb * mpmath.conj(zb)
+        sb += mpmath.conj(wa) * zb - wb * mpmath.conj(za)
+    return mpmath.sqrt(abs(sa) ** 2 + abs(sb) ** 2)
+
+
+def _mp_apply(m: QMatrix, z):
+    """The product m z of an element and an mpmath quaternion column."""
+    ha, hb = (mpmath.matrix(part.tolist()) for part in (m.ca, m.cb))
+    za, zb = mpmath.matrix(z[0]), mpmath.matrix(z[1])
+    conj = lambda v: v.apply(mpmath.conj)  # noqa: E731
+    return list(ha * za - hb * conj(zb)), list(ha * zb + hb * conj(za))
+
+
+def _mp_lift(p: ProjectivePoint):
+    """The float lift of a point as an mpmath quaternion column."""
+    return [mpmath.mpc(x) for x in p.lift.ca[:, 0]], [mpmath.mpc(x) for x in p.lift.cb[:, 0]]
+
+
+def _mp_brackets(u, v, h: SpElement):
+    """Both brackets and the four fixed-point flags on mpmath lifts u, v."""
+    hu, hv = _mp_apply(h.m, u), _mp_apply(h.m, v)
+    pair = _mp_pairing_modulus
+
+    def norm(z):
+        return mpmath.sqrt(sum(abs(x) ** 2 for part in z for x in part))
+
+    cross1 = pair(u, hu) * pair(hv, v) / (pair(u, v) * pair(hv, hu))
+    cross2 = pair(v, hu) * pair(hv, u) / (pair(v, u) * pair(hv, hu))
+    flags = {
+        name: bool(pair(w, z) <= DEGENERACY_TOL * norm(w) * norm(z))
+        for name, w, z in (
+            ("fixes_attracting", u, hu),
+            ("fixes_repelling", hv, v),
+            ("attracting_to_repelling", v, hu),
+            ("repelling_to_attracting", hv, u),
+        )
+    }
+    return float(cross1), float(cross2), flags
+
+
+def reference_cross_ratios(g: SpElement, h: SpElement, dps=50):
+    """|[h(u), v, u, h(v)]|, |[h(u), u, v, h(v)]|, mg and the four
+    fixed-point flags of ``jorgensen_test``, at ``dps`` digits.
+
+    g's fixed points are eigenvectors of its complex adjoint for the
+    eigenvalues of largest and smallest modulus, computed by mpmath from the
+    float entries taken as exact.  The flags use the library's rule,
+    ``|<z, w>| <= DEGENERACY_TOL |z||w|``, on the high-precision pairings.
+    """
+    with mpmath.workdps(dps):
+        size = g.n + 1
+        evals, evecs = mpmath.eig(mpmath.matrix(g.m.adjoint().tolist()))
+        order = sorted(range(2 * size), key=lambda i: abs(evals[i]))
+        mods = [abs(evals[i] - 1) for i in order]
+        mg = 2 * max(mods[2:-2], default=0) + mods[0] + mods[-1]
+        # Adjoint column zeta is the quaternion vector zeta_top - conj(zeta_bottom) j.
+        u, v = (
+            ([evecs[k, i] for k in range(size)], [-mpmath.conj(evecs[size + k, i]) for k in range(size)])
+            for i in (order[-1], order[0])
+        )
+        cross1, cross2, flags = _mp_brackets(u, v, h)
+        return cross1, cross2, float(mg), flags
+
+
+def reference_brackets_on(attracting: ProjectivePoint, repelling: ProjectivePoint, h: SpElement, dps=50):
+    """The brackets and flags of :func:`reference_cross_ratios` on the given
+    points' float lifts instead of g's exact fixed points."""
+    with mpmath.workdps(dps):
+        return _mp_brackets(_mp_lift(attracting), _mp_lift(repelling), h)
 
 
 def reference_diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:

@@ -19,7 +19,7 @@ import qhspace.cli as cli
 import qhspace.jsonio as jsonio
 from qhspace.cli import build_parser, main
 from qhspace.quaternion import Quaternion
-from qhspace.spn1 import ADMISSION_TOL, StabilizerKind, make_loxodromic
+from qhspace.spn1 import ADMISSION_TOL, StabilizerKind, make_loxodromic, random_element
 
 
 def run(argv, capsys):
@@ -269,3 +269,25 @@ def test_sample_bytes_match_reference_pipeline(n, tmp_path, capsys):
         for k, g in enumerate(ref):
             text = (out_dir / f"element_{k:04d}.json").read_text(encoding="utf-8")
             assert text == reference_dumps(reference_element_dict(g))
+
+
+def test_floating_point_failure_is_one_error_line(tmp_path):
+    # The README pair overflows before step 64.  Run in a fresh interpreter:
+    # pytest records warnings instead of printing them.
+    g = make_loxodromic([Quaternion(1)], Quaternion(1.05))
+    h = random_element(n=2, seed=7, word_length=8)
+    paths = []
+    for name, element in (("g.json", g), ("h.json", h)):
+        path = tmp_path / name
+        path.write_text(jsonio.dumps(element.to_json_dict()))
+        paths.append(str(path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "qhspace.cli", "iterate", *paths, "--steps", "64"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith("qhspace: error:")
+    assert ".py" not in lines[0]

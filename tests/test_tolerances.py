@@ -58,7 +58,6 @@ def test_tolerances_imports_nothing_from_the_package():
         ("spectral", "UNIT_MODULUS_TOL"),
         ("spectral", "CLUSTER_TOL"),
         ("crossratio", "DEGENERACY_TOL"),
-        ("jorgensen", "CORNER_ZERO_TOL"),
         ("jorgensen", "LOXODROMY_MARGIN"),
         ("jorgensen", "BOUND_SLACK"),
         ("jorgensen", "BOUND_FLOOR"),
