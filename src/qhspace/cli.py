@@ -250,7 +250,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             return handler(args)
-    except (ValueError, ArithmeticError, RuntimeWarning, DegenerateOrbitError, OSError) as exc:
+    except (ValueError, ArithmeticError, RuntimeWarning, OSError) as exc:
         print(f"qhspace: error: {exc}", file=sys.stderr)
         return 1
 

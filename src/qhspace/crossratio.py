@@ -24,7 +24,7 @@ import numpy as np
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
 from .spn1 import SpElement, form_matrix
-from .tolerances import DEGENERACY_TOL
+from .tolerances import DEGENERACY_TOL, pairing_vanishes  # noqa: F401 (DEGENERACY_TOL's old home)
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def _cross_ratio_parts(z1: QMatrix, z2: QMatrix, w1: QMatrix, w2: QMatrix):
     order), their moduli and vanishing flags with a last axis in the same
     order, the degeneracy flags, and the absolute value, NaN where the
     cross-ratio is degenerate.  The flags are the library's one rule for a
-    zero pairing, ``|<z, w>| <= DEGENERACY_TOL |z||w|``.
+    zero pairing, :func:`~qhspace.tolerances.pairing_vanishes`.
     """
     j = form_matrix(z1.rows - 1)
     jz1, jz2 = j @ z1, j @ z2
@@ -70,7 +70,7 @@ def _cross_ratio_parts(z1: QMatrix, z2: QMatrix, w1: QMatrix, w2: QMatrix):
     pairings = [w1s @ jz1, w1s @ jz2, w2s @ jz2, w2s @ jz1]
     moduli = [_moduli(f)[..., 0, 0] for f in pairings]
     norms = [lift.norm_fro() for lift in (z1, z2, w1, w2)]
-    flags = [mod <= DEGENERACY_TOL * norms[a] * norms[b] for mod, (a, b) in zip(moduli, _PAIRING_LIFTS)]
+    flags = [pairing_vanishes(mod, norms[a], norms[b]) for mod, (a, b) in zip(moduli, _PAIRING_LIFTS)]
     vanishing = np.stack(np.broadcast_arrays(*flags), axis=-1)
     degenerate = vanishing[..., 1] | vanishing[..., 3]
     abs_value = np.full(degenerate.shape, math.nan)

@@ -8,10 +8,10 @@ v (repelling), the test evaluates
 
 If either holds, the group generated by g and h is elementary or not
 discrete.  Both are evaluated on g's fixed points directly; their
-pairings are the corner entries of h in the frame where g is diagonal, and
-whether they vanish (the cross-ratio module's one rule) decides whether h
-fixes or exchanges the fixed points, which routes the pair to the verdicts
-of :func:`elementary_certificate`.
+numerators are the corner entries of h in the frame where g is diagonal,
+and whether they vanish (the one zero rule) decides whether h fixes or
+exchanges the fixed points, which routes the pair to the verdicts of
+:func:`elementary_certificate`.
 
 The diagonal frame serves only the instrumented orbit: ``h_{k+1} = h_k g
 h_k^-1`` records the corner products ``pi_k``, compares them against the
@@ -31,8 +31,8 @@ from .crossratio import _cross_ratio_parts
 from .errors import ClassificationError, NumericError
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
-from .spectral import ElementKind, LoxodromicData, _fixed_point_data, classify, loxodromic_data
-from .spn1 import SpElement, _structure_inverse, herm_form, is_member, make_loxodromic
+from .spectral import LoxodromicData, _fixed_point_data, _null_scaled, loxodromic_data
+from .spn1 import SpElement, _require_same_space, _structure_inverse, is_member, make_loxodromic
 from .tolerances import (
     BOUND_FLOOR,
     BOUND_SLACK,
@@ -112,6 +112,7 @@ class _DiagonalFrame:
 
 
 def _diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
+    _require_same_space(g.n, h.n)
     data = loxodromic_data(g)
     conj = data.conjugator
     if conj is None:
@@ -136,19 +137,18 @@ def _fixed_point_brackets(data: LoxodromicData, h: SpElement):
 
     Evaluates [h(u), v, u, h(v)] and [h(u), u, v, h(v)] as one stack.  The
     repelling lift v is scaled so that ``<v, u> = -1``, as in the
-    diagonalizing conjugator, so the pairings are h's corners in g's
-    diagonal frame.  Distinct boundary points never pair to zero, so a
-    vanishing pairing is a fixed-point relation.
+    diagonalizing conjugator, so the numerators are h's corners in g's
+    diagonal frame.  The denominators, ``<v, u>`` and its image ``<h(u),
+    h(v)>``, are nonzero because g's fixed points are certified distinct.
     """
     u = data.attracting.lift
-    v = data.repelling.lift
-    v = v.scale_right(-herm_form(v, u).inverse())
+    _require_same_space(u.rows - 1, h.n)
+    v = _null_scaled(u, data.repelling.lift)
     hu, hv = h.m @ u, h.m @ v
-    _, moduli, vanishing, degenerate, abs_value = _cross_ratio_parts(
+    _, moduli, vanishing, _, _ = _cross_ratio_parts(
         hu, QMatrix.stack([v, u]), QMatrix.stack([u, v]), hv
     )
-    if degenerate.any():
-        raise NumericError("the fixed points of the first generator pair to zero")
+    cross_abs = moduli[:, 0] * moduli[:, 2] / (moduli[:, 1] * moduli[:, 3])
     # Bracket rows, pairings in w1z1, w1z2, w2z2, w2z1 order: the corners
     # a_n1n = <h(u), u>, a_nn1 = <h(v), v>, a_nn = <h(u), v>, a_n1n1 = <h(v), u>.
     (a_n1n, _, a_nn1, _), (a_nn, _, a_n1n1, _) = moduli.tolist()
@@ -159,7 +159,7 @@ def _fixed_point_brackets(data: LoxodromicData, h: SpElement):
         "attracting_to_repelling": u_to_v,
         "repelling_to_attracting": v_to_u,
     }
-    return float(abs_value[0]), float(abs_value[1]), [a_nn, a_nn1, a_n1n, a_n1n1], flags
+    return float(cross_abs[0]), float(cross_abs[1]), [a_nn, a_nn1, a_n1n, a_n1n1], flags
 
 
 def _certificate(data: LoxodromicData, h: SpElement, flags) -> Certificate:
@@ -216,8 +216,6 @@ def jorgensen_test(g: SpElement, h: SpElement) -> TestOutcome:
     exactly one fixed point (directly, or through h g h^-1 when h maps one
     fixed point onto the other) is not discrete.
     """
-    if classify(g).kind is not ElementKind.LOXODROMIC:
-        raise ClassificationError("the first generator must be loxodromic")
     data = _fixed_point_data(g)
     p_off, p_diag, corner_moduli, flags = _fixed_point_brackets(data, h)
     mg = data.mg

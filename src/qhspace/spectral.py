@@ -18,7 +18,7 @@ plus one expanding/contracting pair (lam_n, lam_n1) with
 both well defined because |lam - 1| depends only on (Re lam, |lam|).
 Only the diagonal frame of the conjugation orbit builds the conjugator
 that makes g diagonal; ``classify`` and the Jørgensen test read the
-invariants and fixed points alone.
+invariants and the fixed points, which are certified distinct, alone.
 """
 
 from __future__ import annotations
@@ -32,15 +32,15 @@ from .errors import ClassificationError, MembershipError, NumericError
 from .geometry import Position, ProjectivePoint
 from .qmatrix import QMatrix, eigenspace_basis, quaternion_vector_from_adjoint, right_eigenpairs, right_eigenvalues
 from .quaternion import Quaternion
-from .spn1 import SpElement, form_matrix, is_member
+from .spn1 import SpElement, form_matrix, herm_form, is_member
 from .tolerances import (
     CLUSTER_TOL,
     CONJUGATOR_ADMISSION_TOL,
     FORM_POSITIVITY_TOL,
-    NULL_PAIRING_TOL,
     PAIRING_TOL,
     RECIPROCAL_TOL,
     UNIT_MODULUS_TOL,
+    pairing_vanishes,
 )
 
 
@@ -119,8 +119,8 @@ def classify(g: SpElement, tol=UNIT_MODULUS_TOL) -> Classification:
 class LoxodromicData:
     """Spectral data of a loxodromic element.
 
-    ``attracting`` / ``repelling`` are the two boundary fixed points (the
-    eigenvectors of the expanding and contracting classes), and
+    ``attracting`` / ``repelling`` are the certified distinct boundary fixed
+    points (eigenvectors of the expanding and contracting classes), and
     ``conjugator`` is a group element whose inverse conjugates g onto the
     diagonal form, or None when the numerical construction could not be
     validated (delta and mg need only the spectrum).
@@ -182,18 +182,18 @@ def _unit_block_columns(g: SpElement, unit_reps):
     return accepted
 
 
+def _null_scaled(u_vec: QMatrix, v_vec: QMatrix) -> QMatrix:
+    """The repelling lift v scaled so that ``<v, u> = -1``."""
+    return v_vec.scale_right(-herm_form(v_vec, u_vec).inverse())
+
+
 def _build_conjugator(g: SpElement, unit_reps, u_vec, v_vec):
     """Assemble C in the group with C^-1 g C diagonal, or None on failure."""
-    j_mat = form_matrix(g.n)
-    pairing = (u_vec.star() @ (j_mat @ v_vec))[0, 0]
-    if pairing.modulus() < NULL_PAIRING_TOL:
-        return None
-    v_scaled = v_vec.scale_right(-pairing.inverse())
     try:
         columns = _unit_block_columns(g, unit_reps)
     except NumericError:
         return None
-    mat = QMatrix.from_blocks([columns + [u_vec, v_scaled]])
+    mat = QMatrix.from_blocks([columns + [u_vec, _null_scaled(u_vec, v_vec)]])
     try:
         return is_member(mat, tol=CONJUGATOR_ADMISSION_TOL)
     except MembershipError:
@@ -201,7 +201,7 @@ def _build_conjugator(g: SpElement, unit_reps, u_vec, v_vec):
 
 
 def _fixed_point_data(g: SpElement) -> LoxodromicData:
-    """:func:`loxodromic_data` without the conjugator, which is left None."""
+    """:func:`loxodromic_data` without the conjugator; certifies u and v distinct."""
     pairs = right_eigenpairs(g.m, tol=UNIT_MODULUS_TOL)
     moduli = [abs(p[0]) for p in pairs]
     big = [i for i, m in enumerate(moduli) if m > 1.0 + UNIT_MODULUS_TOL]
@@ -226,6 +226,9 @@ def _fixed_point_data(g: SpElement) -> LoxodromicData:
     repelling = ProjectivePoint(v_vec)
     if attracting.position is not Position.BOUNDARY or repelling.position is not Position.BOUNDARY:
         raise NumericError("fixed points did not land on the boundary")
+    pairing = herm_form(v_vec, u_vec).modulus()
+    if pairing_vanishes(pairing, u_vec.norm_fro(), v_vec.norm_fro()):
+        raise NumericError("the two fixed points pair to zero", residual=pairing)
     delta, mg = invariants_from_eigs(unit_reps, lam_n, lam_n1)
     return LoxodromicData(
         unit_eigs=tuple(unit_reps),
@@ -244,9 +247,9 @@ def loxodromic_data(g: SpElement) -> LoxodromicData:
 
     Raises :class:`ClassificationError` unless the spectrum splits into n-1
     unit-modulus classes plus exactly one expanding and one contracting
-    class, and :class:`NumericError` when eigenvector residuals or fixed-point
-    positions cannot be certified.  Only the diagonal frame calls it; other
-    callers read the same data without the conjugator.
+    class, and :class:`NumericError` when eigenvector residuals or two
+    distinct boundary fixed points cannot be certified.  Only the diagonal
+    frame calls it; other callers read the same data without the conjugator.
     """
     data = _fixed_point_data(g)
     # The lifts are frozen copies of the eigenvectors, so C keeps its bits.

@@ -215,10 +215,14 @@ def group_inverse(g: SpElement) -> SpElement:
     return SpElement(inv, g.n, residual)
 
 
+def _require_same_space(g_n: int, h_n: int) -> None:
+    if g_n != h_n:
+        raise ShapeMismatchError(f"elements act on different spaces (n = {g_n} and {h_n})")
+
+
 def compose(g: SpElement, h: SpElement) -> SpElement:
     """Group product, admitted at a tolerance relaxed by the inputs' residuals."""
-    if g.n != h.n:
-        raise ShapeMismatchError("elements act on different spaces")
+    _require_same_space(g.n, h.n)
     return is_member(g.m @ h.m, tol=compose_admission_tol(g.residual, h.residual))
 
 

@@ -5,8 +5,8 @@ of these names, and the modules import them from here, so a policy changes
 in this file alone.  The module imports nothing and sits below every other
 module of the package.
 
-One rule, implemented once in the cross-ratio module, answers "is this
-pairing zero?" for the cross-ratio, the discreteness test and the elementary
+One rule, :func:`pairing_vanishes`, answers "is this pairing zero?" for the
+cross-ratio, g's fixed points, the discreteness test and the elementary
 certificate: ``|<z, w>| <= DEGENERACY_TOL |z||w|``.  :data:`PROJECTIVE_TOL`
 serves only the public :func:`qhspace.geometry.projectively_close`.
 """
@@ -49,9 +49,6 @@ UNIT_MODULUS_TOL = 1e-7
 #: within this times ``|lam_n|`` of 1.
 RECIPROCAL_TOL = 1e-9
 
-#: No conjugator is built when the fixed-point lifts pair below this modulus.
-NULL_PAIRING_TOL = 1e-12
-
 #: A Gram-Schmidt candidate for the unit block is kept only when its form
 #: value exceeds this times its squared norm.
 FORM_POSITIVITY_TOL = 1e-6
@@ -59,9 +56,8 @@ FORM_POSITIVITY_TOL = 1e-6
 #: Admission tolerance of the diagonalizing conjugator.
 CONJUGATOR_ADMISSION_TOL = 1e-8
 
-#: A form pairing vanishes: its modulus is at most this times the product of
-#: its lifts' norms.  Decides a degenerate cross-ratio and whether h fixes,
-#: exchanges or shares a fixed point of g.
+#: A form pairing vanishes (:func:`pairing_vanishes`): its modulus is at most
+#: this times the product of its lifts' norms.
 DEGENERACY_TOL = 1e-8
 
 #: Least denominator of a corner-entry identity's relative error in
@@ -98,6 +94,11 @@ PULLBACK_ADMISSION_TOL = 1e-6
 #: The pullback sequence has converged: its last off-diagonal blocks,
 #: unitarity defect and corner-modulus errors are all at most this.
 FK_CONVERGENCE_TOL = 1e-6
+
+
+def pairing_vanishes(modulus, z_norm, w_norm):
+    """The one rule for a zero pairing ``<z, w>``; elementwise on arrays."""
+    return modulus <= DEGENERACY_TOL * z_norm * w_norm
 
 
 def compose_admission_tol(g_residual, h_residual):

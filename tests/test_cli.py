@@ -17,6 +17,7 @@ from helpers import (
 
 import qhspace.cli as cli
 import qhspace.jsonio as jsonio
+import qhspace.spectral as spectral
 from qhspace.cli import build_parser, main
 from qhspace.quaternion import Quaternion
 from qhspace.spn1 import ADMISSION_TOL, StabilizerKind, make_loxodromic, random_element
@@ -179,6 +180,33 @@ def test_non_loxodromic_test_input(tmp_path, capsys):
     code, _, err = run(["test", h_path, g_path], capsys)
     assert code == 1
     assert "loxodromic" in err
+
+
+def test_pairs_of_different_n_are_one_error_line(tmp_path, capsys):
+    paths = []
+    for n in (2, 3):
+        g = make_loxodromic([Quaternion(1)] * (n - 1), Quaternion(1.05))
+        paths.append(str(tmp_path / f"g{n}.json"))
+        with open(paths[-1], "w") as fh:
+            fh.write(jsonio.dumps(g.to_json_dict()))
+    for command in ("test", "iterate", "fk"):
+        for pair in (paths, paths[::-1]):
+            code, out, err = run([command, *pair], capsys)
+            assert (code, out) == (1, "")
+            assert len(err.splitlines()) == 1
+            assert err.startswith("qhspace: error:") and "different spaces" in err
+
+
+def test_fixed_points_pairing_to_zero_is_one_numeric_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "pairing_vanishes", lambda *args: True)
+    g_path, h_path = write_pair(str(tmp_path))
+    errors = set()
+    for argv in (["classify", g_path], ["test", g_path, h_path], ["iterate", g_path, h_path]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        errors.add(err)
+    assert len(errors) == 1
+    assert errors.pop().startswith("qhspace: error: the two fixed points pair to zero")
 
 
 def test_float_formatting_round_trips():

@@ -19,7 +19,7 @@ from helpers import (
 )
 
 from qhspace.crossratio import cross_ratio
-from qhspace.errors import ClassificationError, MembershipError
+from qhspace.errors import ClassificationError, MembershipError, ShapeMismatchError
 from qhspace.geometry import apply
 from qhspace.jorgensen import (
     Certificate,
@@ -101,6 +101,34 @@ def test_non_loxodromic_first_generator_rejected():
     rng = np.random.default_rng(2)
     with pytest.raises(ClassificationError):
         jorgensen_test(both_stabilizer(rng), slow_loxodromic())
+
+
+#: The README g against long sampled words h.  The bracket denominator
+#: <h(u), h(v)> is -1, but |h(u)||h(v)| grows like |h|^2, so the relative zero
+#: rule would read it as zero; only g's certified fixed points may decide it.
+LONG_WORDS = [(64, seed) for seed in (8, 10, 20)] + [(96, seed) for seed in range(10)]
+
+
+@pytest.mark.parametrize("length, seed", LONG_WORDS)
+def test_long_words_get_the_50_digit_brackets(length, seed):
+    g = slow_loxodromic()
+    (h,) = sample_elements(2, seed, 1, length, tol=1e-3)
+    outcome = jorgensen_test(g, h)
+    data = _fixed_point_data(g)
+    cross1, cross2, flags = reference_brackets_on(data.attracting, data.repelling, h)
+    assert outcome.witnesses["flags"] == flags
+    scale = h.m.norm_max() ** 2
+    for got, want in ((outcome.cross_abs1, cross1), (outcome.cross_abs2, cross2)):
+        assert abs(got - want) <= 1e-14 * scale * want
+
+
+def test_pairs_of_different_n_raise_shape_mismatch():
+    g2 = slow_loxodromic()
+    g3 = make_loxodromic([Quaternion(1), Quaternion(1)], Quaternion(1.05))
+    for g, h in ((g2, g3), (g3, g2)):
+        for call in (jorgensen_test, elementary_certificate, conjugation_orbit, fk_sequence):
+            with pytest.raises(ShapeMismatchError, match=rf"different spaces \(n = {g.n} and {h.n}\)"):
+                call(g, h)
 
 
 def test_bracket_values_match_direct_cross_ratios():

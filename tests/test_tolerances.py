@@ -36,6 +36,27 @@ def test_no_threshold_literal_outside_tolerances():
     assert found == {}
 
 
+def _functions_comparing(name):
+    """(file, enclosing function) of every comparison that reads ``name``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            if any(getattr(n, "id", getattr(n, "attr", None)) == name for n in ast.walk(node)):
+                scope = node
+                while scope in parents and not isinstance(scope, (ast.FunctionDef, ast.Lambda)):
+                    scope = parents[scope]
+                found.append((path.name, getattr(scope, "name", None)))
+    return found
+
+
+def test_degeneracy_tol_is_compared_in_one_function():
+    assert _functions_comparing("DEGENERACY_TOL") == [("tolerances.py", "pairing_vanishes")]
+
+
 def test_tolerances_imports_nothing_from_the_package():
     tree = ast.parse((PACKAGE / "tolerances.py").read_text(encoding="utf-8"))
     imported = []
