@@ -105,6 +105,8 @@ def _cmd_iterate(args):
         "bounds_applicable": trace.bounds_applicable,
         "bounds_hold": trace.bounds_hold,
         "degenerate_at": trace.degenerate_at,
+        "truncated_at": trace.truncated_at,
+        "diverged_at": trace.diverged_at,
     }
     return _write_table(args, header, rows, summary)
 

@@ -19,6 +19,9 @@ geometric contraction bound per step, and cross-checks the closed-form block
 recursion against direct matrix conjugation.  The pullback sequence
 ``f_k = g^-k h_{2k} g^k`` then witnesses non-discreteness: its off-diagonal
 blocks decay while the elements stay pairwise distinct.
+
+Each step forms ``h g J h* J``, which doubles any drift of h off the group,
+so every matrix of the frame is retracted onto the group before admission.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .errors import ClassificationError, NumericError
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
 from .spectral import LoxodromicData, _fixed_point_data, _null_scaled, loxodromic_data
-from .spn1 import SpElement, _require_same_space, _structure_inverse, is_member, make_loxodromic
+from .spn1 import SpElement, _require_same_space, _structure_inverse, is_member, make_loxodromic, retract
 from .tolerances import (
     BOUND_FLOOR,
     BOUND_SLACK,
@@ -40,9 +43,7 @@ from .tolerances import (
     FK_CONVERGENCE_TOL,
     LOXODROMY_MARGIN,
     ORBIT_UNDERFLOW,
-    PULLBACK_ADMISSION_TOL,
-    frame_admission_tol,
-    orbit_admission_tol,
+    scaled_admission_tol,
 )
 
 #: Default iteration cap; geometric decay makes longer orbits pointless.
@@ -128,7 +129,8 @@ def _diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
     unit_diag = tuple(q * (1.0 / q.modulus()) for q in entries[:-2])
     lam_n = entries[-2]
     g_diag = make_loxodromic(unit_diag, lam_n)
-    h_conj = is_member(conj_inv @ h.m @ conj.m, tol=frame_admission_tol(g.residual, h.residual))
+    h_conj = retract(conj_inv @ h.m @ conj.m)
+    h_conj = is_member(h_conj, tol=scaled_admission_tol(h_conj.norm_max()))
     return _DiagonalFrame(g_diag, unit_diag, lam_n, g_diag.a_n1n1, h_conj, data)
 
 
@@ -267,6 +269,7 @@ class IterationTrace:
     bounds_hold: bool
     degenerate_at: int | None
     truncated_at: int | None
+    diverged_at: int | None  # the first element too large for the admission rule
 
     def csv_rows(self):
         header = [
@@ -332,8 +335,9 @@ def conjugation_orbit(g: SpElement, h: SpElement, steps=DEFAULT_ORBIT_STEPS) -> 
     ``T1 = mg (1 + sqrt(pi_0)) < 1``, else ``R^(k-1) sqrt(pi_1)`` with
     ``R = mg (1 + sqrt(pi_1))`` when ``T2 = mg (1 + sqrt(diag_0)) < 1``.
     Neither bound applying is not an error; the trace is produced with the
-    bounds marked inapplicable.  Iteration stops early once pi underflows or
-    vanishes exactly.
+    bounds marked inapplicable.  Iteration stops early once pi underflows, or,
+    as ``diverged_at``, at the first element too large for membership to be
+    decided (:func:`scaled_admission_tol` at least 1).
     """
     return _orbit_in_frame(_diagonal_frame(g, h), steps)
 
@@ -354,9 +358,7 @@ def _orbit_in_frame(frame: _DiagonalFrame, steps) -> IterationTrace:
     sqrt_pi1 = None
 
     records = []
-    degenerate_at = None
-    truncated_at = None
-    discrepancy = None
+    degenerate_at = truncated_at = diverged_at = discrepancy = None
     for k in range(steps + 1):
         pi = current.a_nn1.modulus() * current.a_n1n.modulus()
         sqrt_pi = math.sqrt(pi)
@@ -400,8 +402,11 @@ def _orbit_in_frame(frame: _DiagonalFrame, steps) -> IterationTrace:
         formula = _block_update(current, frame.unit_diag, frame.lam_n, frame.lam_n1)
         direct = current.m @ frame.g_diag.m @ _structure_inverse(current.m)
         discrepancy = (formula - direct).norm_max()
-        scale = max(1.0, formula.norm_max())
-        current = is_member(formula, tol=orbit_admission_tol(current.residual, scale))
+        tol = scaled_admission_tol(formula.norm_max())
+        if tol >= 1.0:
+            diverged_at = k + 1
+            break
+        current = is_member(retract(formula), tol=tol)
     applicable = branch is not None
     checked = [s.bound_ok for s in records if s.bound_ok is not None]
     return IterationTrace(
@@ -415,6 +420,7 @@ def _orbit_in_frame(frame: _DiagonalFrame, steps) -> IterationTrace:
         bounds_hold=applicable and all(checked),
         degenerate_at=degenerate_at,
         truncated_at=truncated_at,
+        diverged_at=diverged_at,
     )
 
 
@@ -446,22 +452,21 @@ def fk_sequence(g: SpElement, h: SpElement, K=8):
     distinctness this is the non-discreteness witness, read at
     :data:`FK_CONVERGENCE_TOL`.  The blocks are assembled from the stored
     orbit elements with eigenvalue powers applied per block, never by
-    forming g^k as a matrix.
+    forming g^k as a matrix; the returned elements are those blocks retracted.
     """
     frame = _diagonal_frame(g, h)
     trace = _orbit_in_frame(frame, 2 * K)
     if trace.degenerate_at is not None:
         raise DegenerateOrbitError(trace.degenerate_at, jorgensen_test(g, h).verdict)
     if trace.truncated_at is not None and trace.truncated_at < 2 * K:
-        raise NumericError(
-            f"orbit underflowed at step {trace.truncated_at}; reduce K"
-        )
+        raise NumericError(f"orbit underflowed at step {trace.truncated_at}; reduce K")
+    if trace.diverged_at is not None:
+        raise NumericError(f"orbit diverged at step {trace.diverged_at}: it outgrew the admission rule")
     lam_n, lam_n1 = frame.lam_n, frame.lam_n1
     unit_diag = frame.unit_diag
     mod_n = lam_n.modulus()
 
-    elements = []
-    report_rows = {"off": [], "defect": [], "corners": [], "ks": [], "logs": []}
+    elements, offs, defects, corners = [], [], [], []
     for k in range(K + 1):
         hk = trace.steps[2 * k].element
         l_pow = QMatrix.diag([q**k for q in unit_diag])
@@ -479,36 +484,18 @@ def fk_sequence(g: SpElement, h: SpElement, K=8):
         f23 = lam_n_mk * hk.a_nn1 * lam_n1_k
         f32 = lam_n1_mk * hk.a_n1n * lam_n_k
         f33 = lam_n1_mk * hk.a_n1n1 * lam_n1_k
-        f_mat = QMatrix.from_blocks(
-            [
-                [top, f12, f13],
-                [f21, _cell(f22), _cell(f23)],
-                [f31, _cell(f32), _cell(f33)],
-            ]
-        )
-        elements.append(is_member(f_mat, tol=PULLBACK_ADMISSION_TOL))
-        off = (
-            f12.norm_fro(),
-            f13.norm_fro(),
-            f21.norm_fro(),
-            f31.norm_fro(),
-            f23.modulus(),
-            f32.modulus(),
-        )
-        defect = (top @ top.star() - QMatrix.identity(top.rows)).norm_max()
-        report_rows["ks"].append(k)
-        report_rows["off"].append(off)
-        report_rows["defect"].append(defect)
-        report_rows["corners"].append((f22.modulus(), f33.modulus()))
-        report_rows["logs"].append(k * math.log10(mod_n))
+        blocks = [[top, f12, f13], [f21, _cell(f22), _cell(f23)], [f31, _cell(f32), _cell(f33)]]
+        f_mat = retract(QMatrix.from_blocks(blocks))
+        elements.append(is_member(f_mat, tol=scaled_admission_tol(f_mat.norm_max())))
+        offs.append((f12.norm_fro(), f13.norm_fro(), f21.norm_fro(), f31.norm_fro(), f23.modulus(), f32.modulus()))
+        defects.append((top @ top.star() - QMatrix.identity(top.rows)).norm_max())
+        corners.append((f22.modulus(), f33.modulus()))
 
-    last_off = report_rows["off"][-1]
-    last_corners = report_rows["corners"][-1]
     converged = (
-        max(last_off) <= FK_CONVERGENCE_TOL
-        and report_rows["defect"][-1] <= FK_CONVERGENCE_TOL
-        and abs(last_corners[0] - mod_n) <= FK_CONVERGENCE_TOL
-        and abs(last_corners[1] - 1.0 / mod_n) <= FK_CONVERGENCE_TOL
+        max(offs[-1]) <= FK_CONVERGENCE_TOL
+        and defects[-1] <= FK_CONVERGENCE_TOL
+        and abs(corners[-1][0] - mod_n) <= FK_CONVERGENCE_TOL
+        and abs(corners[-1][1] - 1.0 / mod_n) <= FK_CONVERGENCE_TOL
     )
     distinct = all(
         (elements[i].m - elements[j].m).norm_max() > 0.0
@@ -516,13 +503,13 @@ def fk_sequence(g: SpElement, h: SpElement, K=8):
         for j in range(i + 1, len(elements))
     )
     report = FkReport(
-        ks=report_rows["ks"],
-        off_block_norms=report_rows["off"],
-        unitarity_defects=report_rows["defect"],
-        corner_moduli=report_rows["corners"],
+        ks=list(range(K + 1)),
+        off_block_norms=offs,
+        unitarity_defects=defects,
+        corner_moduli=corners,
         expanding_modulus=mod_n,
         contracting_modulus=1.0 / mod_n,
-        log10_scale=report_rows["logs"],
+        log10_scale=[k * math.log10(mod_n) for k in range(K + 1)],
         converged=converged,
         distinct=distinct,
         threshold=FK_CONVERGENCE_TOL,

@@ -19,10 +19,12 @@ both well defined because |lam - 1| depends only on (Re lam, |lam|).
 Only the diagonal frame of the conjugation orbit builds the conjugator
 that makes g diagonal; ``classify`` and the Jørgensen test read the
 invariants and the fixed points, which are certified distinct, alone.
+The conjugator is retracted onto the group before it is admitted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -32,15 +34,15 @@ from .errors import ClassificationError, MembershipError, NumericError
 from .geometry import Position, ProjectivePoint
 from .qmatrix import QMatrix, eigenspace_basis, quaternion_vector_from_adjoint, right_eigenpairs, right_eigenvalues
 from .quaternion import Quaternion
-from .spn1 import SpElement, form_matrix, herm_form, is_member
+from .spn1 import SpElement, form_matrix, herm_form, is_member, retract
 from .tolerances import (
     CLUSTER_TOL,
-    CONJUGATOR_ADMISSION_TOL,
     FORM_POSITIVITY_TOL,
     PAIRING_TOL,
     RECIPROCAL_TOL,
     UNIT_MODULUS_TOL,
     pairing_vanishes,
+    scaled_admission_tol,
 )
 
 
@@ -188,14 +190,19 @@ def _null_scaled(u_vec: QMatrix, v_vec: QMatrix) -> QMatrix:
 
 
 def _build_conjugator(g: SpElement, unit_reps, u_vec, v_vec):
-    """Assemble C in the group with C^-1 g C diagonal, or None on failure."""
+    """Assemble C in the group with C^-1 g C diagonal, or None on failure.
+
+    The null columns are balanced to (u t, v / t), ``t = (|v| / |u|)^(1/2)``.
+    """
     try:
         columns = _unit_block_columns(g, unit_reps)
     except NumericError:
         return None
-    mat = QMatrix.from_blocks([columns + [u_vec, _null_scaled(u_vec, v_vec)]])
+    v_vec = _null_scaled(u_vec, v_vec)
+    t = math.sqrt(v_vec.norm_fro() / u_vec.norm_fro())
+    mat = retract(QMatrix.from_blocks([columns + [u_vec.scale_right(t), v_vec.scale_right(1.0 / t)]]))
     try:
-        return is_member(mat, tol=CONJUGATOR_ADMISSION_TOL)
+        return is_member(mat, tol=scaled_admission_tol(mat.norm_max()))
     except MembershipError:
         return None
 

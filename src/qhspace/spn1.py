@@ -205,6 +205,15 @@ def _structure_inverse(m: QMatrix) -> QMatrix:
     return QMatrix(ca, cb)
 
 
+def retract(m: QMatrix) -> QMatrix:
+    """One Newton-Schulz step ``X (3I - X^⋆ X) / 2`` toward the group, ``X^⋆ = J X* J``.
+
+    The polar iteration of Higham, Mackey, Mackey and Tisseur (SIAM J. Matrix
+    Anal. Appl. 25, 2004): a defect ``X^⋆ X - I`` of size s becomes O(s^2).
+    """
+    return (m.scale_right(3.0) - m @ (_structure_inverse(m) @ m)).scale_right(0.5)
+
+
 def group_inverse(g: SpElement) -> SpElement:
     """Invert via the structure formula ``g^-1 = J g* J``.
 

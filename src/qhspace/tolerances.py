@@ -9,6 +9,9 @@ One rule, :func:`pairing_vanishes`, answers "is this pairing zero?" for the
 cross-ratio, g's fixed points, the discreteness test and the elementary
 certificate: ``|<z, w>| <= DEGENERACY_TOL |z||w|``.  :data:`PROJECTIVE_TOL`
 serves only the public :func:`qhspace.geometry.projectively_close`.
+
+One rule, :func:`scaled_admission_tol`, admits every matrix the diagonal
+frame builds, once :func:`qhspace.spn1.retract` has pulled it onto the group.
 """
 
 #: Two quaternions are similar: real parts and moduli each within this.
@@ -53,9 +56,6 @@ RECIPROCAL_TOL = 1e-9
 #: value exceeds this times its squared norm.
 FORM_POSITIVITY_TOL = 1e-6
 
-#: Admission tolerance of the diagonalizing conjugator.
-CONJUGATOR_ADMISSION_TOL = 1e-8
-
 #: A form pairing vanishes (:func:`pairing_vanishes`): its modulus is at most
 #: this times the product of its lifts' norms.
 DEGENERACY_TOL = 1e-8
@@ -72,14 +72,8 @@ ENTRY_IDENTITY_FLOOR = 1e-300
 LOXODROMY_MARGIN = 1e-6
 
 #: The conjugated first generator is diagonal: off-diagonal max-norm at most
-#: this.
+#: this.  It checks a retracted conjugator independently of admission.
 DIAGONAL_TOL = 1e-8
-
-#: Least admission tolerance of the conjugated second generator.
-FRAME_ADMISSION_TOL = 1e-7
-
-#: Added to the generators' residuals in :func:`frame_admission_tol`.
-RESIDUAL_FLOOR = 1e-12
 
 #: Relative slack and absolute floor of the per-step contraction bound.
 BOUND_SLACK = 1e-6
@@ -87,9 +81,6 @@ BOUND_FLOOR = 1e-28
 
 #: The orbit stops once its corner product is positive and below this.
 ORBIT_UNDERFLOW = 1e-300
-
-#: Admission tolerance of each pullback element f_k.
-PULLBACK_ADMISSION_TOL = 1e-6
 
 #: The pullback sequence has converged: its last off-diagonal blocks,
 #: unitarity defect and corner-modulus errors are all at most this.
@@ -106,16 +97,10 @@ def compose_admission_tol(g_residual, h_residual):
     return ADMISSION_TOL + 10.0 * (g_residual + h_residual)
 
 
-def frame_admission_tol(g_residual, h_residual):
-    """Admission tolerance of the second generator in the first's diagonal frame."""
-    return max(FRAME_ADMISSION_TOL, 100.0 * (g_residual + h_residual + RESIDUAL_FLOOR))
+def scaled_admission_tol(scale):
+    """Admission tolerance of a matrix whose largest entry modulus is ``scale``.
 
-
-def orbit_admission_tol(residual, scale):
-    """Admission tolerance of the next orbit element.
-
-    Expanding orbits grow exponentially and the form residual scales with
-    the squared norm, so the tolerance grows with the previous residual and
-    with ``scale``, the next element's largest entry modulus (at least 1).
+    It is the rounding of ``m* J m`` at that scale.  From 1 on it would admit a
+    residual as large as J's entries, so membership is no longer decided.
     """
-    return max(100.0 * ADMISSION_TOL, 1e3 * residual) * scale**2
+    return ADMISSION_TOL * max(1.0, scale) ** 2

@@ -40,6 +40,7 @@ from qhspace.spn1 import (
     make_loxodromic,
     make_normal_form,
     membership_residual,
+    retract,
     sample_elements,
 )
 from qhspace.tolerances import (
@@ -49,7 +50,7 @@ from qhspace.tolerances import (
     PAIRING_TOL,
     RECIPROCAL_TOL,
     UNIT_MODULUS_TOL,
-    frame_admission_tol,
+    scaled_admission_tol,
 )
 
 
@@ -763,7 +764,8 @@ def reference_diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
     lam_n = entries[-2]
     lam_n1 = lam_n.conj().inverse()
     g_diag = is_member(QMatrix.diag(list(unit_diag) + [lam_n, lam_n1]))
-    h_conj = is_member(conj_inv @ h.m @ conj.m, tol=frame_admission_tol(g.residual, h.residual))
+    h_conj = retract(conj_inv @ h.m @ conj.m)
+    h_conj = is_member(h_conj, tol=scaled_admission_tol(h_conj.norm_max()))
     return _DiagonalFrame(g_diag, unit_diag, lam_n, lam_n1, h_conj, data)
 
 

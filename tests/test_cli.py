@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import qhspace.cli as cli
 import qhspace.jsonio as jsonio
 import qhspace.spectral as spectral
 from qhspace.cli import build_parser, main
+from qhspace.qmatrix import QMatrix
 from qhspace.quaternion import Quaternion
 from qhspace.spn1 import ADMISSION_TOL, StabilizerKind, make_loxodromic, random_element
 
@@ -92,6 +94,32 @@ def test_fk_json_report(tmp_path, capsys):
     assert doc["converged"] is True
     assert doc["distinct"] is True
     assert len(doc["steps"]) == 5
+
+
+def test_divergent_orbit_stops_with_a_typed_result(tmp_path, capsys):
+    # mg = 1.5: the orbit grows like |h_k|^2 per step, and h_5 is too large
+    # for membership to be decided.
+    g = make_loxodromic([Quaternion(1)], Quaternion(2))
+    h = random_element(n=2, seed=21, word_length=6)
+    paths = []
+    for name, element in (("g.json", g), ("h.json", h)):
+        path = tmp_path / name
+        path.write_text(jsonio.dumps(element.to_json_dict()))
+        paths.append(str(path))
+    code, out, err = run(["iterate", *paths], capsys)
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(5))
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:3] + row[4:12])
+    code, out, _ = run(["iterate", *paths, "--format", "json"], capsys)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["diverged_at"] == 5 and doc["truncated_at"] is None
+    assert len(doc["steps"]) == 5
+    code, out, err = run(["fk", *paths], capsys)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "diverged" in lines[0]
 
 
 def test_verify_passes(capsys):
@@ -300,22 +328,18 @@ def test_sample_bytes_match_reference_pipeline(n, tmp_path, capsys):
 
 
 def test_floating_point_failure_is_one_error_line(tmp_path):
-    # The README pair overflows before step 64.  Run in a fresh interpreter:
-    # pytest records warnings instead of printing them.
-    g = make_loxodromic([Quaternion(1)], Quaternion(1.05))
-    h = random_element(n=2, seed=7, word_length=8)
-    paths = []
-    for name, element in (("g.json", g), ("h.json", h)):
-        path = tmp_path / name
-        path.write_text(jsonio.dumps(element.to_json_dict()))
-        paths.append(str(path))
+    # Diagonal entries of 1e200 overflow the membership check.  Run in a
+    # fresh interpreter: pytest records warnings instead of printing them.
+    path = tmp_path / "huge.json"
+    path.write_text(jsonio.dumps(QMatrix.diag([Quaternion(1e200)] * 3).to_json_dict()))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run(
-        [sys.executable, "-m", "qhspace.cli", "iterate", *paths, "--steps", "64"],
+        [sys.executable, "-m", "qhspace.cli", "classify", str(path)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 1
     lines = done.stderr.splitlines()
     assert len(lines) == 1, done.stderr
     assert lines[0].startswith("qhspace: error:")
+    assert "overflow" in lines[0]
     assert ".py" not in lines[0]

@@ -94,5 +94,5 @@ def test_readme_table_matches_the_module():
         rows[match.group(1)] = match.group(2)
     for name in _threshold_names():
         assert float(rows[name]) == getattr(tolerances, name), name
-    for name in ("compose_admission_tol", "frame_admission_tol", "orbit_admission_tol"):
+    for name in ("compose_admission_tol", "scaled_admission_tol"):
         assert name in rows
