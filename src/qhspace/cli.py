@@ -24,7 +24,7 @@ from .jorgensen import DegenerateOrbitError, conjugation_orbit, fk_sequence, jor
 from .qmatrix import QMatrix
 from .spectral import spectral_report
 from .spn1 import ADMISSION_TOL, identity_residual_table, is_member, sample_elements
-from .tolerances import ENTRY_IDENTITY_FLOOR
+from .tolerances import ENTRY_IDENTITY_FLOOR, admission
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,19 +96,9 @@ def _cmd_iterate(args):
     h = _load_element(args.h, args.tol)
     trace = conjugation_orbit(g, h, steps=args.steps)
     header, rows = trace.csv_rows()
-    summary = {
-        "mg": trace.mg,
-        "T1": trace.T1,
-        "T2": trace.T2,
-        "R": trace.R,
-        "branch": trace.branch,
-        "bounds_applicable": trace.bounds_applicable,
-        "bounds_hold": trace.bounds_hold,
-        "degenerate_at": trace.degenerate_at,
-        "truncated_at": trace.truncated_at,
-        "diverged_at": trace.diverged_at,
-    }
-    return _write_table(args, header, rows, summary)
+    names = ("mg", "T1", "T2", "R", "branch", "bounds_applicable", "bounds_hold",
+             "degenerate_at", "truncated_at", "diverged_at")
+    return _write_table(args, header, rows, {name: getattr(trace, name) for name in names})
 
 
 def _cmd_fk(args):
@@ -127,59 +117,45 @@ def _cmd_fk(args):
         "off_12", "off_13", "off_21", "off_31", "off_23", "off_32",
         "unitarity_defect", "corner_nn", "corner_n1n1", "log10_scale",
     ]
-    rows = []
-    for i, k in enumerate(report.ks):
-        rows.append(
-            [
-                k,
-                *report.off_block_norms[i],
-                report.unitarity_defects[i],
-                *report.corner_moduli[i],
-                report.log10_scale[i],
-            ]
-        )
-    summary = {
-        "converged": report.converged,
-        "distinct": report.distinct,
-        "expanding_modulus": report.expanding_modulus,
-        "contracting_modulus": report.contracting_modulus,
-        "threshold": report.threshold,
-    }
-    return _write_table(args, header, rows, summary)
+    rows = [
+        [k, *report.off_block_norms[i], report.unitarity_defects[i], *report.corner_moduli[i], report.log10_scale[i]]
+        for i, k in enumerate(report.ks)
+    ]
+    names = ("converged", "distinct", "expanding_modulus", "contracting_modulus", "threshold")
+    return _write_table(args, header, rows, {name: getattr(report, name) for name in names})
 
 
 def _cmd_verify(args):
-    # --tol is the verification threshold; admission stays at the default so
-    # that a strict threshold reports failure instead of stalling the sampler.
-    tol = args.tol
+    # --tol is the admission rule's factor.  A check passes when each element's
+    # error is within that element's own limit (the corner pairings, too, round
+    # at u |h|^2); the values are the batch's absolute worsts.  The sampler
+    # admits at the default factor, so a strict factor reports failure.
     elements = list(sample_elements(args.n, args.seed, args.count, args.word_length))
     stack = QMatrix.stack([e.m for e in elements])
-    membership_worst = max([0.0] + [e.residual for e in elements])
-    identity_worst = np.max(identity_residual_table(stack), axis=0, initial=0.0)
-    slack_worst = np.min(corner_slack_table(stack), axis=0, initial=np.inf)
+    residuals = np.array([e.residual for e in elements])
+    identity = identity_residual_table(stack)
+    slack = corner_slack_table(stack)
     lhs, rhs, vanishing = entry_identity_table(stack)
     degenerate = vanishing.any(axis=(-2, -1))
-    relative = abs(lhs - rhs) / np.maximum(rhs, ENTRY_IDENTITY_FLOOR)
-    entry_worst = float(np.max(relative[~degenerate], initial=0.0))
-    checks = {
-        "membership_max": (membership_worst, membership_worst <= tol),
-        "identity_residual_max": (float(identity_worst.max()), identity_worst.max() <= tol),
-        "corner_slack_min": (float(slack_worst.min()), slack_worst.min() >= -tol),
-        "entry_identity_rel_max": (entry_worst, entry_worst <= tol),
-    }
+    relative = np.where(degenerate[:, None], 0.0, abs(lhs - rhs) / np.maximum(rhs, ENTRY_IDENTITY_FLOOR)).max(axis=-1)
+    scale = stack.norm_max()
+    worst = zip(("membership_max", "identity_residual_max", "corner_slack_min", "entry_identity_rel_max"),
+                (residuals.max(), identity.max(), slack.min(), relative.max()),
+                (residuals, identity.max(axis=-1), -slack.min(axis=-1), relative))
+    checks = {k: {"value": float(v), "pass": bool(admission(e, scale, args.tol)[0].all())} for k, v, e in worst}
+    ok = all(check["pass"] for check in checks.values())
     doc = {
         "n": args.n,
         "seed": args.seed,
         "count": len(elements),
         "word_length": args.word_length,
-        "tolerance": tol,
-        "identity_residuals": [float(v) for v in identity_worst],
-        "corner_slacks": [float(v) for v in slack_worst],
+        "tolerance": args.tol,
+        "identity_residuals": [float(v) for v in identity.max(axis=0)],
+        "corner_slacks": [float(v) for v in slack.min(axis=0)],
         "degenerate_entry_identities": int(degenerate.sum()),
-        "checks": {k: {"value": v, "pass": bool(ok)} for k, (v, ok) in checks.items()},
+        "checks": checks,
+        "pass": ok,
     }
-    ok = all(flag for _, flag in checks.values())
-    doc["pass"] = bool(ok)
     _write_output(jsonio.dumps(doc), args.out)
     return 0 if ok else 2
 
@@ -190,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, batch=False):
         p.add_argument("--tol", type=float, default=ADMISSION_TOL,
-                       help="admission / verification tolerance")
+                       help="factor c of the admission rule, which admits and verifies a "
+                            "residual up to c max(1, s)^2 < 1, s the largest entry modulus")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         if batch:
             p.add_argument("--n", type=int, default=2, help="quaternionic dimension")

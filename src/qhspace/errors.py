@@ -6,18 +6,20 @@ class ShapeMismatchError(ValueError):
 
 
 class MembershipError(ValueError):
-    """A matrix failed the Sp(n,1) admission check.
+    """A matrix failed the admission rule, :func:`qhspace.tolerances.admission`.
 
-    Carries the max-norm residual of the form-preservation equation and the
-    index of the worst offending entry.
+    Carries the max-norm residual of the form-preservation equation, the
+    index of the worst offending entry, the matrix's largest entry modulus
+    and the limit the residual was compared against.  A limit that is not
+    ``decided`` reached 1: the scale alone refused the matrix.
     """
 
-    def __init__(self, residual, worst_index):
-        self.residual = residual
-        self.worst_index = worst_index
+    def __init__(self, residual, worst_index, scale, limit, decided=True):
+        self.residual, self.worst_index, self.scale, self.limit = residual, worst_index, scale, limit
         super().__init__(
-            "matrix does not preserve the Hermitian form: "
-            f"residual {residual:.3e} at entry {worst_index}"
+            f"matrix does not preserve the Hermitian form: residual {residual:.3e} exceeds limit "
+            f"{limit:.3e} at entry {worst_index}" if decided
+            else f"matrix scale {scale:.3e} is too large for membership to be decided"
         )
 
 

@@ -43,7 +43,7 @@ from .tolerances import (
     FK_CONVERGENCE_TOL,
     LOXODROMY_MARGIN,
     ORBIT_UNDERFLOW,
-    scaled_admission_tol,
+    admission,
 )
 
 #: Default iteration cap; geometric decay makes longer orbits pointless.
@@ -129,8 +129,7 @@ def _diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
     unit_diag = tuple(q * (1.0 / q.modulus()) for q in entries[:-2])
     lam_n = entries[-2]
     g_diag = make_loxodromic(unit_diag, lam_n)
-    h_conj = retract(conj_inv @ h.m @ conj.m)
-    h_conj = is_member(h_conj, tol=scaled_admission_tol(h_conj.norm_max()))
+    h_conj = is_member(retract(conj_inv @ h.m @ conj.m))
     return _DiagonalFrame(g_diag, unit_diag, lam_n, g_diag.a_n1n1, h_conj, data)
 
 
@@ -337,7 +336,7 @@ def conjugation_orbit(g: SpElement, h: SpElement, steps=DEFAULT_ORBIT_STEPS) -> 
     Neither bound applying is not an error; the trace is produced with the
     bounds marked inapplicable.  Iteration stops early once pi underflows, or,
     as ``diverged_at``, at the first element too large for membership to be
-    decided (:func:`scaled_admission_tol` at least 1).
+    decided (:func:`qhspace.tolerances.admission`'s limit at least 1).
     """
     return _orbit_in_frame(_diagonal_frame(g, h), steps)
 
@@ -402,11 +401,11 @@ def _orbit_in_frame(frame: _DiagonalFrame, steps) -> IterationTrace:
         formula = _block_update(current, frame.unit_diag, frame.lam_n, frame.lam_n1)
         direct = current.m @ frame.g_diag.m @ _structure_inverse(current.m)
         discrepancy = (formula - direct).norm_max()
-        tol = scaled_admission_tol(formula.norm_max())
-        if tol >= 1.0:
+        _, decided, _ = admission(0.0, formula.norm_max())
+        if not decided:
             diverged_at = k + 1
             break
-        current = is_member(retract(formula), tol=tol)
+        current = is_member(retract(formula))
     applicable = branch is not None
     checked = [s.bound_ok for s in records if s.bound_ok is not None]
     return IterationTrace(
@@ -485,8 +484,7 @@ def fk_sequence(g: SpElement, h: SpElement, K=8):
         f32 = lam_n1_mk * hk.a_n1n * lam_n_k
         f33 = lam_n1_mk * hk.a_n1n1 * lam_n1_k
         blocks = [[top, f12, f13], [f21, _cell(f22), _cell(f23)], [f31, _cell(f32), _cell(f33)]]
-        f_mat = retract(QMatrix.from_blocks(blocks))
-        elements.append(is_member(f_mat, tol=scaled_admission_tol(f_mat.norm_max())))
+        elements.append(is_member(retract(QMatrix.from_blocks(blocks))))
         offs.append((f12.norm_fro(), f13.norm_fro(), f21.norm_fro(), f31.norm_fro(), f23.modulus(), f32.modulus()))
         defects.append((top @ top.star() - QMatrix.identity(top.rows)).norm_max())
         corners.append((f22.modulus(), f33.modulus()))

@@ -39,7 +39,7 @@ from .quaternion import (
     modulus_components,
     mul_components,
 )
-from .tolerances import ADMISSION_TOL, CONSTRAINT_TOL, compose_admission_tol
+from .tolerances import ADMISSION_TOL, CONSTRAINT_TOL, admission
 
 
 @lru_cache(maxsize=32)
@@ -164,11 +164,24 @@ def membership_residual(m: QMatrix):
 
 
 def is_member(m: QMatrix, tol=ADMISSION_TOL) -> SpElement:
-    """Admit a matrix into Sp(n,1) or raise :class:`MembershipError`."""
+    """Admit a matrix by :func:`qhspace.tolerances.admission` at factor ``tol``, or raise :class:`MembershipError`."""
     residual, worst = membership_residual(m)
-    if not (residual <= tol):
-        raise MembershipError(residual, worst)
+    scale = m.norm_max()
+    admitted, decided, limit = admission(residual, scale, tol)
+    if not admitted:
+        raise MembershipError(residual, worst, scale, limit, decided)
     return SpElement(m.copy(), m.rows - 1, residual)
+
+
+def _stack_admission(m: QMatrix, tol=ADMISSION_TOL):
+    """:func:`is_member`'s rule on each element of a stack, its scale taken once:
+    the residuals, the admitted flags and ``refusal(k)``, element k's :class:`MembershipError`."""
+    residual, (rows, cols) = membership_residual(m)
+    scale = m.norm_max()
+    admitted, decided, limit = admission(residual, scale, tol)
+    return residual, admitted, lambda k: MembershipError(
+        float(residual[k]), (int(rows[k]), int(cols[k])), float(scale[k]), float(limit[k]), bool(decided[k])
+    )
 
 
 @lru_cache(maxsize=32)
@@ -230,9 +243,9 @@ def _require_same_space(g_n: int, h_n: int) -> None:
 
 
 def compose(g: SpElement, h: SpElement) -> SpElement:
-    """Group product, admitted at a tolerance relaxed by the inputs' residuals."""
+    """Group product, admitted by :func:`is_member`'s rule at the product's own scale."""
     _require_same_space(g.n, h.n)
-    return is_member(g.m @ h.m, tol=compose_admission_tol(g.residual, h.residual))
+    return is_member(g.m @ h.m)
 
 
 def identity_element(n: int) -> SpElement:
@@ -333,8 +346,9 @@ def _assemble_normal_forms(kinds, lam, mu, A: QMatrix, a: QMatrix, s):
     (count, 4) component arrays, ``A`` a stack of (n-1) x (n-1) unitary blocks
     and ``a`` a stack of (n-1)-columns.  StabBoth elements ignore ``a`` and
     ``s``.  Every constraint of :class:`NormalFormParams`, at
-    :data:`CONSTRAINT_TOL`, and the admission at :data:`ADMISSION_TOL` are checked on the whole stack; the first element
-    that fails raises.  Returns the stack and its membership residuals.
+    :data:`CONSTRAINT_TOL`, and :func:`is_member`'s rule are checked per
+    element; the first element that fails raises.  Returns the stack and its
+    membership residuals.
     """
     pairing = modulus_components(mul_components(conj_components(mu), lam) - (1.0, 0.0, 0.0, 0.0))
     if (k := _first(pairing > CONSTRAINT_TOL)) is not None:
@@ -379,9 +393,9 @@ def _assemble_normal_forms(kinds, lam, mu, A: QMatrix, a: QMatrix, s):
         return out
 
     mats = QMatrix(layout(0, A.ca, a.ca, b_row.ca), layout(1, A.cb, a.cb, b_row.cb))
-    residual, (rows, cols) = membership_residual(mats)
-    if (k := _first(~(residual <= ADMISSION_TOL))) is not None:
-        raise MembershipError(float(residual[k]), (int(rows[k]), int(cols[k])))
+    residual, admitted, refusal = _stack_admission(mats)
+    if (k := _first(~admitted)) is not None:
+        raise refusal(k)
     return mats, residual
 
 
@@ -422,9 +436,9 @@ def make_loxodromic(unit_eigs, lam_n: Quaternion) -> SpElement:
 
 # -- seeded random elements ---------------------------------------------------
 
-#: Modulus range for loxodromic factors in the sampler; kept narrow so that
-#: products of up to 32 factors stay well conditioned under the admission
-#: tolerance.
+#: Modulus range for loxodromic factors in the sampler.  It sets how fast a
+#: word's scale, and with it the admission limit, grows with its length: at
+#: n = 3 the limit reaches 1 (membership undecided) at about 96 factors.
 LOXO_MODULUS_RANGE = (1.01, 1.3)
 _TRANSLATION_SCALE = 0.35
 
@@ -555,11 +569,11 @@ def sample_elements(n: int, seed: int, count: int, word_length: int = 8, tol=ADM
       unitary block, lam and, for StabInfinity and StabZero, the
       translation and the imaginary part of s), then, for StabBoth, the
       uniforms of the loxodromic stretch (see :func:`_random_factors`);
-    * a word whose product fails admission at ``tol`` is discarded and a new
-      word is drawn from where the stream stands, so the redraw consumes the
-      same values at every run;
+    * a word whose product fails :func:`is_member`'s rule at factor ``tol``
+      is discarded and a new word is drawn from where the stream stands, so
+      the redraw consumes the same values at every run;
     * after ``20 * count`` words in total the sampler gives up with a
-      :class:`NumericError` carrying the residual of the last rejected word.
+      :class:`NumericError` that names why the last rejected word failed.
 
     The generator is lazy by chunks: when it needs a word it draws all the
     words still missing (at most a fixed number, and never past the
@@ -574,21 +588,20 @@ def sample_elements(n: int, seed: int, count: int, word_length: int = 8, tol=ADM
     rng = np.random.default_rng(seed)
     produced = 0
     attempts = 0
-    residual = None
+    rejection = None
     while produced < count:
         chunk = min(count - produced, _WORD_CHUNK, 20 * count - attempts)
         if chunk == 0:
             raise NumericError(
                 f"sampler admitted {produced} of {count} elements in {attempts} words "
-                f"at tolerance {tol:.3e}",
-                residual=residual,
+                f"at factor {tol:.3e}; the last word refused: {rejection}"
             )
         words = _random_words(rng, n, chunk, word_length)
         attempts += chunk
-        residuals, _ = membership_residual(words)
+        residuals, admitted, refusal = _stack_admission(words, tol)
         for k in range(chunk):
-            if not (residuals[k] <= tol):
-                residual = float(residuals[k])
+            if not admitted[k]:
+                rejection = refusal(k)
                 continue
             yield SpElement(QMatrix(words.ca[k], words.cb[k]), n, float(residuals[k]))
             produced += 1

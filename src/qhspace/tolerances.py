@@ -10,8 +10,9 @@ cross-ratio, g's fixed points, the discreteness test and the elementary
 certificate: ``|<z, w>| <= DEGENERACY_TOL |z||w|``.  :data:`PROJECTIVE_TOL`
 serves only the public :func:`qhspace.geometry.projectively_close`.
 
-One rule, :func:`scaled_admission_tol`, admits every matrix the diagonal
-frame builds, once :func:`qhspace.spn1.retract` has pulled it onto the group.
+One rule, :func:`admission`, admits every matrix into Sp(n,1), and through
+``spn1.is_member`` it decides for the sampler, products, the diagonal frame
+and ``qhspace verify``.
 """
 
 #: Two quaternions are similar: real parts and moduli each within this.
@@ -29,7 +30,7 @@ EIGENPAIR_TOL = 1e-8
 #: singular-value cut, relative to the largest, of an adjoint eigenspace.
 CLUSTER_TOL = 1e-6
 
-#: A matrix is admitted into Sp(n,1): ``g* J g - J`` has max-norm at most this.
+#: The default factor c of :func:`admission`, the rule ``|g* J g - J| <= c max(1, s)^2 < 1``.
 ADMISSION_TOL = 1e-9
 
 #: Normal-form parameters meet their constraints, and the unit eigenvalues
@@ -92,15 +93,15 @@ def pairing_vanishes(modulus, z_norm, w_norm):
     return modulus <= DEGENERACY_TOL * z_norm * w_norm
 
 
-def compose_admission_tol(g_residual, h_residual):
-    """Admission tolerance of a product, relaxed by its factors' residuals."""
-    return ADMISSION_TOL + 10.0 * (g_residual + h_residual)
+def admission(residual, scale, tol=ADMISSION_TOL):
+    """``(residual <= limit < 1, limit < 1, limit)``: is m in Sp(n,1)?  Elementwise on arrays.
 
-
-def scaled_admission_tol(scale):
-    """Admission tolerance of a matrix whose largest entry modulus is ``scale``.
-
-    It is the rounding of ``m* J m`` at that scale.  From 1 on it would admit a
-    residual as large as J's entries, so membership is no longer decided.
+    ``residual`` is the max-norm of ``m* J m - J`` and ``limit = tol max(1, scale)^2``,
+    with ``scale`` m's largest entry modulus, the forward-error bound of that
+    product (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    section 3.5).  From 1 on it would admit a residual as large as J's
+    entries: membership is not decided.
     """
-    return ADMISSION_TOL * max(1.0, scale) ** 2
+    limit = tol * (scale * (scale > 1.0) + (scale <= 1.0)) ** 2  # max(1, scale), also on arrays
+    decided = limit < 1.0
+    return (residual <= limit) & decided, decided, limit

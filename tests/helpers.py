@@ -50,7 +50,7 @@ from qhspace.tolerances import (
     PAIRING_TOL,
     RECIPROCAL_TOL,
     UNIT_MODULUS_TOL,
-    scaled_admission_tol,
+    admission,
 )
 
 
@@ -350,24 +350,23 @@ def reference_sample(n, seed, count, word_length, tol=ADMISSION_TOL):
 def reference_sample_elements(n, seed, count, word_length, tol=ADMISSION_TOL):
     """The word-by-word sampler: each word is drawn and admitted when asked for.
 
-    It gives up after ``20 * count`` words with the message and residual that
-    ``spn1.sample_elements`` uses.
+    It gives up after ``20 * count`` words with the message that
+    ``spn1.sample_elements`` uses, naming why the last word was refused.
     """
     words = reference_words(n, seed, word_length)
     produced = attempts = 0
-    residual = None
+    rejection = None
     while produced < count:
         attempts += 1
         if attempts > 20 * count:
             raise NumericError(
                 f"sampler admitted {produced} of {count} elements in {attempts - 1} words "
-                f"at tolerance {tol:.3e}",
-                residual=residual,
+                f"at factor {tol:.3e}; the last word refused: {rejection}"
             )
         try:
             element = is_member(next(words), tol=tol)
         except MembershipError as exc:
-            residual = exc.residual
+            rejection = exc
             continue
         yield element
         produced += 1
@@ -508,33 +507,41 @@ def reference_corner_bound_slacks(h: SpElement) -> np.ndarray:
 
 
 def reference_verify(n, seed, count, word_length, tol=ADMISSION_TOL):
-    """The ``verify`` document, built element by element from the references."""
+    """The ``verify`` document, built element by element from the references.
+
+    Each element passes a check when the admission rule at factor ``tol``
+    admits its error at the element's own scale.
+    """
     membership_worst = 0.0
     identity_worst = np.zeros(13)
     slack_worst = np.full(5, np.inf)
     entry_worst = 0.0
     degenerate_entries = 0
     produced = 0
+    names = ("membership_max", "identity_residual_max", "corner_slack_min", "entry_identity_rel_max")
+    passed = dict.fromkeys(names, True)
     for element in sample_elements(n, seed, count, word_length):
         produced += 1
-        membership_worst = max(membership_worst, element.residual)
-        identity_worst = np.maximum(identity_worst, reference_identity_residuals(element))
-        slack_worst = np.minimum(slack_worst, reference_corner_bound_slacks(element))
+        identities = reference_identity_residuals(element)
+        slacks = reference_corner_bound_slacks(element)
         report = reference_entry_identity_check(element)
+        relative = 0.0
         if report.degenerate:
             degenerate_entries += 1
         else:
-            entry_worst = max(
-                entry_worst,
+            relative = max(
                 abs(report.lhs1 - report.rhs1) / max(report.rhs1, 1e-300),
                 abs(report.lhs2 - report.rhs2) / max(report.rhs2, 1e-300),
             )
-    checks = {
-        "membership_max": (membership_worst, membership_worst <= tol),
-        "identity_residual_max": (float(identity_worst.max()), identity_worst.max() <= tol),
-        "corner_slack_min": (float(slack_worst.min()), slack_worst.min() >= -tol),
-        "entry_identity_rel_max": (entry_worst, entry_worst <= tol),
-    }
+        errors = (element.residual, identities.max(), -slacks.min(), relative)
+        for name, error in zip(passed, errors):
+            passed[name] = passed[name] and bool(admission(error, element.m.norm_max(), tol)[0])
+        membership_worst = max(membership_worst, element.residual)
+        identity_worst = np.maximum(identity_worst, identities)
+        slack_worst = np.minimum(slack_worst, slacks)
+        entry_worst = max(entry_worst, relative)
+    values = (membership_worst, float(identity_worst.max()), float(slack_worst.min()), entry_worst)
+    checks = {name: (value, passed[name]) for name, value in zip(passed, values)}
     doc = {
         "n": n,
         "seed": seed,
@@ -764,8 +771,7 @@ def reference_diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
     lam_n = entries[-2]
     lam_n1 = lam_n.conj().inverse()
     g_diag = is_member(QMatrix.diag(list(unit_diag) + [lam_n, lam_n1]))
-    h_conj = retract(conj_inv @ h.m @ conj.m)
-    h_conj = is_member(h_conj, tol=scaled_admission_tol(h_conj.norm_max()))
+    h_conj = is_member(retract(conj_inv @ h.m @ conj.m))
     return _DiagonalFrame(g_diag, unit_diag, lam_n, lam_n1, h_conj, data)
 
 

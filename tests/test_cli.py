@@ -157,6 +157,25 @@ def test_verify_fails_with_strict_tolerance(capsys):
     assert json.loads(out)["pass"] is False
 
 
+@pytest.mark.parametrize("word_length", [40, 64])
+def test_verify_passes_on_long_words(word_length, capsys):
+    # Their worst residuals exceed 1e-9, the absolute cut that failed them,
+    # but each element is within its own limit.
+    code, out, _ = run(["verify", "--n", "2", "--count", "100", "--word-length", str(word_length)], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["pass"] is True
+    assert doc["checks"]["membership_max"]["value"] > ADMISSION_TOL
+    assert out == jsonio.dumps(reference_verify(2, 0, 100, word_length)) + "\n"
+
+
+def test_sample_refuses_undecided_scales(capsys):
+    code, out, err = run(["sample", "--n", "3", "--count", "100", "--word-length", "96"], capsys)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qhspace: error: sampler admitted 1 of 100 elements")
+    assert lines[0].endswith("is too large for membership to be decided")
+
+
 def test_sampler_exhaustion_exit_code(capsys):
     code, out, err = run(["sample", "--n", "2", "--count", "1", "--tol", "1e-20"], capsys)
     assert code == 1

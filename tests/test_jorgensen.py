@@ -106,13 +106,15 @@ def test_non_loxodromic_first_generator_rejected():
 #: The README g against long sampled words h.  The bracket denominator
 #: <h(u), h(v)> is -1, but |h(u)||h(v)| grows like |h|^2, so the relative zero
 #: rule would read it as zero; only g's certified fixed points may decide it.
-LONG_WORDS = [(64, seed) for seed in (8, 10, 20)] + [(96, seed) for seed in range(10)]
+#: Seed 3's twenty words of length 96 all outgrow the scale at which membership
+#: is decided, so the sampler refuses it.
+LONG_WORDS = [(64, seed) for seed in (8, 10, 20)] + [(96, seed) for seed in range(11) if seed != 3]
 
 
 @pytest.mark.parametrize("length, seed", LONG_WORDS)
 def test_long_words_get_the_50_digit_brackets(length, seed):
     g = slow_loxodromic()
-    (h,) = sample_elements(2, seed, 1, length, tol=1e-3)
+    (h,) = sample_elements(2, seed, 1, length)
     outcome = jorgensen_test(g, h)
     data = _fixed_point_data(g)
     cross1, cross2, flags = reference_brackets_on(data.attracting, data.repelling, h)

@@ -36,8 +36,35 @@ def test_no_threshold_literal_outside_tolerances():
     assert found == {}
 
 
+def _reads(node, names):
+    return any(getattr(n, "id", getattr(n, "attr", None)) in names for n in ast.walk(node))
+
+
+def _carriers(function, name):
+    """``name``, the parameters of ``function`` that default to it and the
+    locals assigned from any of them."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    defaults = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    defaults += [(arg, d) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    carried = {name} | {arg.arg for arg, default in defaults if _reads(default, {name})}
+    assigns = [node for node in ast.walk(function) if isinstance(node, ast.Assign)]
+    while True:
+        more = {
+            target.id
+            for node in assigns
+            if _reads(node.value, carried)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        if more <= carried:
+            return carried
+        carried |= more
+
+
 def _functions_comparing(name):
-    """(file, enclosing function) of every comparison that reads ``name``."""
+    """(file, enclosing function) of every comparison that reads ``name``,
+    directly or through one of its carriers (:func:`_carriers`)."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -45,16 +72,20 @@ def _functions_comparing(name):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Compare):
                 continue
-            if any(getattr(n, "id", getattr(n, "attr", None)) == name for n in ast.walk(node)):
-                scope = node
-                while scope in parents and not isinstance(scope, (ast.FunctionDef, ast.Lambda)):
-                    scope = parents[scope]
+            scope = node
+            while scope in parents and not isinstance(scope, (ast.FunctionDef, ast.Lambda)):
+                scope = parents[scope]
+            if _reads(node, _carriers(scope, name) if isinstance(scope, ast.FunctionDef) else {name}):
                 found.append((path.name, getattr(scope, "name", None)))
     return found
 
 
 def test_degeneracy_tol_is_compared_in_one_function():
     assert _functions_comparing("DEGENERACY_TOL") == [("tolerances.py", "pairing_vanishes")]
+
+
+def test_admission_tol_is_compared_in_one_function():
+    assert set(_functions_comparing("ADMISSION_TOL")) == {("tolerances.py", "admission")}
 
 
 def test_tolerances_imports_nothing_from_the_package():
@@ -94,5 +125,4 @@ def test_readme_table_matches_the_module():
         rows[match.group(1)] = match.group(2)
     for name in _threshold_names():
         assert float(rows[name]) == getattr(tolerances, name), name
-    for name in ("compose_admission_tol", "scaled_admission_tol"):
-        assert name in rows
+    assert "admission" in rows
