@@ -96,9 +96,19 @@ def _cmd_iterate(args):
     h = _load_element(args.h, args.tol)
     trace = conjugation_orbit(g, h, steps=args.steps)
     header, rows = trace.csv_rows()
-    names = ("mg", "T1", "T2", "R", "branch", "bounds_applicable", "bounds_hold",
-             "degenerate_at", "truncated_at", "diverged_at")
-    return _write_table(args, header, rows, {name: getattr(trace, name) for name in names})
+    summary = {
+        "mg": trace.mg,
+        "T1": trace.T1,
+        "T2": trace.T2,
+        "R": trace.R,
+        "branch": trace.branch,
+        "bounds_applicable": trace.bounds_applicable,
+        "bounds_hold": trace.bounds_hold,
+        "degenerate_at": trace.degenerate_at,
+        "truncated_at": trace.truncated_at,
+        "diverged_at": trace.diverged_at,
+    }
+    return _write_table(args, header, rows, summary)
 
 
 def _cmd_fk(args):
@@ -117,41 +127,61 @@ def _cmd_fk(args):
         "off_12", "off_13", "off_21", "off_31", "off_23", "off_32",
         "unitarity_defect", "corner_nn", "corner_n1n1", "log10_scale",
     ]
-    rows = [
-        [k, *report.off_block_norms[i], report.unitarity_defects[i], *report.corner_moduli[i], report.log10_scale[i]]
-        for i, k in enumerate(report.ks)
-    ]
-    names = ("converged", "distinct", "expanding_modulus", "contracting_modulus", "threshold")
-    return _write_table(args, header, rows, {name: getattr(report, name) for name in names})
+    rows = []
+    for i, k in enumerate(report.ks):
+        rows.append(
+            [
+                k,
+                *report.off_block_norms[i],
+                report.unitarity_defects[i],
+                *report.corner_moduli[i],
+                report.log10_scale[i],
+            ]
+        )
+    summary = {
+        "converged": report.converged,
+        "distinct": report.distinct,
+        "expanding_modulus": report.expanding_modulus,
+        "contracting_modulus": report.contracting_modulus,
+        "threshold": report.threshold,
+    }
+    return _write_table(args, header, rows, summary)
 
 
 def _cmd_verify(args):
-    # --tol is the admission rule's factor.  A check passes when each element's
-    # error is within that element's own limit (the corner pairings, too, round
-    # at u |h|^2); the values are the batch's absolute worsts.  The sampler
-    # admits at the default factor, so a strict factor reports failure.
+    # --tol is the admission rule's factor.  A check passes when every
+    # element's error is within that element's own limit (the corner pairings,
+    # too, round at u |h|^2); the values are the batch's absolute worsts.  The
+    # sampler admits at the default factor, so a strict factor reports failure.
     elements = list(sample_elements(args.n, args.seed, args.count, args.word_length))
     stack = QMatrix.stack([e.m for e in elements])
-    residuals = np.array([e.residual for e in elements])
+    membership = np.array([e.residual for e in elements])
     identity = identity_residual_table(stack)
     slack = corner_slack_table(stack)
     lhs, rhs, vanishing = entry_identity_table(stack)
     degenerate = vanishing.any(axis=(-2, -1))
-    relative = np.where(degenerate[:, None], 0.0, abs(lhs - rhs) / np.maximum(rhs, ENTRY_IDENTITY_FLOOR)).max(axis=-1)
+    relative = abs(lhs - rhs) / np.maximum(rhs, ENTRY_IDENTITY_FLOOR)
+    relative[degenerate] = 0.0
     scale = stack.norm_max()
-    worst = zip(("membership_max", "identity_residual_max", "corner_slack_min", "entry_identity_rel_max"),
-                (residuals.max(), identity.max(), slack.min(), relative.max()),
-                (residuals, identity.max(axis=-1), -slack.min(axis=-1), relative))
-    checks = {k: {"value": float(v), "pass": bool(admission(e, scale, args.tol)[0].all())} for k, v, e in worst}
-    ok = all(check["pass"] for check in checks.values())
+
+    def check(worst, errors):
+        return {"value": float(worst), "pass": bool(admission(errors, scale, args.tol)[0].all())}
+
+    checks = {
+        "membership_max": check(membership.max(initial=0.0), membership),
+        "identity_residual_max": check(identity.max(initial=0.0), identity.max(axis=-1)),
+        "corner_slack_min": check(slack.min(initial=np.inf), -slack.min(axis=-1)),
+        "entry_identity_rel_max": check(relative.max(initial=0.0), relative.max(axis=-1)),
+    }
+    ok = all(c["pass"] for c in checks.values())
     doc = {
         "n": args.n,
         "seed": args.seed,
         "count": len(elements),
         "word_length": args.word_length,
         "tolerance": args.tol,
-        "identity_residuals": [float(v) for v in identity.max(axis=0)],
-        "corner_slacks": [float(v) for v in slack.min(axis=0)],
+        "identity_residuals": [float(v) for v in identity.max(axis=0, initial=0.0)],
+        "corner_slacks": [float(v) for v in slack.min(axis=0, initial=np.inf)],
         "degenerate_entry_identities": int(degenerate.sum()),
         "checks": checks,
         "pass": ok,
@@ -167,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, batch=False):
         p.add_argument("--tol", type=float, default=ADMISSION_TOL,
                        help="factor c of the admission rule, which admits and verifies a "
-                            "residual up to c max(1, s)^2 < 1, s the largest entry modulus")
+                            "residual up to c max(1, s)^2, s the largest entry modulus")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         if batch:
             p.add_argument("--n", type=int, default=2, help="quaternionic dimension")

@@ -10,12 +10,16 @@ class MembershipError(ValueError):
 
     Carries the max-norm residual of the form-preservation equation, the
     index of the worst offending entry, the matrix's largest entry modulus
-    and the limit the residual was compared against.  A limit that is not
-    ``decided`` reached 1: the scale alone refused the matrix.
+    and the limit the residual was compared against.  When ``decided`` is
+    false, the scale alone refused the matrix.
     """
 
     def __init__(self, residual, worst_index, scale, limit, decided=True):
-        self.residual, self.worst_index, self.scale, self.limit = residual, worst_index, scale, limit
+        self.residual = residual
+        self.worst_index = worst_index
+        self.scale = scale
+        self.limit = limit
+        self.decided = decided
         super().__init__(
             f"matrix does not preserve the Hermitian form: residual {residual:.3e} exceeds limit "
             f"{limit:.3e} at entry {worst_index}" if decided

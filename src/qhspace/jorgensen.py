@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .crossratio import _cross_ratio_parts
-from .errors import ClassificationError, NumericError
+from .errors import ClassificationError, MembershipError, NumericError
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
 from .spectral import LoxodromicData, _fixed_point_data, _null_scaled, loxodromic_data
@@ -43,7 +43,6 @@ from .tolerances import (
     FK_CONVERGENCE_TOL,
     LOXODROMY_MARGIN,
     ORBIT_UNDERFLOW,
-    admission,
 )
 
 #: Default iteration cap; geometric decay makes longer orbits pointless.
@@ -336,7 +335,7 @@ def conjugation_orbit(g: SpElement, h: SpElement, steps=DEFAULT_ORBIT_STEPS) -> 
     Neither bound applying is not an error; the trace is produced with the
     bounds marked inapplicable.  Iteration stops early once pi underflows, or,
     as ``diverged_at``, at the first element too large for membership to be
-    decided (:func:`qhspace.tolerances.admission`'s limit at least 1).
+    decided (:func:`qhspace.tolerances.admission` refuses its scale).
     """
     return _orbit_in_frame(_diagonal_frame(g, h), steps)
 
@@ -401,11 +400,13 @@ def _orbit_in_frame(frame: _DiagonalFrame, steps) -> IterationTrace:
         formula = _block_update(current, frame.unit_diag, frame.lam_n, frame.lam_n1)
         direct = current.m @ frame.g_diag.m @ _structure_inverse(current.m)
         discrepancy = (formula - direct).norm_max()
-        _, decided, _ = admission(0.0, formula.norm_max())
-        if not decided:
+        try:
+            current = is_member(retract(formula))
+        except MembershipError as exc:
+            if exc.decided:
+                raise
             diverged_at = k + 1
             break
-        current = is_member(retract(formula))
     applicable = branch is not None
     checked = [s.bound_ok for s in records if s.bound_ok is not None]
     return IterationTrace(

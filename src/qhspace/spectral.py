@@ -199,8 +199,9 @@ def _build_conjugator(g: SpElement, unit_reps, u_vec, v_vec):
         return None
     v_vec = _null_scaled(u_vec, v_vec)
     t = math.sqrt(v_vec.norm_fro() / u_vec.norm_fro())
+    mat = retract(QMatrix.from_blocks([columns + [u_vec.scale_right(t), v_vec.scale_right(1.0 / t)]]))
     try:
-        return is_member(retract(QMatrix.from_blocks([columns + [u_vec.scale_right(t), v_vec.scale_right(1.0 / t)]])))
+        return is_member(mat)
     except MembershipError:
         return None
 

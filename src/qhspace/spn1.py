@@ -164,7 +164,8 @@ def membership_residual(m: QMatrix):
 
 
 def is_member(m: QMatrix, tol=ADMISSION_TOL) -> SpElement:
-    """Admit a matrix by :func:`qhspace.tolerances.admission` at factor ``tol``, or raise :class:`MembershipError`."""
+    """Admit a matrix into Sp(n,1) by :func:`qhspace.tolerances.admission` at
+    factor ``tol``, or raise :class:`MembershipError`."""
     residual, worst = membership_residual(m)
     scale = m.norm_max()
     admitted, decided, limit = admission(residual, scale, tol)
@@ -174,14 +175,18 @@ def is_member(m: QMatrix, tol=ADMISSION_TOL) -> SpElement:
 
 
 def _stack_admission(m: QMatrix, tol=ADMISSION_TOL):
-    """:func:`is_member`'s rule on each element of a stack, its scale taken once:
-    the residuals, the admitted flags and ``refusal(k)``, element k's :class:`MembershipError`."""
+    """:func:`is_member`'s rule per element of a stack, its scale taken once: the
+    residuals, the admitted flags and ``refusal(k)``, element k's :class:`MembershipError`."""
     residual, (rows, cols) = membership_residual(m)
     scale = m.norm_max()
     admitted, decided, limit = admission(residual, scale, tol)
-    return residual, admitted, lambda k: MembershipError(
-        float(residual[k]), (int(rows[k]), int(cols[k])), float(scale[k]), float(limit[k]), bool(decided[k])
-    )
+
+    def refusal(k):
+        worst = (int(rows[k]), int(cols[k]))
+        return MembershipError(float(residual[k]), worst, float(scale[k]), float(limit[k]),
+                               bool(decided[k]))
+
+    return residual, admitted, refusal
 
 
 @lru_cache(maxsize=32)

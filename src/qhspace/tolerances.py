@@ -30,7 +30,9 @@ EIGENPAIR_TOL = 1e-8
 #: singular-value cut, relative to the largest, of an adjoint eigenspace.
 CLUSTER_TOL = 1e-6
 
-#: The default factor c of :func:`admission`, the rule ``|g* J g - J| <= c max(1, s)^2 < 1``.
+#: The default factor c of :func:`admission`, which admits ``|g* J g - J|`` up
+#: to ``c max(1, s)^2``, and its cut: membership is decided while this times
+#: ``max(1, s)^2`` is below 1.
 ADMISSION_TOL = 1e-9
 
 #: Normal-form parameters meet their constraints, and the unit eigenvalues
@@ -94,14 +96,18 @@ def pairing_vanishes(modulus, z_norm, w_norm):
 
 
 def admission(residual, scale, tol=ADMISSION_TOL):
-    """``(residual <= limit < 1, limit < 1, limit)``: is m in Sp(n,1)?  Elementwise on arrays.
+    """``(admitted, decided, limit)``: is m in Sp(n,1)?  Elementwise on arrays.
 
-    ``residual`` is the max-norm of ``m* J m - J`` and ``limit = tol max(1, scale)^2``,
-    with ``scale`` m's largest entry modulus, the forward-error bound of that
-    product (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    section 3.5).  From 1 on it would admit a residual as large as J's
-    entries: membership is not decided.
+    ``residual`` is the max-norm of ``m* J m - J`` and ``scale`` m's largest
+    entry modulus.  The residual is admitted up to ``limit = tol max(1, scale)^2``,
+    the forward-error bound of that product (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., section 3.5).  Membership is decided
+    only while the default limit ``ADMISSION_TOL max(1, scale)^2`` is below 1;
+    from there on it would admit a residual as large as J's entries.  That cut
+    depends on the scale alone, so a larger ``tol`` never refuses a matrix that
+    a smaller one admits.
     """
-    limit = tol * (scale * (scale > 1.0) + (scale <= 1.0)) ** 2  # max(1, scale), also on arrays
-    decided = limit < 1.0
+    square = (scale * (scale > 1.0) + (scale <= 1.0)) ** 2  # max(1, scale)^2, also on arrays
+    decided = ADMISSION_TOL * square < 1.0
+    limit = tol * square
     return (residual <= limit) & decided, decided, limit

@@ -157,15 +157,33 @@ def test_verify_fails_with_strict_tolerance(capsys):
     assert json.loads(out)["pass"] is False
 
 
+@pytest.mark.parametrize("tol", [ADMISSION_TOL, 1e-6])
 @pytest.mark.parametrize("word_length", [40, 64])
-def test_verify_passes_on_long_words(word_length, capsys):
+def test_verify_passes_on_long_words(word_length, tol, capsys):
     # Their worst residuals exceed 1e-9, the absolute cut that failed them,
-    # but each element is within its own limit.
-    code, out, _ = run(["verify", "--n", "2", "--count", "100", "--word-length", str(word_length)], capsys)
+    # but each element is within its own limit.  A looser factor refuses no
+    # element the default admits: whether membership is decided depends on
+    # the scale alone.
+    argv = ["verify", "--n", "2", "--count", "100", "--word-length", str(word_length), "--tol", str(tol)]
+    code, out, _ = run(argv, capsys)
     doc = json.loads(out)
     assert code == 0 and doc["pass"] is True
     assert doc["checks"]["membership_max"]["value"] > ADMISSION_TOL
-    assert out == jsonio.dumps(reference_verify(2, 0, 100, word_length)) + "\n"
+    assert out == jsonio.dumps(reference_verify(2, 0, 100, word_length, tol)) + "\n"
+
+
+def test_a_looser_factor_admits_what_the_default_admits(tmp_path, capsys):
+    # A length-64 word of scale about 560: --tol 1e-3 puts its limit above 1,
+    # and whether membership is decided depends on the scale alone.
+    out_dir = str(tmp_path / "elements")
+    argv = ["sample", "--n", "2", "--count", "1", "--word-length", "64", "--out", out_dir]
+    assert run(argv, capsys)[0] == 0
+    path = os.path.join(out_dir, "element_0000.json")
+    with open(path) as fh:
+        assert QMatrix.from_json_dict(json.load(fh)).norm_max() > 1e-3 ** -0.5
+    default = run(["classify", path], capsys)
+    assert default[0] == 0
+    assert run(["classify", path, "--tol", "1e-3"], capsys) == default
 
 
 def test_sample_refuses_undecided_scales(capsys):

@@ -24,6 +24,7 @@ from qhspace.errors import MembershipError, NumericError, ParameterError
 from qhspace.qmatrix import QMatrix
 from qhspace.quaternion import I, Quaternion
 from qhspace.spn1 import (
+    ADMISSION_TOL,
     NormalFormParams,
     StabilizerKind,
     compose,
@@ -316,15 +317,16 @@ def test_membership_error_names_residual_and_limit():
 
 
 def test_membership_error_names_an_undecided_scale():
-    # diag(1, 1e5, 1e-5) is in the group, but at its scale the limit is 10.
+    # diag(1, 1e5, 1e-5) is in the group, but at its scale the default limit
+    # is 10.  The cut depends on the scale alone, so no factor decides it.
     big = QMatrix.diag([Quaternion(1), Quaternion(1e5), Quaternion(1e-5)])
     assert membership_residual(big)[0] == 0.0
     message = r"^matrix scale 1\.000e\+05 is too large for membership to be decided$"
-    with pytest.raises(MembershipError, match=message) as err:
-        is_member(big)
-    assert (err.value.residual, err.value.scale) == (0.0, 1e5)
-    assert err.value.limit == pytest.approx(10.0)
-    assert is_member(big, tol=1e-11).residual == 0.0
+    for tol in (1e-11, ADMISSION_TOL, 1e-6):
+        with pytest.raises(MembershipError, match=message) as err:
+            is_member(big, tol=tol)
+        assert (err.value.residual, err.value.scale, err.value.decided) == (0.0, 1e5, False)
+        assert err.value.limit == pytest.approx(tol * 1e10)
 
 
 @pytest.mark.parametrize("n, word_length", [(2, 96), (3, 64)])
