@@ -162,18 +162,16 @@ def _cmd_verify(args):
     degenerate = vanishing.any(axis=(-2, -1))
     relative = abs(lhs - rhs) / np.maximum(rhs, ENTRY_IDENTITY_FLOOR)
     relative[degenerate] = 0.0
-    scale = stack.norm_max()
-
-    def check(worst, errors):
-        return {"value": float(worst), "pass": bool(admission(errors, scale, args.tol)[0].all())}
-
-    checks = {
-        "membership_max": check(membership.max(initial=0.0), membership),
-        "identity_residual_max": check(identity.max(initial=0.0), identity.max(axis=-1)),
-        "corner_slack_min": check(slack.min(initial=np.inf), -slack.min(axis=-1)),
-        "entry_identity_rel_max": check(relative.max(initial=0.0), relative.max(axis=-1)),
+    rows = {  # per check: the batch worst and the per-element errors
+        "membership_max": (membership.max(initial=0.0), membership),
+        "identity_residual_max": (identity.max(initial=0.0), identity.max(axis=-1)),
+        "corner_slack_min": (slack.min(initial=np.inf), -slack.min(axis=-1)),
+        "entry_identity_rel_max": (relative.max(initial=0.0), relative.max(axis=-1)),
     }
-    ok = all(c["pass"] for c in checks.values())
+    errors = np.stack([e for _, e in rows.values()])
+    passed = admission(errors, stack.norm_max(), args.tol)[0].all(axis=-1)
+    checks = {name: {"value": float(w), "pass": bool(p)} for (name, (w, _)), p in zip(rows.items(), passed)}
+    ok = bool(passed.all())
     doc = {
         "n": args.n,
         "seed": args.seed,

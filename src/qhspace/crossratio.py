@@ -11,7 +11,8 @@ factors do not commute), but its absolute value
 
 does not.  Cross-ratios against the distinguished boundary points recover
 the corner entries of a group element, which is what links them to the
-discreteness condition.
+discreteness condition: six of the eight pairings of the two corner-entry
+identities are corner entries of h or -1 (:func:`entry_identity_table`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
-from .spn1 import SpElement, form_matrix
+from .spn1 import SpElement, _form_times, form_matrix
 from .tolerances import DEGENERACY_TOL, pairing_vanishes  # noqa: F401 (DEGENERACY_TOL's old home)
 
 
@@ -59,10 +60,9 @@ def _cross_ratio_parts(z1: QMatrix, z2: QMatrix, w1: QMatrix, w2: QMatrix):
 
     Each lift is a column or a stack of columns.  Returns the four pairings
     ``<w, z> = w* J z`` (stacks of 1 x 1 matrices, in :data:`_PAIRING_NAMES`
-    order), their moduli and vanishing flags with a last axis in the same
-    order, the degeneracy flags, and the absolute value, NaN where the
-    cross-ratio is degenerate.  The flags are the library's one rule for a
-    zero pairing, :func:`~qhspace.tolerances.pairing_vanishes`.
+    order), their moduli with a last axis in the same order, and the
+    vanishing flags, degeneracy flags and absolute value of
+    :func:`_vanishing_and_abs`.
     """
     j = form_matrix(z1.rows - 1)
     jz1, jz2 = j @ z1, j @ z2
@@ -70,12 +70,20 @@ def _cross_ratio_parts(z1: QMatrix, z2: QMatrix, w1: QMatrix, w2: QMatrix):
     pairings = [w1s @ jz1, w1s @ jz2, w2s @ jz2, w2s @ jz1]
     moduli = [_moduli(f)[..., 0, 0] for f in pairings]
     norms = [lift.norm_fro() for lift in (z1, z2, w1, w2)]
+    return (pairings, np.stack(np.broadcast_arrays(*moduli), axis=-1), *_vanishing_and_abs(moduli, norms))
+
+
+def _vanishing_and_abs(moduli, norms):
+    """Vanishing flags (last axis in :data:`_PAIRING_NAMES` order), degeneracy
+    flags and |cross-ratio|, NaN where degenerate, from the pairing moduli and
+    the norms of the lifts z1, z2, w1, w2.  The flags are the library's one
+    rule for a zero pairing, :func:`~qhspace.tolerances.pairing_vanishes`."""
     flags = [pairing_vanishes(mod, norms[a], norms[b]) for mod, (a, b) in zip(moduli, _PAIRING_LIFTS)]
     vanishing = np.stack(np.broadcast_arrays(*flags), axis=-1)
     degenerate = vanishing[..., 1] | vanishing[..., 3]
     abs_value = np.full(degenerate.shape, math.nan)
     np.divide(moduli[0] * moduli[2], moduli[1] * moduli[3], out=abs_value, where=~degenerate)
-    return pairings, np.stack(np.broadcast_arrays(*moduli), axis=-1), vanishing, degenerate, abs_value
+    return vanishing, degenerate, abs_value
 
 
 def _names(flags) -> tuple:
@@ -148,25 +156,25 @@ def entry_identity_table(m: QMatrix):
     the last axis (``lhs`` is NaN where its cross-ratio is degenerate), and
     ``vanishing`` has shape ``(..., 2, 4)`` with the pairing flags in
     :data:`_PAIRING_NAMES` order.
+
+    The lifts of q0 and qinf are unit columns, so six of the eight pairings
+    are corner entries of h or -1: <h(qinf), qinf> = -a_n1n, <h(qinf), q0> =
+    -a_nn, <q0, h(q0)> = -conj(a_nn1), <qinf, h(q0)> = -conj(a_n1n1) and
+    <q0, qinf> = <qinf, q0> = -1.  The other two are both <h(qinf), h(q0)>,
+    the one product taken.  The bits are those of :func:`cross_ratio`.
     """
     n = m.rows - 1
-    # The lifts of q_infinity(n) and q_zero(n) are the last two unit columns.
-    unit = QMatrix.identity(n + 1)
-    qi = unit.submatrix(slice(0, n + 1), n - 1)
-    qz = unit.submatrix(slice(0, n + 1), n)
-    h_qi = m @ qi
-    h_qz = m @ qz
-    _, _, vanishing1, _, lhs1 = _cross_ratio_parts(h_qi, qz, qi, h_qz)
-    _, _, vanishing2, _, lhs2 = _cross_ratio_parts(h_qi, qi, qz, h_qz)
+    # h(qinf) and h(q0) are h's last columns, copied contiguous as a product
+    # leaves them: BLAS sums a strided vector in another order (from n = 7).
+    h_qi, h_qz = (m.submatrix(slice(0, n + 1), k).copy() for k in (n - 1, n))
+    pairing = _moduli(h_qz.star() @ _form_times(h_qi).copy())[..., 0, 0]
+    # A last axis of length 1 broadcasts against the two identities.
+    norm_qi, norm_qz, pairing = (np.expand_dims(x, -1) for x in (h_qi.norm_fro(), h_qz.norm_fro(), pairing))
     corners = _moduli(m.submatrix(slice(n - 1, n + 1), slice(n - 1, n + 1)))
     # corners = [[|a_nn|, |a_nn1|], [|a_n1n|, |a_n1n1|]]
-    rhs1 = corners[..., 1, 0] * corners[..., 0, 1]
-    rhs2 = corners[..., 0, 0] * corners[..., 1, 1]
-    return (
-        np.stack([lhs1, lhs2], axis=-1),
-        np.stack([rhs1, rhs2], axis=-1),
-        np.stack([vanishing1, vanishing2], axis=-2),
-    )
+    first, second = corners[..., (1, 0), 0], corners[..., (0, 1), 1]
+    vanishing, _, lhs = _vanishing_and_abs((first, 1.0, second, pairing), (norm_qi, 1.0, 1.0, norm_qz))
+    return lhs, first * second, vanishing
 
 
 def corner_bound_slacks(h: SpElement) -> np.ndarray:

@@ -311,6 +311,26 @@ class QMatrix:
         return f"QMatrix({stack}{self.rows}x{self.cols})"
 
 
+def chain_product(factors: QMatrix) -> QMatrix:
+    """Products ``I @ f[k, 0] @ f[k, 1] @ ...`` of a ``(count, length, r, r)`` stack.
+
+    Each step takes the four complex products, the subtraction and the
+    addition of :meth:`QMatrix.__matmul__`, so the bits are those of the
+    ``@`` chain; the products are one ``np.matmul`` of the running products
+    ``[ca; cb]`` by the factors laid out as ``[[a, b], [conj b, conj a]]``.
+    """
+    count, length, r, _ = factors.ca.shape
+    ca, cb = factors.ca.swapaxes(0, 1), factors.cb.swapaxes(0, 1)
+    layout = np.stack([ca, cb, cb.conj(), ca.conj()], axis=1).reshape(length, 2, 2, count, r, r)
+    run = np.zeros((2, 1, count, r, r), complex)
+    run[0, 0] = np.eye(r)
+    for factor in layout:
+        p = run @ factor
+        np.subtract(p[0, 0], p[1, 0], out=run[0, 0])
+        np.add(p[0, 1], p[1, 1], out=run[1, 0])
+    return QMatrix._owning(run[0, 0], run[1, 0])
+
+
 def _unshared(arr):
     """``arr``, or a copy of it when it is a writable view of other storage."""
     return arr.copy() if arr.base is not None and arr.flags.writeable else arr

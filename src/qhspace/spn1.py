@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MembershipError, NumericError, ParameterError, ShapeMismatchError
-from .qmatrix import QMatrix
+from .qmatrix import QMatrix, chain_product
 from .quaternion import (
     ZERO,
     Quaternion,
@@ -146,21 +146,22 @@ def membership_residual(m: QMatrix):
         raise ShapeMismatchError("group elements must be square")
     if m.rows < 2:
         raise ShapeMismatchError("group elements have size at least 2")
-    n = m.rows - 1
-    # J is a signed permutation, so J m moves and negates rows of m exactly.
-    _, order, _, low = _inverse_layout(n)
-    ca, cb = m.ca[..., order, :], m.cb[..., order, :]
-    np.negative(ca, out=ca, where=low)
-    np.negative(cb, out=cb, where=low)
-    jm = QMatrix._owning(ca, cb)
-    j = form_matrix(n)
-    diff = m.star() @ jm - j
+    diff = m.star() @ _form_times(m) - form_matrix(m.rows - 1)
     moduli = diff.entry_moduli()
     if not m.is_stack:
         worst = np.unravel_index(int(np.argmax(moduli)), moduli.shape)
         return float(moduli[worst]), (int(worst[0]), int(worst[1]))
     flat = moduli.reshape(moduli.shape[:-2] + (-1,))
     return flat.max(axis=-1), divmod(np.argmax(flat, axis=-1), m.cols)
+
+
+def _form_times(m: QMatrix) -> QMatrix:
+    """``J m`` for a matrix, a column or a stack: J is a signed permutation, so rows move exactly."""
+    _, order, _, low = _inverse_layout(m.rows - 1)
+    ca, cb = m.ca[..., order, :], m.cb[..., order, :]
+    np.negative(ca, out=ca, where=low)
+    np.negative(cb, out=cb, where=low)
+    return QMatrix._owning(ca, cb)
 
 
 def is_member(m: QMatrix, tol=ADMISSION_TOL) -> SpElement:
@@ -520,11 +521,12 @@ def _random_factors(rng, n: int, length: int) -> QMatrix:
         else:
             normal(out=normals[k])
     # lam is the drawn 4-vector over its norm, times the stretch; the norm is
-    # taken as ``np.linalg.norm`` takes it, and mu = conj(lam)^-1 = lam/|lam|^2
-    # squares like ``Quaternion.modulus_sq`` (``np.float_power`` is the C
-    # ``pow`` that Python's ``**`` calls) and sums left to right.
+    # the square root of the BLAS dot product, as ``np.linalg.norm`` takes it,
+    # and mu = conj(lam)^-1 = lam/|lam|^2 squares like ``Quaternion.modulus_sq``
+    # (``np.float_power`` is the C ``pow`` that Python's ``**`` calls) and sums
+    # left to right.
     v = normals[:, a_end:lam_end]
-    norms = np.array([math.sqrt(row.dot(row)) for row in v])
+    norms = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
     lam = v / norms[:, None] * stretch[:, None]
     sq = np.float_power(lam, 2)
     mu = lam / (sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3])[:, None]
@@ -538,22 +540,6 @@ def _random_factors(rng, n: int, length: int) -> QMatrix:
     unitary = normals[:, :a_end].reshape(length, m, m, 1, 4)
     mats, _ = _assemble_normal_forms(kinds, lam, mu, _orthonormal_columns(unitary), a, s)
     return mats
-
-
-def _random_words(rng, n: int, count: int, word_length: int) -> QMatrix:
-    """Draw ``count`` words and multiply each left to right from the identity.
-
-    A word's factors are consecutive in the stream, so drawing all the
-    factors of all the words in one pass takes the values word by word.  The
-    words are multiplied as one stack, factor position by factor position.
-    """
-    factors = _random_factors(rng, n, count * word_length)
-    shape = (count, word_length, n + 1, n + 1)
-    ca, cb = factors.ca.reshape(shape), factors.cb.reshape(shape)
-    words = QMatrix.identity(n + 1)
-    for k in range(word_length):
-        words = words @ QMatrix(ca[:, k], cb[:, k])
-    return words
 
 
 #: The most words :func:`sample_elements` draws and multiplies as one stack,
@@ -601,7 +587,9 @@ def sample_elements(n: int, seed: int, count: int, word_length: int = 8, tol=ADM
                 f"sampler admitted {produced} of {count} elements in {attempts} words "
                 f"at factor {tol:.3e}; the last word refused: {rejection}"
             )
-        words = _random_words(rng, n, chunk, word_length)
+        factors = _random_factors(rng, n, chunk * word_length)
+        shape = (chunk, word_length, n + 1, n + 1)
+        words = chain_product(QMatrix._owning(factors.ca.reshape(shape), factors.cb.reshape(shape)))
         attempts += chunk
         residuals, admitted, refusal = _stack_admission(words, tol)
         for k in range(chunk):

@@ -158,9 +158,17 @@ def test_cross_ratio_matches_scalar_reference():
                 assert got.value.to_json() == ref.value.to_json() or got.degenerate
 
 
+#: Word lengths of the long words added per n: at these lengths the pairing
+#: <h(qinf), h(q0)> of some words is flagged as vanishing relative to lifts of
+#: size |h| (seed 0), so that branch is compared too.
+LONG_WORDS = {2: (64, 96), 3: (64,)}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_entry_identity_table_matches_per_element_reference(n):
-    elements = check_elements(n)
+    base = check_elements(n)
+    long_words = [list(sample_elements(n, 0, 30, length)) for length in LONG_WORDS.get(n, ())]
+    elements = base + [h for words in long_words for h in words]
     lhs, rhs, vanishing = entry_identity_table(stack_of(elements))
     assert lhs.shape == rhs.shape == (len(elements), 2)
     assert vanishing.shape == (len(elements), 2, 4)
@@ -177,6 +185,10 @@ def test_entry_identity_table_matches_per_element_reference(n):
     # The normal forms that fix q0 or qinf, the diagonal element, the
     # identity and the swap all have vanishing pairings.
     assert degenerate >= 5
+    for k in range(len(long_words)):
+        # Each set of long words has words whose <h(qinf), h(q0)> is flagged.
+        start = len(base) + 30 * k
+        assert vanishing[start : start + 30, :, 3].any()
 
 
 def test_entry_identity_names_the_vanishing_pairings():

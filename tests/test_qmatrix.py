@@ -8,6 +8,7 @@ from helpers import (
     inverse_via_adjoint,
     parabolic_factor,
     reference_dumps,
+    reference_factor_params,
     reference_matrix_dict,
     reference_right_eigenpairs,
     same_bits,
@@ -18,13 +19,23 @@ from qhspace.errors import NumericError, ShapeMismatchError
 from qhspace.qmatrix import (
     QMatrix,
     _adjoint_spectrum,
+    chain_product,
     eigenspace_basis,
     right_eigenpairs,
     right_eigenvalues,
 )
 from qhspace.quaternion import I, J, K, Quaternion
 from qhspace.spectral import ElementKind, classify
-from qhspace.spn1 import identity_element, is_member, make_loxodromic, sample_elements
+from qhspace.spn1 import (
+    NormalFormParams,
+    StabilizerKind,
+    identity_element,
+    is_member,
+    make_loxodromic,
+    make_normal_form,
+    random_unitary,
+    sample_elements,
+)
 
 rng = np.random.default_rng(20260809)
 
@@ -195,6 +206,35 @@ def test_stack_operations_match_each_element_bit_for_bit():
         assert a.entry_moduli()[k].tobytes() == ak.entry_moduli().tobytes()
         assert a.norm_max()[k] == ak.norm_max()
         assert a.norm_fro()[k] == ak.norm_fro()
+
+
+def test_chain_product_matches_repeated_matmul_bit_for_bit():
+    # Mostly StabBoth factors, whose zero blocks leave signed zeros in the
+    # products; the chain must reproduce those too.
+    gen = np.random.default_rng(31)
+
+    def factor(n):
+        if gen.random() < 0.2:
+            return make_normal_form(reference_factor_params(gen, n)).m
+        lam = Quaternion(*gen.standard_normal(4))
+        p = NormalFormParams(StabilizerKind.STAB_BOTH, lam=lam, mu=lam.conj().inverse(),
+                             A=random_unitary(gen, n - 1))
+        return make_normal_form(p).m
+
+    negative_zeros = 0
+    for n in (1, 2, 3, 4):
+        words = [[factor(n) for _ in range(16)] for _ in range(8)]
+        got = chain_product(QMatrix(np.array([[f.ca for f in w] for w in words]),
+                                    np.array([[f.cb for f in w] for w in words])))
+        assert got.ca.shape == (8, n + 1, n + 1)
+        for k, word in enumerate(words):
+            want = QMatrix.identity(n + 1)
+            for f in word:
+                want = want @ f
+            assert same_bits(_element(got, k), want)
+            parts = np.stack([want.ca.real, want.ca.imag, want.cb.real, want.cb.imag])
+            negative_zeros += int(((parts == 0.0) & np.signbit(parts)).sum())
+    assert negative_zeros > 0
 
 
 def test_element_only_methods_reject_stacks():

@@ -268,12 +268,14 @@ def assert_same_elements(got, ref):
         assert g.residual == r.residual
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_sampler_matches_reference_bit_for_bit(n):
-    for word_length in (1, 8, 16):
-        for seed in range(5):
-            ref, _ = reference_sample(n, seed, 2, word_length)
-            assert_same_elements(list(sample_elements(n, seed, 2, word_length)), ref)
+    # count 1 multiplies a one-word stack.
+    for count in (1, 2):
+        for word_length in (1, 8, 16):
+            for seed in range(5):
+                ref, _ = reference_sample(n, seed, count, word_length)
+                assert_same_elements(list(sample_elements(n, seed, count, word_length)), ref)
 
 
 def test_sampler_redraws_match_reference():
