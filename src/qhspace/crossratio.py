@@ -24,7 +24,7 @@ import numpy as np
 
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
-from .spn1 import SpElement, _form_times, form_matrix
+from .spn1 import SpElement, _form_times
 from .tolerances import DEGENERACY_TOL, pairing_vanishes  # noqa: F401 (DEGENERACY_TOL's old home)
 
 
@@ -55,22 +55,26 @@ def _moduli(m: QMatrix) -> np.ndarray:
     return np.sqrt(((w + x) + y) + z)
 
 
-def _cross_ratio_parts(z1: QMatrix, z2: QMatrix, w1: QMatrix, w2: QMatrix):
-    """Pairings, vanishing flags and |cross-ratio| of four lifts.
+def _cross_ratio_parts(lifts: QMatrix, index=(0, 1, 2, 3)):
+    """Pairings, vanishing flags and |cross-ratio| of four lifts or of a stack of them.
 
-    Each lift is a column or a stack of columns.  Returns the four pairings
-    ``<w, z> = w* J z`` (stacks of 1 x 1 matrices, in :data:`_PAIRING_NAMES`
-    order), their moduli with a last axis in the same order, and the
+    ``lifts`` is a stack of columns and ``index`` picks z1, z2, w1 and w2
+    from its first axis: four integers, or an array of shape ``(4, ...)``
+    for a stack of cross-ratios.  This is the library's one way to take a
+    pairing: every pairing ``<w, z> = w* J z`` asked for is one slice of a
+    single stacked product, with J applied by moving rows, and the norms of
+    the lifts are taken once, as one stack.  Returns the pairings (1 x 1
+    matrices with the four pairings, in :data:`_PAIRING_NAMES` order, on the
+    first axis), their moduli with a last axis in that order, and the
     vanishing flags, degeneracy flags and absolute value of
     :func:`_vanishing_and_abs`.
     """
-    j = form_matrix(z1.rows - 1)
-    jz1, jz2 = j @ z1, j @ z2
-    w1s, w2s = w1.star(), w2.star()
-    pairings = [w1s @ jz1, w1s @ jz2, w2s @ jz2, w2s @ jz1]
-    moduli = [_moduli(f)[..., 0, 0] for f in pairings]
-    norms = [lift.norm_fro() for lift in (z1, z2, w1, w2)]
-    return (pairings, np.stack(np.broadcast_arrays(*moduli), axis=-1), *_vanishing_and_abs(moduli, norms))
+    index = np.asarray(index)
+    w, z = (QMatrix._owning(lifts.ca[k], lifts.cb[k]) for k in index[np.transpose(_PAIRING_LIFTS)])
+    pairings = w.star() @ _form_times(z)
+    moduli = _moduli(pairings)[..., 0, 0]
+    norms = lifts.norm_fro()[index]
+    return (pairings, np.moveaxis(moduli, 0, -1), *_vanishing_and_abs(list(moduli), list(norms)))
 
 
 def _vanishing_and_abs(moduli, norms):
@@ -99,12 +103,12 @@ def cross_ratio(z1, z2, w1, w2) -> CrossRatioValue:
     numerator is ordinary data (the value is zero).
     """
     pairings, _, vanishing, degenerate, abs_value = _cross_ratio_parts(
-        z1.lift, z2.lift, w1.lift, w2.lift
+        QMatrix.stack([z1.lift, z2.lift, w1.lift, w2.lift])
     )
     names = _names(vanishing)
     if degenerate:
         return CrossRatioValue(Quaternion(math.nan), math.nan, True, names)
-    f_w1z1, f_w1z2, f_w2z2, f_w2z1 = (f[0, 0] for f in pairings)
+    f_w1z1, f_w1z2, f_w2z2, f_w2z1 = map(Quaternion.from_complex_pair, pairings.ca.flat, pairings.cb.flat)
     value = f_w1z1 * f_w1z2.inverse() * f_w2z2 * f_w2z1.inverse()
     return CrossRatioValue(value, float(abs_value), False, names)
 
@@ -165,9 +169,10 @@ def entry_identity_table(m: QMatrix):
     """
     n = m.rows - 1
     # h(qinf) and h(q0) are h's last columns, copied contiguous as a product
-    # leaves them: BLAS sums a strided vector in another order (from n = 7).
+    # leaves them (as _form_times leaves its result): BLAS sums a strided
+    # vector in another order (from n = 7).
     h_qi, h_qz = (m.submatrix(slice(0, n + 1), k).copy() for k in (n - 1, n))
-    pairing = _moduli(h_qz.star() @ _form_times(h_qi).copy())[..., 0, 0]
+    pairing = _moduli(h_qz.star() @ _form_times(h_qi))[..., 0, 0]
     # A last axis of length 1 broadcasts against the two identities.
     norm_qi, norm_qz, pairing = (np.expand_dims(x, -1) for x in (h_qi.norm_fro(), h_qz.norm_fro(), pairing))
     corners = _moduli(m.submatrix(slice(n - 1, n + 1), slice(n - 1, n + 1)))

@@ -34,7 +34,7 @@ from .crossratio import _cross_ratio_parts
 from .errors import ClassificationError, MembershipError, NumericError
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
-from .spectral import LoxodromicData, _fixed_point_data, _null_scaled, loxodromic_data
+from .spectral import LoxodromicData, _fixed_point_data, loxodromic_data
 from .spn1 import SpElement, _require_same_space, _structure_inverse, is_member, make_loxodromic, retract
 from .tolerances import (
     BOUND_FLOOR,
@@ -135,19 +135,23 @@ def _diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
 def _fixed_point_brackets(data: LoxodromicData, h: SpElement):
     """``(cross_abs1, cross_abs2, corner_moduli, flags)`` of the test.
 
-    Evaluates [h(u), v, u, h(v)] and [h(u), u, v, h(v)] as one stack.  The
-    repelling lift v is scaled so that ``<v, u> = -1``, as in the
-    diagonalizing conjugator, so the numerators are h's corners in g's
-    diagonal frame.  The denominators, ``<v, u>`` and its image ``<h(u),
-    h(v)>``, are nonzero because g's fixed points are certified distinct.
+    Evaluates [h(u), v, u, h(v)] and [h(u), u, v, h(v)] together.  The
+    repelling lift v is scaled by the certified ``<v, u>`` so that ``<v, u> =
+    -1``, as in the diagonalizing conjugator, so the numerators are h's
+    corners in g's diagonal frame.  The denominators, ``<v, u>`` and its
+    image ``<h(u), h(v)>``, are nonzero because g's fixed points are
+    certified distinct.  The eight pairings of the two brackets are the
+    slices of one stacked product, a (4, 2) stack of 1 x (n+1) rows times
+    one of (n+1) x 1 columns, and the norms of u, v, h(u) and h(v) are
+    taken once, as one stack (:func:`~qhspace.crossratio._cross_ratio_parts`).
+    Each slice is its own product, so a pairing keeps the bits it has alone.
     """
     u = data.attracting.lift
     _require_same_space(u.rows - 1, h.n)
-    v = _null_scaled(u, data.repelling.lift)
-    hu, hv = h.m @ u, h.m @ v
-    _, moduli, vanishing, _, _ = _cross_ratio_parts(
-        hu, QMatrix.stack([v, u]), QMatrix.stack([u, v]), hv
-    )
+    v = data.repelling.lift.scale_right(-data.vu_pairing.inverse())
+    # Lifts u, v, h(u), h(v); bracket k takes z1, z2, w1, w2 from column k.
+    lifts = QMatrix.stack([u, v, h.m @ u, h.m @ v])
+    _, moduli, vanishing, _, _ = _cross_ratio_parts(lifts, [[2, 2], [1, 0], [0, 1], [3, 3]])
     cross_abs = moduli[:, 0] * moduli[:, 2] / (moduli[:, 1] * moduli[:, 3])
     # Bracket rows, pairings in w1z1, w1z2, w2z2, w2z1 order: the corners
     # a_n1n = <h(u), u>, a_nn1 = <h(v), v>, a_nn = <h(u), v>, a_n1n1 = <h(v), u>.
@@ -177,9 +181,8 @@ def _certificate(data: LoxodromicData, h: SpElement, flags) -> Certificate:
         return Certificate.FIXES_ONE_SWAPS_NONE
     if abs(h_data.lam_n) > 1.0 + LOXODROMY_MARGIN:
         # Pairings of h's fixed points p, q with u and v: <p,u>, <p,v>, <q,v>, <q,u>.
-        _, _, vanishing, _, _ = _cross_ratio_parts(
-            data.attracting.lift, data.repelling.lift, h_data.attracting.lift, h_data.repelling.lift
-        )
+        lifts = (data.attracting.lift, data.repelling.lift, h_data.attracting.lift, h_data.repelling.lift)
+        _, _, vanishing, _, _ = _cross_ratio_parts(QMatrix.stack(lifts))
         if int(vanishing[0] | vanishing[1]) + int(vanishing[2] | vanishing[3]) == 1:
             return Certificate.SHARES_EXACTLY_ONE
     return Certificate.FIXES_ONE_SWAPS_NONE

@@ -37,8 +37,12 @@ and a single ``np.linalg.eig``.  A frozen matrix (see :meth:`QMatrix.freeze`;
 every group element is one) computes it on first use, together with the
 pairing of its eigenvalues into right-eigenvalue representatives, and keeps
 it, read-only, for every later routine; an unfrozen matrix recomputes it per
-call.  ``right_eigenpairs`` checks all 2k eigenvector candidates of a k x k
-matrix as one stack of column vectors.
+call.  ``right_eigenpairs`` makes one walk over that spectrum: it splits all
+2k adjoint eigenvectors of a k x k matrix into quaternionic candidates at
+once, rotates those whose eigenvalue lies in the lower half plane by j with
+``scale_right``'s arithmetic, checks their residuals as one stack, checks the
+cached pairing mismatches, and matches each cached representative to its
+candidate by nearest value; nothing is decomposed or paired a second time.
 """
 
 from __future__ import annotations
@@ -133,6 +137,8 @@ class QMatrix:
     @classmethod
     def stack(cls, matrices):
         """Stack equal-shape matrices along a new leading axis."""
+        if len({m.ca.shape for m in matrices}) > 1:
+            raise ShapeMismatchError("stacked matrices must have equal shapes")
         return cls._owning(np.stack([m.ca for m in matrices]), np.stack([m.cb for m in matrices]))
 
     @classmethod
@@ -385,23 +391,33 @@ def _pair_adjoint_eigenvalues(evals):
     conjugate.  Representatives keep algebraic multiplicity.  Returns the
     representatives, sorted by (modulus, real part), and the mismatch
     ``|partner - conj(lam)|`` of each pair in matching order.  No step
-    depends on a tolerance, so one pairing serves every tolerance.
+    depends on a tolerance, so one pairing serves every tolerance.  The
+    arithmetic is on Python complex numbers; the halving is a complex
+    product, as numpy takes it, so the bits are those of numpy scalars.
     """
     order = np.argsort(-evals.imag, kind="stable")
-    pool = list(evals[order])
+    pool = evals[order].tolist()
     reps = []
     mismatches = []
     while pool:
         lam = pool.pop(0)
-        target = np.conj(lam)
+        target = lam.conjugate()
         dists = [abs(other - target) for other in pool]
-        j = int(np.argmin(dists))
+        j = min(range(len(dists)), key=dists.__getitem__)
         mismatches.append(dists[j])
         partner = pool.pop(j)
-        rep = 0.5 * (lam + np.conj(partner))
+        rep = (0.5 + 0j) * (lam + partner.conjugate())
         reps.append(complex(rep.real, abs(rep.imag)))
     reps.sort(key=lambda lam: (abs(lam), lam.real))
     return tuple(reps), tuple(mismatches)
+
+
+def _check_pairing(spectrum: _Spectrum, tol):
+    """Raise at the first pair whose mismatch exceeds ``tol`` times the adjoint's norm (at least 1)."""
+    limit = tol * max(1.0, spectrum.adj_norm)
+    for mismatch in spectrum.mismatches:
+        if mismatch > limit:
+            raise NumericError("adjoint spectrum does not split into conjugate pairs", residual=mismatch)
 
 
 def right_eigenvalues(m: QMatrix, tol=PAIRING_TOL):
@@ -418,12 +434,7 @@ def right_eigenvalues(m: QMatrix, tol=PAIRING_TOL):
     if m.rows != m.cols:
         raise ShapeMismatchError("eigenvalues require a square matrix")
     spectrum = _adjoint_spectrum(m)
-    limit = tol * max(1.0, spectrum.adj_norm)
-    for mismatch in spectrum.mismatches:
-        if mismatch > limit:
-            raise NumericError(
-                "adjoint spectrum does not split into conjugate pairs", residual=mismatch
-            )
+    _check_pairing(spectrum, tol)
     return list(spectrum.reps)
 
 
@@ -433,7 +444,9 @@ def right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):
     Returns a list of ``(lam, v, residual)`` with ``m @ v`` close to
     ``v * lam`` and residual measured relative to ``|v|``.  Raises
     :class:`NumericError` at the first candidate, in adjoint order, whose
-    residual exceeds ``tol``; the candidates are checked as one stack.
+    residual exceeds ``tol``; the candidates are checked as one stack.  Then,
+    as :func:`right_eigenvalues` at ``max(tol, PAIRING_TOL)``, it raises when
+    the spectrum does not split into conjugate pairs.
     """
     if m.rows != m.cols:
         raise ShapeMismatchError("eigenpairs require a square matrix")
@@ -442,27 +455,30 @@ def right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):
     size = m.rows
     # Candidate idx is adjoint eigenvector idx, split as
     # quaternion_vector_from_adjoint splits it.
-    plain = QMatrix._owning(
-        np.ascontiguousarray(evecs[:size].T)[..., None],
-        np.ascontiguousarray(-evecs[size:].conj().T)[..., None],
-    )
-    # Right-multiplying an eigenvector by j conjugates the eigenvalue, moving
-    # the representative into the upper half plane.
-    rotated = plain.scale_right(Quaternion(0.0, 0.0, 1.0, 0.0))
+    ca = np.ascontiguousarray(evecs[:size].T)[..., None]
+    cb = np.ascontiguousarray(-evecs[size:].conj().T)[..., None]
+    # Right-multiplying an eigenvector by j = 0 + 1 j conjugates the
+    # eigenvalue, moving the representative into the upper half plane; the
+    # products are those of scale_right(j), signed zeros included.
     lower = (evals.imag < 0)[:, None, None]
-    vecs = QMatrix._owning(np.where(lower, rotated.ca, plain.ca), np.where(lower, rotated.cb, plain.cb))
-    reps = [complex(lam.real, abs(lam.imag)) for lam in evals]
+    vecs = QMatrix._owning(
+        np.where(lower, ca * 0j - cb * np.conj(1 + 0j), ca),
+        np.where(lower, ca * (1 + 0j) + cb * np.conj(0j), cb),
+    )
+    reps = [complex(lam.real, abs(lam.imag)) for lam in evals.tolist()]
     resid = (m @ vecs - vecs.scale_right(np.array(reps))).norm_max()
     scale = vecs.norm_fro()
     bad = (scale == 0.0) | (resid > tol * np.maximum(scale, 1.0))
     if bad.any():
         raise NumericError("eigenpair residual too large", residual=float(resid[np.argmax(bad)]))
-    # Each similarity class appears twice per multiplicity; keep one candidate
-    # per representative from the values-only path.
+    _check_pairing(spectrum, max(tol, PAIRING_TOL))
+    # Each similarity class appears twice per multiplicity; keep the nearest
+    # candidate for each cached representative.
     remaining = list(range(2 * size))
     pairs = []
-    for rep in right_eigenvalues(m, tol=max(tol, PAIRING_TOL)):
-        i = remaining.pop(int(np.argmin([abs(reps[k] - rep) for k in remaining])))
+    for rep in spectrum.reps:
+        i = min(remaining, key=lambda k: abs(reps[k] - rep))
+        remaining.remove(i)
         vec = QMatrix._owning(vecs.ca[i], vecs.cb[i])
         pairs.append((reps[i], vec, float(resid[i] / scale[i])))
     pairs.sort(key=lambda p: (abs(p[0]), p[0].real))

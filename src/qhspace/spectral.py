@@ -121,10 +121,12 @@ class LoxodromicData:
     """Spectral data of a loxodromic element.
 
     ``attracting`` / ``repelling`` are the certified distinct boundary fixed
-    points (eigenvectors of the expanding and contracting classes), and
+    points (eigenvectors of the expanding and contracting classes),
     ``conjugator`` is a group element whose inverse conjugates g onto the
     diagonal form, or None when the numerical construction could not be
-    validated (delta and mg need only the spectrum).
+    validated (delta and mg need only the spectrum), and ``vu_pairing`` is
+    ``<v, u>`` of the repelling and attracting lifts, the pairing that
+    certifies them distinct.
     """
 
     unit_eigs: tuple
@@ -135,6 +137,7 @@ class LoxodromicData:
     delta: float
     mg: float
     conjugator: SpElement | None
+    vu_pairing: Quaternion | None = None
 
 
 def invariants_from_eigs(unit_eigs, lam_n, lam_n1):
@@ -183,21 +186,17 @@ def _unit_block_columns(g: SpElement, unit_reps):
     return accepted
 
 
-def _null_scaled(u_vec: QMatrix, v_vec: QMatrix) -> QMatrix:
-    """The repelling lift v scaled so that ``<v, u> = -1``."""
-    return v_vec.scale_right(-herm_form(v_vec, u_vec).inverse())
-
-
 def _build_conjugator(g: SpElement, unit_reps, u_vec, v_vec):
     """Assemble C in the group with C^-1 g C diagonal, or None on failure.
 
-    The null columns are balanced to (u t, v / t), ``t = (|v| / |u|)^(1/2)``.
+    The repelling lift v is scaled so that ``<v, u> = -1``, then the null
+    columns are balanced to (u t, v / t), ``t = (|v| / |u|)^(1/2)``.
     """
     try:
         columns = _unit_block_columns(g, unit_reps)
     except NumericError:
         return None
-    v_vec = _null_scaled(u_vec, v_vec)
+    v_vec = v_vec.scale_right(-herm_form(v_vec, u_vec).inverse())
     t = math.sqrt(v_vec.norm_fro() / u_vec.norm_fro())
     mat = retract(QMatrix.from_blocks([columns + [u_vec.scale_right(t), v_vec.scale_right(1.0 / t)]]))
     try:
@@ -232,9 +231,9 @@ def _fixed_point_data(g: SpElement) -> LoxodromicData:
     repelling = ProjectivePoint(v_vec)
     if attracting.position is not Position.BOUNDARY or repelling.position is not Position.BOUNDARY:
         raise NumericError("fixed points did not land on the boundary")
-    pairing = herm_form(v_vec, u_vec).modulus()
-    if pairing_vanishes(pairing, u_vec.norm_fro(), v_vec.norm_fro()):
-        raise NumericError("the two fixed points pair to zero", residual=pairing)
+    vu_pairing = herm_form(v_vec, u_vec)
+    if pairing_vanishes(vu_pairing.modulus(), u_vec.norm_fro(), v_vec.norm_fro()):
+        raise NumericError("the two fixed points pair to zero", residual=vu_pairing.modulus())
     delta, mg = invariants_from_eigs(unit_reps, lam_n, lam_n1)
     return LoxodromicData(
         unit_eigs=tuple(unit_reps),
@@ -245,6 +244,7 @@ def _fixed_point_data(g: SpElement) -> LoxodromicData:
         delta=delta,
         mg=mg,
         conjugator=None,
+        vu_pairing=vu_pairing,
     )
 
 

@@ -59,8 +59,7 @@ def herm_form(z: QMatrix, w: QMatrix) -> Quaternion:
     """Evaluate ``<z, w> = w* J z`` on two (n+1)-component column vectors."""
     if z.cols != 1 or w.cols != 1 or z.rows != w.rows:
         raise ShapeMismatchError("form arguments must be equal-length column vectors")
-    n = z.rows - 1
-    return (w.star() @ (form_matrix(n) @ z))[0, 0]
+    return (w.star() @ _form_times(z))[0, 0]
 
 
 class SpElement:
@@ -156,11 +155,15 @@ def membership_residual(m: QMatrix):
 
 
 def _form_times(m: QMatrix) -> QMatrix:
-    """``J m`` for a matrix, a column or a stack: J is a signed permutation, so rows move exactly."""
-    _, order, _, low = _inverse_layout(m.rows - 1)
-    ca, cb = m.ca[..., order, :], m.cb[..., order, :]
-    np.negative(ca, out=ca, where=low)
-    np.negative(cb, out=cb, where=low)
+    """``J m`` for a matrix, a column or a stack: J is a signed permutation, so rows move exactly.
+
+    The parts are C-contiguous, as a product leaves them: BLAS sums a strided
+    operand in another order, so each stack element keeps the bits it gets alone.
+    """
+    _, order, _ = _inverse_layout(m.rows - 1)
+    ca, cb = m.ca.take(order, axis=-2), m.cb.take(order, axis=-2)
+    for swapped in (ca[..., -2:, :], cb[..., -2:, :]):
+        np.negative(swapped, out=swapped)
     return QMatrix._owning(ca, cb)
 
 
@@ -192,16 +195,16 @@ def _stack_admission(m: QMatrix, tol=ADMISSION_TOL):
 
 @lru_cache(maxsize=32)
 def _inverse_layout(n: int):
-    """Row/column order and sign masks that turn ``g*`` into ``J g* J``.
+    """Row/column order and the sign mask that turn ``g*`` into ``J g* J``.
 
     J swaps the last two coordinates with a sign, so ``J g* J`` is ``g*``
     with its last two rows and columns swapped and the blocks that couple
     the first n-1 coordinates to the last two negated.  ``J m`` is m in
-    the same row order with the rows that the last item masks negated.
+    the same row order with its last two rows negated.
     """
     order = np.r_[0 : n - 1, n, n - 1]
     top = np.arange(n + 1) < n - 1
-    return order[:, None], order, top[:, None] != top, ~top[:, None]
+    return order[:, None], order, top[:, None] != top
 
 
 def _structure_inverse(m: QMatrix) -> QMatrix:
@@ -215,7 +218,7 @@ def _structure_inverse(m: QMatrix) -> QMatrix:
 
     Only entries are moved and negated, so no rounding is involved.
     """
-    rows, cols, negated, _ = _inverse_layout(m.rows - 1)
+    rows, cols, negated = _inverse_layout(m.rows - 1)
     starred = m.star()
     ca = starred.ca[..., rows, cols]
     cb = starred.cb[..., rows, cols]

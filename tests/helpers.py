@@ -9,10 +9,10 @@ from collections import Counter
 import mpmath
 import numpy as np
 
-from qhspace.crossratio import DEGENERACY_TOL, CrossRatioValue, EntryIdentityReport
+from qhspace.crossratio import DEGENERACY_TOL, CrossRatioValue, EntryIdentityReport, _moduli
 from qhspace.errors import ClassificationError, MembershipError, NumericError, ShapeMismatchError
 from qhspace.geometry import Position, ProjectivePoint, apply, from_lift, projectively_close, q_infinity, q_zero
-from qhspace.jorgensen import Certificate, _DiagonalFrame
+from qhspace.jorgensen import Certificate, TestOutcome, Verdict, _DiagonalFrame
 from qhspace.jsonio import format_float
 from qhspace.qmatrix import QMatrix, _adjoint_spectrum, quaternion_vector_from_adjoint, right_eigenvalues
 from qhspace.quaternion import Quaternion
@@ -51,6 +51,7 @@ from qhspace.tolerances import (
     RECIPROCAL_TOL,
     UNIT_MODULUS_TOL,
     admission,
+    pairing_vanishes,
 )
 
 
@@ -673,6 +674,94 @@ def reference_elementary_certificate(g: SpElement, h: SpElement) -> Certificate:
                 return Certificate.SHARES_EXACTLY_ONE
         return Certificate.FIXES_ONE_SWAPS_NONE
     return Certificate.NEITHER
+
+
+# -- reference Jørgensen test -------------------------------------------------
+#
+# The path that ``jorgensen.jorgensen_test`` reproduces byte for byte: g's
+# fixed points from ``reference_loxodromic_data``, every pairing taken as
+# ``w* (J z)`` with the dense form matrix, the repelling lift scaled by its own
+# pairing so that <v, u> = -1, and the brackets as two stacks of two
+# cross-ratios, each pairing a separate product.
+
+
+def _dense_form(z: QMatrix, w: QMatrix) -> Quaternion:
+    """``<z, w> = w* (J z)`` with J as a dense matrix product."""
+    return (w.star() @ (form_matrix(z.rows - 1) @ z))[0, 0]
+
+
+def _reference_cross_ratio_parts(z1, z2, w1, w2):
+    """Pairing moduli (last axis w1z1, w1z2, w2z2, w2z1) and vanishing flags
+    of four lifts or stacks of lifts, one product per pairing."""
+    j = form_matrix(z1.rows - 1)
+    jz1, jz2 = j @ z1, j @ z2
+    w1s, w2s = w1.star(), w2.star()
+    moduli = [_moduli(f)[..., 0, 0] for f in (w1s @ jz1, w1s @ jz2, w2s @ jz2, w2s @ jz1)]
+    norms = [lift.norm_fro() for lift in (z1, z2, w1, w2)]
+    flags = [pairing_vanishes(mod, norms[a], norms[b]) for mod, (a, b) in zip(moduli, ((2, 0), (2, 1), (3, 1), (3, 0)))]
+    return np.stack(np.broadcast_arrays(*moduli), axis=-1), np.stack(np.broadcast_arrays(*flags), axis=-1)
+
+
+def _reference_fixed_points(g: SpElement) -> LoxodromicData:
+    """``reference_loxodromic_data``, raising as ``_fixed_point_data`` does
+    when the fixed points pair to zero by the dense form."""
+    data = reference_loxodromic_data(g)
+    u, v = data.attracting.lift, data.repelling.lift
+    pairing = _dense_form(v, u).modulus()
+    if pairing_vanishes(pairing, u.norm_fro(), v.norm_fro()):
+        raise NumericError("the two fixed points pair to zero", residual=pairing)
+    return data
+
+
+def _reference_certificate(u, v, h: SpElement, flags) -> Certificate:
+    fixes_u, fixes_v = flags["fixes_attracting"], flags["fixes_repelling"]
+    if (fixes_u and fixes_v) or (flags["attracting_to_repelling"] and flags["repelling_to_attracting"]):
+        return Certificate.PRESERVES_PAIR
+    if not (fixes_u or fixes_v):
+        return Certificate.NEITHER
+    try:
+        h_data = _reference_fixed_points(h)
+    except (ClassificationError, NumericError):
+        return Certificate.FIXES_ONE_SWAPS_NONE
+    if abs(h_data.lam_n) > 1.0 + LOXODROMY_MARGIN:
+        _, vanishing = _reference_cross_ratio_parts(u, v, h_data.attracting.lift, h_data.repelling.lift)
+        if int(vanishing[0] | vanishing[1]) + int(vanishing[2] | vanishing[3]) == 1:
+            return Certificate.SHARES_EXACTLY_ONE
+    return Certificate.FIXES_ONE_SWAPS_NONE
+
+
+def reference_jorgensen_test(g: SpElement, h: SpElement) -> TestOutcome:
+    """``jorgensen_test`` of two elements of the same n on the dense-form path."""
+    data = _reference_fixed_points(g)
+    u, mg = data.attracting.lift, data.mg
+    v = data.repelling.lift.scale_right(-_dense_form(data.repelling.lift, u).inverse())
+    hu, hv = h.m @ u, h.m @ v
+    moduli, vanishing = _reference_cross_ratio_parts(hu, QMatrix.stack([v, u]), QMatrix.stack([u, v]), hv)
+    cross_abs = moduli[:, 0] * moduli[:, 2] / (moduli[:, 1] * moduli[:, 3])
+    (a_n1n, _, a_nn1, _), (a_nn, _, a_n1n1, _) = moduli.tolist()
+    (fixes_u, _, fixes_v, _), (u_to_v, _, v_to_u, _) = vanishing.tolist()
+    flags = {
+        "fixes_repelling": fixes_v,
+        "fixes_attracting": fixes_u,
+        "attracting_to_repelling": u_to_v,
+        "repelling_to_attracting": v_to_u,
+    }
+    witnesses = {"corner_moduli": [a_nn, a_nn1, a_n1n, a_n1n1], "flags": flags, "degenerate_case": None}
+    certificate = _reference_certificate(u, v, h, flags)
+    p_off, p_diag = float(cross_abs[0]), float(cross_abs[1])
+    if certificate is Certificate.PRESERVES_PAIR:
+        verdict, witnesses["degenerate_case"] = Verdict.DEGENERATE_ELEMENTARY, "pair preserved"
+    elif certificate is Certificate.SHARES_EXACTLY_ONE:
+        verdict, witnesses["degenerate_case"] = Verdict.DEGENERATE_NON_DISCRETE, "shared fixed point"
+    elif certificate is Certificate.FIXES_ONE_SWAPS_NONE:
+        verdict, witnesses["degenerate_case"] = Verdict.DEGENERATE_ELEMENTARY, "shared fixed point"
+    elif u_to_v or v_to_u:
+        verdict, witnesses["degenerate_case"] = Verdict.DEGENERATE_NON_DISCRETE, "fixed point mapped onto the other"
+    elif mg * (1.0 + math.sqrt(p_off)) < 1.0 or mg * (1.0 + math.sqrt(p_diag)) < 1.0:
+        verdict = Verdict.CONDITION_HOLDS
+    else:
+        verdict = Verdict.INCONCLUSIVE
+    return TestOutcome(verdict, mg, p_off, p_diag, witnesses)
 
 
 def _mp_pairing_modulus(w, z):

@@ -23,6 +23,7 @@ from qhspace.crossratio import (
     entry_identity_check,
     entry_identity_table,
 )
+from qhspace.errors import ShapeMismatchError
 from qhspace.geometry import q_infinity, q_zero
 from qhspace.qmatrix import QMatrix
 from qhspace.quaternion import Quaternion
@@ -54,6 +55,11 @@ def test_degenerate_denominator_detected():
     assert value.degenerate
     assert "w1z2" in value.vanishing
     assert math.isnan(value.abs_value)
+
+
+def test_points_of_different_n_raise_shape_mismatch():
+    with pytest.raises(ShapeMismatchError):
+        cross_ratio(q_zero(2), q_zero(3), q_infinity(2), q_infinity(2))
 
 
 def test_absolute_value_is_lift_invariant():

@@ -11,12 +11,16 @@ from helpers import (
     reference_brackets_on,
     reference_cross_ratios,
     reference_diagonal_frame,
+    reference_dumps,
     reference_elementary_certificate,
+    reference_jorgensen_test,
     same_bits,
     shared_fixed_point_pairs,
     small_perturbation,
     swap_element,
 )
+
+import qhspace.jsonio as jsonio
 
 from qhspace.crossratio import cross_ratio
 from qhspace.errors import ClassificationError, MembershipError, NumericError, ShapeMismatchError
@@ -568,3 +572,32 @@ def test_cross_ratios_match_a_50_digit_oracle_near_parabolic(n):
         for got, want in ((outcome.cross_abs1, cross1), (outcome.cross_abs2, cross2)):
             if want >= 1e-6:
                 assert abs(got - want) <= 1e-9 * want
+
+
+def _outcome_or_error(test, g, h):
+    """The JSON document of a test outcome, or the type and message of its error."""
+    try:
+        return test(g, h).to_json_dict()
+    except (ClassificationError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8])
+def test_jorgensen_test_bytes_match_the_dense_form_reference(n):
+    """Every pairing of the test, taken with J applied by moving rows and as
+    slices of one stacked product, has the bits of the dense-form products."""
+    pairs = shared_fixed_point_pairs(n, 3) + preserved_pairs(n, 4) + conjugated_pairs(n)
+    # A g close to the identity, so that the condition can hold.
+    d = make_loxodromic([Quaternion(1)] * (n - 1), Quaternion(1.05))
+    for c, h in zip(sample_elements(n, 21, 8, 2), sample_elements(n, 22, 8, 2)):
+        pairs.append((is_member(c.m @ d.m @ group_inverse(c).m), h))
+    verdicts = set()
+    for g, h in pairs:
+        got, want = _outcome_or_error(jorgensen_test, g, h), _outcome_or_error(reference_jorgensen_test, g, h)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert jsonio.dumps(got) == reference_dumps(want)
+        verdicts.add(want["verdict"])
+    assert len(verdicts) >= 3
+    assert {Verdict.DEGENERATE_ELEMENTARY.value, Verdict.DEGENERATE_NON_DISCRETE.value, Verdict.INCONCLUSIVE.value} <= verdicts

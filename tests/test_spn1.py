@@ -474,6 +474,23 @@ def test_membership_residual_matches_matmul_reference(n):
     assert (rows == ref_rows).all() and (cols == ref_cols).all()
 
 
+@pytest.mark.parametrize("n", [1, 3, 7, 8, 12])
+def test_form_times_products_on_a_stack_keep_per_element_bits(n):
+    # From n = 7 on, BLAS sums a strided operand in another order, so J m
+    # must come back contiguous for a stack to keep each element's bits.
+    rng = np.random.default_rng(n)
+    for cols in (1, n + 1):
+        comp = rng.standard_normal((6, n + 1, cols, 4))
+        stack = QMatrix.from_components(comp)
+        j_stack = spn1._form_times(stack)
+        assert j_stack.ca.flags.c_contiguous and j_stack.cb.flags.c_contiguous
+        products = stack.star() @ j_stack
+        for k in range(len(comp)):
+            one = QMatrix.from_components(comp[k])
+            assert same_bits(QMatrix(products.ca[k], products.cb[k]), one.star() @ spn1._form_times(one))
+            assert same_bits(spn1._form_times(one), form_matrix(n) @ one)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_membership_rejects_non_finite_entries(bad):
     rng = np.random.default_rng(3)
