@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import warnings
@@ -31,6 +32,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _factor(text):
+    """The ``--tol`` factor: a finite number, at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}")
+    return value
 
 
 def _write_output(text, path):
@@ -193,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, batch=False):
-        p.add_argument("--tol", type=float, default=ADMISSION_TOL,
+        p.add_argument("--tol", type=_factor, default=ADMISSION_TOL,
                        help="factor c of the admission rule, which admits and verifies a "
                             "residual up to c max(1, s)^2, s the largest entry modulus")
         p.add_argument("--out", default=None, help="output path (default: stdout)")

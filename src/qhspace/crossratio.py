@@ -13,6 +13,13 @@ does not.  Cross-ratios against the distinguished boundary points recover
 the corner entries of a group element, which is what links them to the
 discreteness condition: six of the eight pairings of the two corner-entry
 identities are corner entries of h or -1 (:func:`entry_identity_table`).
+
+On the ``classify`` and ``test`` paths every pairing is taken by
+:func:`_cross_ratio_parts` on a stack of lifts: a loxodromic element's
+fixed-point lift stack [u, v] when it is certified, and the stacks [u, v,
+h(u), h(v)] of the discreteness test and [u, v, p, q] of its shared-point
+certificate; :func:`cross_ratio` uses it too.  A caller names the pairings
+it wants once, as a constant index table (:func:`_pairing_table`).
 """
 
 from __future__ import annotations
@@ -43,6 +50,18 @@ _PAIRING_NAMES = ("w1z1", "w1z2", "w2z2", "w2z1")
 _PAIRING_LIFTS = ((2, 0), (2, 1), (3, 1), (3, 0))
 
 
+def _pairing_table(index):
+    """The (w, z) stack positions of the four pairings, in :data:`_PAIRING_NAMES`
+    order, of the cross-ratios whose z1, z2, w1 and w2 sit at ``index``: four
+    integers, or four equal-shape arrays for a stack of cross-ratios.  A caller
+    builds its table once, as a constant; the result has shape ``(2, 4, ...)``."""
+    return np.asarray(index)[np.transpose(_PAIRING_LIFTS)]
+
+
+#: The table of one cross-ratio of the lifts z1, z2, w1, w2 in stack order.
+_CROSS_RATIO = _pairing_table((0, 1, 2, 3))
+
+
 def _moduli(m: QMatrix) -> np.ndarray:
     """Entry moduli with the bits of :meth:`Quaternion.modulus`.
 
@@ -55,26 +74,25 @@ def _moduli(m: QMatrix) -> np.ndarray:
     return np.sqrt(((w + x) + y) + z)
 
 
-def _cross_ratio_parts(lifts: QMatrix, index=(0, 1, 2, 3)):
-    """Pairings, vanishing flags and |cross-ratio| of four lifts or of a stack of them.
+def _cross_ratio_parts(lifts: QMatrix, table=_CROSS_RATIO, norms=None):
+    """Pairings, their moduli and vanishing flags, taken from a stack of lifts.
 
-    ``lifts`` is a stack of columns and ``index`` picks z1, z2, w1 and w2
-    from its first axis: four integers, or an array of shape ``(4, ...)``
-    for a stack of cross-ratios.  This is the library's one way to take a
-    pairing: every pairing ``<w, z> = w* J z`` asked for is one slice of a
-    single stacked product, with J applied by moving rows, and the norms of
-    the lifts are taken once, as one stack.  Returns the pairings (1 x 1
-    matrices with the four pairings, in :data:`_PAIRING_NAMES` order, on the
-    first axis), their moduli with a last axis in that order, and the
-    vanishing flags, degeneracy flags and absolute value of
-    :func:`_vanishing_and_abs`.
+    ``table`` comes from :func:`_pairing_table` and ``norms`` are the norms
+    of the lifts when the caller has them already.  This is the library's one
+    way to take a pairing: every pairing ``<w, z> = w* J z`` asked for is one
+    slice of a single stacked product, with J applied by moving rows, so each
+    keeps the bits it has alone, and the norms of the lifts are taken once, as
+    one stack.  Returns the pairings (1 x 1 matrices) and their moduli and
+    vanishing flags, each with the pairing axis first and the shape of the
+    table's index after it.  The flags are one call of the library's one rule
+    for a zero pairing, :func:`~qhspace.tolerances.pairing_vanishes`.
     """
-    index = np.asarray(index)
-    w, z = (QMatrix._owning(lifts.ca[k], lifts.cb[k]) for k in index[np.transpose(_PAIRING_LIFTS)])
+    w_index, z_index = table
+    w, z = (QMatrix._owning(lifts.ca.take(k, 0), lifts.cb.take(k, 0)) for k in table)
     pairings = w.star() @ _form_times(z)
     moduli = _moduli(pairings)[..., 0, 0]
-    norms = lifts.norm_fro()[index]
-    return (pairings, np.moveaxis(moduli, 0, -1), *_vanishing_and_abs(list(moduli), list(norms)))
+    norms = lifts.norm_fro() if norms is None else norms
+    return pairings, moduli, pairing_vanishes(moduli, norms.take(w_index), norms.take(z_index))
 
 
 def _vanishing_and_abs(moduli, norms):
@@ -102,15 +120,13 @@ def cross_ratio(z1, z2, w1, w2) -> CrossRatioValue:
     degenerate when one of the inverted pairings vanishes; a vanishing
     numerator is ordinary data (the value is zero).
     """
-    pairings, _, vanishing, degenerate, abs_value = _cross_ratio_parts(
-        QMatrix.stack([z1.lift, z2.lift, w1.lift, w2.lift])
-    )
+    pairings, moduli, vanishing = _cross_ratio_parts(QMatrix.stack([z1.lift, z2.lift, w1.lift, w2.lift]))
     names = _names(vanishing)
-    if degenerate:
+    if vanishing[1] or vanishing[3]:
         return CrossRatioValue(Quaternion(math.nan), math.nan, True, names)
     f_w1z1, f_w1z2, f_w2z2, f_w2z1 = map(Quaternion.from_complex_pair, pairings.ca.flat, pairings.cb.flat)
     value = f_w1z1 * f_w1z2.inverse() * f_w2z2 * f_w2z1.inverse()
-    return CrossRatioValue(value, float(abs_value), False, names)
+    return CrossRatioValue(value, float(moduli[0] * moduli[2] / (moduli[1] * moduli[3])), False, names)
 
 
 @dataclass(frozen=True)

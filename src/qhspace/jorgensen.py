@@ -7,11 +7,14 @@ v (repelling), the test evaluates
     mg * (1 + |[h(u), u, v, h(v)]|^(1/2)) < 1.
 
 If either holds, the group generated by g and h is elementary or not
-discrete.  Both are evaluated on g's fixed points directly; their
-numerators are the corner entries of h in the frame where g is diagonal,
-and whether they vanish (the one zero rule) decides whether h fixes or
-exchanges the fixed points, which routes the pair to the verdicts of
-:func:`elementary_certificate`.
+discrete.  Both are evaluated on g's certified lift stack [u, v] directly:
+h(u) and h(v) are one stacked product, and the eight pairings of the two
+brackets come from one call of the pairing kernel.  Their numerators are
+the corner entries of h in the frame where g is diagonal, and whether they
+vanish (the one zero rule) decides whether h fixes or exchanges the fixed
+points, which routes the pair to the verdicts of
+:func:`elementary_certificate`; its shared-point check joins g's lift stack
+to h's.
 
 The diagonal frame serves only the instrumented orbit: ``h_{k+1} = h_k g
 h_k^-1`` records the corner products ``pi_k``, compares them against the
@@ -30,11 +33,13 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .crossratio import _cross_ratio_parts
+import numpy as np
+
+from .crossratio import _cross_ratio_parts, _pairing_table
 from .errors import ClassificationError, MembershipError, NumericError
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
-from .spectral import LoxodromicData, _fixed_point_data, loxodromic_data
+from .spectral import LoxodromicData, _fixed_point_data, _lift, loxodromic_data
 from .spn1 import SpElement, _require_same_space, _structure_inverse, is_member, make_loxodromic, retract
 from .tolerances import (
     BOUND_FLOOR,
@@ -132,37 +137,41 @@ def _diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
     return _DiagonalFrame(g_diag, unit_diag, lam_n, g_diag.a_n1n1, h_conj, data)
 
 
+#: Bracket k takes z1, z2, w1 and w2 from column k of this index into the
+#: lifts u, v, h(u), h(v).
+_BRACKETS = _pairing_table([[2, 2], [1, 0], [0, 1], [3, 3]])
+
+
+def _joined(a: QMatrix, b: QMatrix) -> QMatrix:
+    """Two stacks as one, ``a`` first."""
+    return QMatrix._owning(np.concatenate((a.ca, b.ca)), np.concatenate((a.cb, b.cb)))
+
+
 def _fixed_point_brackets(data: LoxodromicData, h: SpElement):
     """``(cross_abs1, cross_abs2, corner_moduli, flags)`` of the test.
 
-    Evaluates [h(u), v, u, h(v)] and [h(u), u, v, h(v)] together.  The
-    repelling lift v is scaled by the certified ``<v, u>`` so that ``<v, u> =
-    -1``, as in the diagonalizing conjugator, so the numerators are h's
-    corners in g's diagonal frame.  The denominators, ``<v, u>`` and its
-    image ``<h(u), h(v)>``, are nonzero because g's fixed points are
-    certified distinct.  The eight pairings of the two brackets are the
-    slices of one stacked product, a (4, 2) stack of 1 x (n+1) rows times
-    one of (n+1) x 1 columns, and the norms of u, v, h(u) and h(v) are
-    taken once, as one stack (:func:`~qhspace.crossratio._cross_ratio_parts`).
-    Each slice is its own product, so a pairing keeps the bits it has alone.
+    Evaluates [h(u), v, u, h(v)] and [h(u), u, v, h(v)] together on g's lift
+    stack.  The repelling lift v is scaled by the certified ``<v, u>`` so
+    that ``<v, u> = -1``, as in the diagonalizing conjugator, so the
+    numerators are h's corners in g's diagonal frame.  The denominators,
+    ``<v, u>`` and its image ``<h(u), h(v)>``, are nonzero because g's fixed
+    points are certified distinct.  h(u) and h(v) are one stacked product
+    ``h [u, v]``, and the eight pairings of the two brackets, their moduli
+    and flags come from one call of
+    :func:`~qhspace.crossratio._cross_ratio_parts` on the stack u, v, h(u),
+    h(v): each pairing is a slice of one stacked product, so it keeps the
+    bits it has alone.
     """
-    u = data.attracting.lift
-    _require_same_space(u.rows - 1, h.n)
-    v = data.repelling.lift.scale_right(-data.vu_pairing.inverse())
-    # Lifts u, v, h(u), h(v); bracket k takes z1, z2, w1, w2 from column k.
-    lifts = QMatrix.stack([u, v, h.m @ u, h.m @ v])
-    _, moduli, vanishing, _, _ = _cross_ratio_parts(lifts, [[2, 2], [1, 0], [0, 1], [3, 3]])
-    cross_abs = moduli[:, 0] * moduli[:, 2] / (moduli[:, 1] * moduli[:, 3])
-    # Bracket rows, pairings in w1z1, w1z2, w2z2, w2z1 order: the corners
+    _require_same_space(data.lifts.rows - 1, h.n)
+    uv = QMatrix.stack([_lift(data.lifts, 0), _lift(data.lifts, 1).scale_right(-data.vu_pairing.inverse())])
+    _, moduli, vanishing = _cross_ratio_parts(_joined(uv, h.m @ uv), _BRACKETS)
+    cross_abs = moduli[0] * moduli[2] / (moduli[1] * moduli[3])
+    # Pairing rows w1z1, w1z2, w2z2, w2z1, one column per bracket: the corners
     # a_n1n = <h(u), u>, a_nn1 = <h(v), v>, a_nn = <h(u), v>, a_n1n1 = <h(v), u>.
-    (a_n1n, _, a_nn1, _), (a_nn, _, a_n1n1, _) = moduli.tolist()
-    (fixes_u, _, fixes_v, _), (u_to_v, _, v_to_u, _) = vanishing.tolist()
-    flags = {
-        "fixes_repelling": fixes_v,
-        "fixes_attracting": fixes_u,
-        "attracting_to_repelling": u_to_v,
-        "repelling_to_attracting": v_to_u,
-    }
+    (a_n1n, a_nn), _, (a_nn1, a_n1n1), _ = moduli.tolist()
+    (fixes_u, u_to_v), _, (fixes_v, v_to_u), _ = vanishing.tolist()
+    flags = {"fixes_repelling": fixes_v, "fixes_attracting": fixes_u,
+             "attracting_to_repelling": u_to_v, "repelling_to_attracting": v_to_u}
     return float(cross_abs[0]), float(cross_abs[1]), [a_nn, a_nn1, a_n1n, a_n1n1], flags
 
 
@@ -181,8 +190,8 @@ def _certificate(data: LoxodromicData, h: SpElement, flags) -> Certificate:
         return Certificate.FIXES_ONE_SWAPS_NONE
     if abs(h_data.lam_n) > 1.0 + LOXODROMY_MARGIN:
         # Pairings of h's fixed points p, q with u and v: <p,u>, <p,v>, <q,v>, <q,u>.
-        lifts = (data.attracting.lift, data.repelling.lift, h_data.attracting.lift, h_data.repelling.lift)
-        _, _, vanishing, _, _ = _cross_ratio_parts(QMatrix.stack(lifts))
+        lifts, norms = _joined(data.lifts, h_data.lifts), np.concatenate((data.norms, h_data.norms))
+        _, _, vanishing = _cross_ratio_parts(lifts, norms=norms)
         if int(vanishing[0] | vanishing[1]) + int(vanishing[2] | vanishing[3]) == 1:
             return Certificate.SHARES_EXACTLY_ONE
     return Certificate.FIXES_ONE_SWAPS_NONE

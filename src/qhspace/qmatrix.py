@@ -136,10 +136,10 @@ class QMatrix:
 
     @classmethod
     def stack(cls, matrices):
-        """Stack equal-shape matrices along a new leading axis."""
-        if len({m.ca.shape for m in matrices}) > 1:
-            raise ShapeMismatchError("stacked matrices must have equal shapes")
-        return cls._owning(np.stack([m.ca for m in matrices]), np.stack([m.cb for m in matrices]))
+        """Stack one or more equal-shape matrices along a new leading axis."""
+        if len({m.ca.shape for m in matrices}) != 1:
+            raise ShapeMismatchError("stacked matrices must be one or more of equal shape")
+        return cls._owning(np.array([m.ca for m in matrices]), np.array([m.cb for m in matrices]))
 
     @classmethod
     def from_blocks(cls, blocks):

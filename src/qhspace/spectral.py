@@ -16,10 +16,17 @@ plus one expanding/contracting pair (lam_n, lam_n1) with
     mg    = 2*delta + |lam_n - 1| + |lam_n1 - 1|,
 
 both well defined because |lam - 1| depends only on (Re lam, |lam|).
-Only the diagonal frame of the conjugation orbit builds the conjugator
-that makes g diagonal; ``classify`` and the Jørgensen test read the
-invariants and the fixed points, which are certified distinct, alone.
-The conjugator is retracted onto the group before it is admitted.
+
+The fixed points are certified once, on one lift stack: the eigenvectors u
+(expanding class) and v (contracting class) become a frozen ``(2, n+1, 1)``
+stack, and ``<u,u>``, ``<v,v>`` and ``<v,u>`` are slices of one stacked
+pairing product (``crossratio._cross_ratio_parts``).  From them and the two
+norms the boundary check and the check that u and v do not pair to zero
+read; every consumer takes the stack as it is.  Only the diagonal frame of
+the conjugation orbit builds the conjugator that makes g diagonal;
+``classify`` and the Jørgensen test read the invariants and the certified
+fixed points alone.  The conjugator is retracted onto the group before it
+is admitted.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import ClassificationError, MembershipError, NumericError
-from .geometry import Position, ProjectivePoint
+from .crossratio import _cross_ratio_parts, _pairing_table
+from .geometry import ProjectivePoint
 from .qmatrix import QMatrix, eigenspace_basis, quaternion_vector_from_adjoint, right_eigenpairs, right_eigenvalues
 from .quaternion import Quaternion
 from .spn1 import SpElement, form_matrix, herm_form, is_member, retract
@@ -39,6 +47,7 @@ from .tolerances import (
     CLUSTER_TOL,
     FORM_POSITIVITY_TOL,
     PAIRING_TOL,
+    POSITION_TOL,
     RECIPROCAL_TOL,
     UNIT_MODULUS_TOL,
     pairing_vanishes,
@@ -120,24 +129,33 @@ def classify(g: SpElement, tol=UNIT_MODULUS_TOL) -> Classification:
 class LoxodromicData:
     """Spectral data of a loxodromic element.
 
-    ``attracting`` / ``repelling`` are the certified distinct boundary fixed
-    points (eigenvectors of the expanding and contracting classes),
-    ``conjugator`` is a group element whose inverse conjugates g onto the
-    diagonal form, or None when the numerical construction could not be
-    validated (delta and mg need only the spectrum), and ``vu_pairing`` is
-    ``<v, u>`` of the repelling and attracting lifts, the pairing that
-    certifies them distinct.
+    ``lifts`` is the frozen ``(2, n+1, 1)`` stack of the certified distinct
+    boundary fixed points, the attracting u (an eigenvector of the expanding
+    class) over the repelling v (of the contracting class), and ``norms``
+    their norms.  ``conjugator`` is a group element whose inverse conjugates g
+    onto the diagonal form, or None when the numerical construction could
+    not be validated (delta and mg need only the spectrum), and
+    ``vu_pairing`` is ``<v, u>``, the pairing that certifies them distinct.
     """
 
     unit_eigs: tuple
     lam_n: complex
     lam_n1: complex
-    attracting: ProjectivePoint
-    repelling: ProjectivePoint
+    lifts: QMatrix
+    norms: np.ndarray
     delta: float
     mg: float
     conjugator: SpElement | None
     vu_pairing: Quaternion | None = None
+
+    # The fixed points as ProjectivePoints, built each time they are read.
+    attracting = property(lambda self: ProjectivePoint(_lift(self.lifts, 0)))
+    repelling = property(lambda self: ProjectivePoint(_lift(self.lifts, 1)))
+
+
+def _lift(lifts: QMatrix, k) -> QMatrix:
+    """Lift k of a stack, a view of its storage."""
+    return QMatrix._owning(lifts.ca[k], lifts.cb[k])
 
 
 def invariants_from_eigs(unit_eigs, lam_n, lam_n1):
@@ -205,6 +223,10 @@ def _build_conjugator(g: SpElement, unit_reps, u_vec, v_vec):
         return None
 
 
+#: u, v, u, v as z1, z2, w1, w2: the pairings <u,u>, <v,u>, <v,v> and <u,v>.
+_FIXED_POINT_PAIRINGS = _pairing_table((0, 1, 0, 1))
+
+
 def _fixed_point_data(g: SpElement) -> LoxodromicData:
     """:func:`loxodromic_data` without the conjugator; certifies u and v distinct."""
     pairs = right_eigenpairs(g.m, tol=UNIT_MODULUS_TOL)
@@ -227,25 +249,16 @@ def _fixed_point_data(g: SpElement) -> LoxodromicData:
     for lam in unit_reps:
         if abs(abs(lam) - 1.0) > UNIT_MODULUS_TOL:
             raise ClassificationError(f"unit block contains modulus {abs(lam)}")
-    attracting = ProjectivePoint(u_vec)
-    repelling = ProjectivePoint(v_vec)
-    if attracting.position is not Position.BOUNDARY or repelling.position is not Position.BOUNDARY:
+    lifts = QMatrix.stack([u_vec, v_vec]).freeze()
+    norms = lifts.norm_fro()
+    pairings, moduli, _ = _cross_ratio_parts(lifts, _FIXED_POINT_PAIRINGS, norms)
+    if not (np.abs(pairings.ca[::2, 0, 0].real) <= POSITION_TOL * np.float_power(norms, 2.0)).all():
         raise NumericError("fixed points did not land on the boundary")
-    vu_pairing = herm_form(v_vec, u_vec)
-    if pairing_vanishes(vu_pairing.modulus(), u_vec.norm_fro(), v_vec.norm_fro()):
-        raise NumericError("the two fixed points pair to zero", residual=vu_pairing.modulus())
+    if pairing_vanishes(moduli[1], norms[0], norms[1]):
+        raise NumericError("the two fixed points pair to zero", residual=float(moduli[1]))
     delta, mg = invariants_from_eigs(unit_reps, lam_n, lam_n1)
-    return LoxodromicData(
-        unit_eigs=tuple(unit_reps),
-        lam_n=lam_n,
-        lam_n1=lam_n1,
-        attracting=attracting,
-        repelling=repelling,
-        delta=delta,
-        mg=mg,
-        conjugator=None,
-        vu_pairing=vu_pairing,
-    )
+    vu_pairing = Quaternion.from_complex_pair(pairings.ca[1, 0, 0], pairings.cb[1, 0, 0])
+    return LoxodromicData(tuple(unit_reps), lam_n, lam_n1, lifts, norms, delta, mg, None, vu_pairing)
 
 
 def loxodromic_data(g: SpElement) -> LoxodromicData:
@@ -258,28 +271,19 @@ def loxodromic_data(g: SpElement) -> LoxodromicData:
     frame calls it; other callers read the same data without the conjugator.
     """
     data = _fixed_point_data(g)
-    # The lifts are frozen copies of the eigenvectors, so C keeps its bits.
-    conjugator = _build_conjugator(g, data.unit_eigs, data.attracting.lift, data.repelling.lift)
+    # The lifts are copies of the eigenvectors, so C keeps its bits.
+    conjugator = _build_conjugator(g, data.unit_eigs, _lift(data.lifts, 0), _lift(data.lifts, 1))
     return replace(data, conjugator=conjugator)
 
 
 def spectral_report(g: SpElement) -> dict:
     """JSON-ready classification report for one element."""
     cls = classify(g)
-    report = {
-        "kind": cls.kind.value,
-        "eigs": [[lam.real, lam.imag] for lam in right_eigenvalues(g.m, tol=UNIT_MODULUS_TOL)],
-        "delta": None,
-        "mg": None,
-        "u": None,
-        "v": None,
-        "boundary_classes": cls.boundary_classes,
-        "low_confidence": cls.low_confidence,
-    }
+    report = {"kind": cls.kind.value, "delta": None, "mg": None, "u": None, "v": None,
+              "eigs": [[lam.real, lam.imag] for lam in right_eigenvalues(g.m, tol=UNIT_MODULUS_TOL)],
+              "boundary_classes": cls.boundary_classes, "low_confidence": cls.low_confidence}
     if cls.kind is ElementKind.LOXODROMIC:
         data = _fixed_point_data(g)
-        report["delta"] = data.delta
-        report["mg"] = data.mg
-        report["u"] = data.attracting.to_json_dict()
-        report["v"] = data.repelling.to_json_dict()
+        u, v = ({"lift": lift[:, 0].tolist()} for lift in data.lifts.components)
+        report.update(delta=data.delta, mg=data.mg, u=u, v=v)
     return report

@@ -620,12 +620,13 @@ def reference_loxodromic_data(g: SpElement) -> LoxodromicData:
     if attracting.position is not Position.BOUNDARY or repelling.position is not Position.BOUNDARY:
         raise NumericError("fixed points did not land on the boundary")
     delta, mg = invariants_from_eigs(unit_reps, lam_n, lam_n1)
+    lifts = QMatrix.stack([attracting.lift, repelling.lift]).freeze()
     return LoxodromicData(
         unit_eigs=tuple(unit_reps),
         lam_n=lam_n,
         lam_n1=lam_n1,
-        attracting=attracting,
-        repelling=repelling,
+        lifts=lifts,
+        norms=np.array([attracting.lift.norm_fro(), repelling.lift.norm_fro()]),
         delta=delta,
         mg=mg,
         conjugator=_build_conjugator(g, unit_reps, u_vec, v_vec),

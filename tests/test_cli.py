@@ -219,6 +219,23 @@ def test_usage_error_exit_code(capsys):
     assert main(["iterate", "--steps", "4"]) == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", [["classify", "h.json"], ["verify", "--count", "2"], ["sample", "--count", "1"]])
+def test_tolerance_must_be_finite_and_not_negative(command, tol, capsys):
+    # Each used to misbehave in its own way: nan refused every element,
+    # read as a verification failure, and inf admitted everything.
+    code, out, err = run([*command, "--tol", tol], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: qhspace")
+    assert err.splitlines()[-1].endswith(f"error: argument --tol: must be finite and at least 0, got '{tol}'")
+
+
+def test_zero_tolerance_parses(capsys):
+    assert build_parser().parse_args(["verify", "--tol", "0"]).tol == 0.0
+    code, out, _ = run(["verify", "--n", "2", "--count", "2", "--tol", "0"], capsys)
+    assert code in (0, 2) and json.loads(out)["tolerance"] == 0.0
+
+
 def test_malformed_json_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -24,7 +24,7 @@ import qhspace.jsonio as jsonio
 
 from qhspace.crossratio import cross_ratio
 from qhspace.errors import ClassificationError, MembershipError, NumericError, ShapeMismatchError
-from qhspace.geometry import apply
+from qhspace.geometry import ProjectivePoint, apply
 from qhspace.jorgensen import (
     Certificate,
     DegenerateOrbitError,
@@ -37,7 +37,7 @@ from qhspace.jorgensen import (
 )
 from qhspace.qmatrix import QMatrix
 from qhspace.quaternion import Quaternion
-from qhspace.spectral import _fixed_point_data, loxodromic_data
+from qhspace.spectral import _fixed_point_data, loxodromic_data, spectral_report
 from qhspace.spn1 import (
     NormalFormParams,
     StabilizerKind,
@@ -130,6 +130,28 @@ def test_long_words_get_the_50_digit_brackets(length, seed):
     scale = h.m.norm_max() ** 2
     for got, want in ((outcome.cross_abs1, cross1), (outcome.cross_abs2, cross2)):
         assert abs(got - want) <= 1e-14 * scale * want
+
+
+def test_the_test_path_builds_no_projective_point(monkeypatch):
+    # g's fixed points, and h's for the shared-point certificate, stay one
+    # lift stack each; a ProjectivePoint is built only when asked for.
+    built = []
+    original = ProjectivePoint.__init__
+
+    def counted(self, lift):
+        built.append(lift)
+        original(self, lift)
+
+    monkeypatch.setattr(ProjectivePoint, "__init__", counted)
+    certificates = set()
+    for g, h in shared_fixed_point_pairs(2, 5) + [(slow_loxodromic(), random_element(2, seed=5, word_length=6))]:
+        jorgensen_test(g, h)
+        certificates.add(elementary_certificate(g, h))
+        spectral_report(g)
+    assert Certificate.SHARES_EXACTLY_ONE in certificates and Certificate.NEITHER in certificates
+    assert built == []
+    assert loxodromic_data(slow_loxodromic()).attracting.n == 2
+    assert len(built) == 1
 
 
 def test_pairs_of_different_n_raise_shape_mismatch():
@@ -385,7 +407,7 @@ def test_readme_pair_linalg_counts(monkeypatch):
     assert dict(calls) == {"eig": 1}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8])
 def test_elementary_certificate_matches_reference(n):
     pairs = list(zip(sample_elements(n, 90, 10, 3), sample_elements(n, 91, 10, 2)))
     pairs += shared_fixed_point_pairs(n, 5)

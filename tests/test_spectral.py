@@ -239,7 +239,7 @@ def test_loxodromic_data_matches_the_conjugator_building_reference(n):
     assert checked >= 20
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8])
 def test_spectral_report_matches_reference(n):
     elements = _spectral_oracle_elements(n) + [identity_element(n)]
     kinds = set()
