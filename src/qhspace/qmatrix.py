@@ -37,16 +37,17 @@ and a single ``np.linalg.eig``.  A frozen matrix (see :meth:`QMatrix.freeze`;
 every group element is one) computes it on first use, together with the
 pairing of its eigenvalues into right-eigenvalue representatives, and keeps
 it, read-only, for every later routine; an unfrozen matrix recomputes it per
-call.  ``right_eigenpairs`` makes one walk over that spectrum: it splits all
-2k adjoint eigenvectors of a k x k matrix into quaternionic candidates at
-once, rotates those whose eigenvalue lies in the lower half plane by j with
-``scale_right``'s arithmetic, checks their residuals as one stack, checks the
-cached pairing mismatches, and matches each cached representative to its
-candidate by nearest value; nothing is decomposed or paired a second time.
+call.  ``right_eigenpairs`` makes one walk over that spectrum: it takes all
+2k adjoint eigenvectors of a k x k matrix as quaternionic candidates at once
+(``_eigen_candidates``, which the diagonal frame reads too), checks their
+residuals as one stack and the cached pairing mismatches, and matches each
+cached representative to its candidate by nearest value.  Only ``classify``
+takes a second decomposition, the SVD of ``eigenspace_basis``.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -304,12 +305,15 @@ class QMatrix:
         for key in ("rows", "cols", "entries"):
             if key not in data:
                 raise ValueError(f"missing field {key!r}")
-        if not all(isinstance(data[key], int) and data[key] >= 0 for key in ("rows", "cols")):
+        # JSON true and false are Python ints too, so the types are compared.
+        if not all(type(data[key]) is int and data[key] >= 0 for key in ("rows", "cols")):
             raise ValueError("fields 'rows' and 'cols' must be non-negative integers")
         try:
+            if not set(map(type, chain.from_iterable(data["entries"]))) <= {int, float}:
+                raise TypeError("found a value that is not a number")
             comp = np.asarray(data["entries"], dtype=float).reshape(data["rows"], data["cols"], 4)
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"field 'entries' does not match 'rows' and 'cols': {exc}") from exc
+            raise ValueError(f"field 'entries' must be rows x cols lists of 4 numbers: {exc}") from exc
         return cls.from_components(comp)
 
     def __repr__(self):
@@ -438,6 +442,28 @@ def right_eigenvalues(m: QMatrix, tol=PAIRING_TOL):
     return list(spectrum.reps)
 
 
+def _eigen_candidates(m: QMatrix):
+    """``(spectrum, values, vecs)``: adjoint eigenvector idx as quaternionic candidate idx.
+
+    ``vecs`` stacks the 2k unchecked candidates of a k x k matrix.  One whose
+    eigenvalue lies in the lower half plane is right-multiplied by j, which
+    conjugates the eigenvalue into ``values[idx]``; a class of multiplicity k
+    has 2k candidates, each of its k quaternionic lines twice.
+    """
+    spectrum = _adjoint_spectrum(m)
+    evals, evecs = spectrum.evals, spectrum.evecs
+    size = m.rows
+    ca = np.ascontiguousarray(evecs[:size].T)[..., None]
+    cb = np.ascontiguousarray(-evecs[size:].conj().T)[..., None]
+    # The products of scale_right(j), j = 0 + 1 j, signed zeros included.
+    lower = (evals.imag < 0)[:, None, None]
+    vecs = QMatrix._owning(
+        np.where(lower, ca * 0j - cb * np.conj(1 + 0j), ca),
+        np.where(lower, ca * (1 + 0j) + cb * np.conj(0j), cb),
+    )
+    return spectrum, [complex(lam.real, abs(lam.imag)) for lam in evals.tolist()], vecs
+
+
 def right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):
     """Eigenvalue representatives together with quaternionic eigenvectors.
 
@@ -450,22 +476,7 @@ def right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):
     """
     if m.rows != m.cols:
         raise ShapeMismatchError("eigenpairs require a square matrix")
-    spectrum = _adjoint_spectrum(m)
-    evals, evecs = spectrum.evals, spectrum.evecs
-    size = m.rows
-    # Candidate idx is adjoint eigenvector idx, split as
-    # quaternion_vector_from_adjoint splits it.
-    ca = np.ascontiguousarray(evecs[:size].T)[..., None]
-    cb = np.ascontiguousarray(-evecs[size:].conj().T)[..., None]
-    # Right-multiplying an eigenvector by j = 0 + 1 j conjugates the
-    # eigenvalue, moving the representative into the upper half plane; the
-    # products are those of scale_right(j), signed zeros included.
-    lower = (evals.imag < 0)[:, None, None]
-    vecs = QMatrix._owning(
-        np.where(lower, ca * 0j - cb * np.conj(1 + 0j), ca),
-        np.where(lower, ca * (1 + 0j) + cb * np.conj(0j), cb),
-    )
-    reps = [complex(lam.real, abs(lam.imag)) for lam in evals.tolist()]
+    spectrum, reps, vecs = _eigen_candidates(m)
     resid = (m @ vecs - vecs.scale_right(np.array(reps))).norm_max()
     scale = vecs.norm_fro()
     bad = (scale == 0.0) | (resid > tol * np.maximum(scale, 1.0))
@@ -474,7 +485,7 @@ def right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):
     _check_pairing(spectrum, max(tol, PAIRING_TOL))
     # Each similarity class appears twice per multiplicity; keep the nearest
     # candidate for each cached representative.
-    remaining = list(range(2 * size))
+    remaining = list(range(2 * m.rows))
     pairs = []
     for rep in spectrum.reps:
         i = min(remaining, key=lambda k: abs(reps[k] - rep))
@@ -489,7 +500,7 @@ def eigenspace_basis(m: QMatrix, lam, atol=CLUSTER_TOL):
     """Orthonormal basis (columns) of the adjoint eigenspace for ``lam``.
 
     Works on the complex adjoint via SVD, so it is robust for defective
-    eigenvalues where the eigenvector matrix of ``eig`` degrades.
+    eigenvalues, where ``eig``'s eigenvectors degrade; only ``classify`` calls it.
     """
     adj = _adjoint_spectrum(m).adj
     shifted = adj - complex(lam) * np.eye(adj.shape[0])
@@ -498,10 +509,3 @@ def eigenspace_basis(m: QMatrix, lam, atol=CLUSTER_TOL):
     mask = svals <= atol * scale
     basis = vh[mask].conj().T
     return basis
-
-
-def quaternion_vector_from_adjoint(zeta) -> QMatrix:
-    """Convert an adjoint-space column of length 2m to a quaternionic m-vector."""
-    zeta = np.asarray(zeta, dtype=complex).reshape(-1)
-    size = zeta.shape[0] // 2
-    return QMatrix(zeta[:size].reshape(-1, 1), -zeta[size:].conj().reshape(-1, 1))

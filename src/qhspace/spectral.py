@@ -25,8 +25,9 @@ norms the boundary check and the check that u and v do not pair to zero
 read; every consumer takes the stack as it is.  Only the diagonal frame of
 the conjugation orbit builds the conjugator that makes g diagonal;
 ``classify`` and the Jørgensen test read the invariants and the certified
-fixed points alone.  The conjugator is retracted onto the group before it
-is admitted.
+fixed points alone.  Its unit columns come from the same cached ``eig`` (the
+SVD of ``eigenspace_basis`` serves ``classify`` alone), and it is retracted
+onto the group before it is admitted.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from .errors import ClassificationError, MembershipError, NumericError
 from .crossratio import _cross_ratio_parts, _pairing_table
 from .geometry import ProjectivePoint
-from .qmatrix import QMatrix, eigenspace_basis, quaternion_vector_from_adjoint, right_eigenpairs, right_eigenvalues
+from .qmatrix import QMatrix, _eigen_candidates, eigenspace_basis, right_eigenpairs, right_eigenvalues
 from .quaternion import Quaternion
 from .spn1 import SpElement, form_matrix, herm_form, is_member, retract
 from .tolerances import (
@@ -168,39 +169,32 @@ def invariants_from_eigs(unit_eigs, lam_n, lam_n1):
 def _unit_block_columns(g: SpElement, unit_reps):
     """J-orthonormal eigenvector columns spanning the unit-modulus part.
 
+    The candidates are the kept ``eig``'s, checked by :func:`right_eigenpairs`.
     Within one eigenvalue class the form values between eigenvectors are
-    complex numbers, so Gram-Schmidt with quaternionic coefficients keeps
-    every accepted column an eigenvector for the class representative.
+    complex numbers, so Gram-Schmidt with quaternionic coefficients keeps every
+    accepted column an eigenvector; of a k-fold class's 2k candidates it keeps k.
     """
     j_mat = form_matrix(g.n)
+    _, values, vecs = _eigen_candidates(g.m)
     accepted = []
     for cluster in _cluster(unit_reps, CLUSTER_TOL):
-        lam_hat = sum(cluster) / len(cluster)
-        basis = eigenspace_basis(g.m, lam_hat, atol=CLUSTER_TOL)
-        candidates = [
-            quaternion_vector_from_adjoint(basis[:, i]) for i in range(basis.shape[1])
-        ]
-        needed = len(cluster)
-        found = 0
-        for cand in candidates:
-            if found == needed:
+        wanted = len(accepted) + len(cluster)
+        for i, lam in enumerate(values):
+            if len(accepted) == wanted:
                 break
-            vec = cand
+            if min(abs(lam - rep) for rep in cluster) > CLUSTER_TOL:
+                continue
+            vec = QMatrix._owning(vecs.ca[i], vecs.cb[i])
+            norm_sq = vec.norm_fro() ** 2
             for w in accepted:
                 coef = (w.star() @ (j_mat @ vec))[0, 0]
                 vec = vec - w.scale_right(coef)
-            norm_sq = vec.norm_fro() ** 2
-            if norm_sq == 0.0:
-                continue
             value = (vec.star() @ (j_mat @ vec))[0, 0].re()
             if value <= FORM_POSITIVITY_TOL * norm_sq:
                 continue
             accepted.append(vec.scale_right(1.0 / np.sqrt(value)))
-            found += 1
-        if found != needed:
-            raise NumericError(
-                f"could not span the unit eigenvalue class at {lam_hat}"
-            )
+        if len(accepted) != wanted:
+            raise NumericError(f"could not span the unit eigenvalue class at {sum(cluster) / len(cluster)}")
     return accepted
 
 

@@ -26,8 +26,8 @@ PAIRING_TOL = 1e-8
 #: An eigenpair is accepted: ``|M v - v lam| <= EIGENPAIR_TOL * max(|v|, 1)``.
 EIGENPAIR_TOL = 1e-8
 
-#: Eigenvalue representatives this close form one class; also the
-#: singular-value cut, relative to the largest, of an adjoint eigenspace.
+#: Eigenvalue representatives, and frame eigenvector candidates, this close
+#: join one class; also ``classify``'s singular-value cut, relative to the largest.
 CLUSTER_TOL = 1e-6
 
 #: The default factor c of :func:`admission`, which admits ``|g* J g - J|`` up
@@ -56,7 +56,7 @@ UNIT_MODULUS_TOL = 1e-7
 RECIPROCAL_TOL = 1e-9
 
 #: A Gram-Schmidt candidate for the unit block is kept only when its form
-#: value exceeds this times its squared norm.
+#: value, once projected, exceeds this times its squared norm as drawn.
 FORM_POSITIVITY_TOL = 1e-6
 
 #: A form pairing vanishes (:func:`pairing_vanishes`): its modulus is at most

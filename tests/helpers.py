@@ -14,7 +14,7 @@ from qhspace.errors import ClassificationError, MembershipError, NumericError, S
 from qhspace.geometry import Position, ProjectivePoint, apply, from_lift, projectively_close, q_infinity, q_zero
 from qhspace.jorgensen import Certificate, TestOutcome, Verdict, _DiagonalFrame
 from qhspace.jsonio import format_float
-from qhspace.qmatrix import QMatrix, _adjoint_spectrum, quaternion_vector_from_adjoint, right_eigenvalues
+from qhspace.qmatrix import QMatrix, _adjoint_spectrum, right_eigenvalues
 from qhspace.quaternion import Quaternion
 from qhspace.spectral import (
     ElementKind,
@@ -567,6 +567,13 @@ def reference_verify(n, seed, count, word_length, tol=ADMISSION_TOL):
 # caller reads it.
 
 
+def quaternion_vector_from_adjoint(zeta) -> QMatrix:
+    """Convert an adjoint-space column of length 2m to a quaternionic m-vector."""
+    zeta = np.asarray(zeta, dtype=complex).reshape(-1)
+    size = zeta.shape[0] // 2
+    return QMatrix(zeta[:size].reshape(-1, 1), -zeta[size:].conj().reshape(-1, 1))
+
+
 def reference_right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):
     """``right_eigenpairs`` with one ``QMatrix`` per adjoint eigenvector."""
     spectrum = _adjoint_spectrum(m)
@@ -842,6 +849,86 @@ def reference_brackets_on(attracting: ProjectivePoint, repelling: ProjectivePoin
     points' float lifts instead of g's exact fixed points."""
     with mpmath.workdps(dps):
         return _mp_brackets(_mp_lift(attracting), _mp_lift(repelling), h)
+
+
+def _mp_quaternion_column(zeta, size):
+    """The 2m x 2 adjoint of the quaternion column whose first adjoint column is zeta."""
+    out = mpmath.matrix(2 * size, 2)
+    for k in range(size):
+        out[k, 0], out[size + k, 0] = zeta[k], zeta[size + k]
+        out[k, 1], out[size + k, 1] = -mpmath.conj(zeta[size + k]), mpmath.conj(zeta[k])
+    return out
+
+
+def reference_orbit_rows(g: SpElement, h: SpElement, steps, dps=50):
+    """``[pi, |a_nn|, |a_nn1|, |a_n1n|, |a_n1n1|, |alpha|, |beta|, |gamma|,
+    |theta|]`` of h_k for k = 0..steps, from ``h_{k+1} = h_k g h_k^-1`` in
+    g's diagonal frame at ``dps`` digits, on complex adjoints.
+
+    g and h are first carried onto the group by Newton-Schulz steps
+    ``X (3I - J X* J X) / 2`` run to convergence: the float entries are on it
+    only to rounding, and an exact orbit of such a pair leaves it.  The frame
+    is built as the library builds it, from g's adjoint eigenvectors: unit
+    ones J-orthonormalised, v scaled to ``<v, u> = -1`` and the null pair
+    balanced.  The recorded moduli and block norms do not depend on the
+    choice the frame leaves open, a unit quaternion per column or a unitary
+    mix within a repeated class.
+    """
+    size = g.n + 1
+    with mpmath.workdps(dps):
+        j_adj = mpmath.matrix(form_matrix(g.n).adjoint().real.tolist())
+
+        def star(x):
+            return j_adj * x.transpose_conj() * j_adj
+
+        def on_group(m):
+            x = mpmath.matrix(m.adjoint().tolist())
+            for _ in range(100):
+                step = x * (3 * mpmath.eye(2 * size) - star(x) * x) / 2
+                if mpmath.mnorm(step - x, 1) <= mpmath.mpf(10) ** (5 - dps):
+                    return step
+                x = step
+            raise AssertionError("Newton-Schulz did not converge")
+
+        g_adj, h_adj = on_group(g.m), on_group(h.m)
+        evals, evecs = mpmath.eig(g_adj)
+        order = sorted(range(2 * size), key=lambda i: abs(evals[i]))
+        columns = [_mp_quaternion_column(evecs[:, i], size) for i in (order[-1], order[0])]
+        u, v = columns
+        v = v * mpmath.inverse(-(u.transpose_conj() * j_adj * v))
+        t = mpmath.sqrt(mpmath.norm(v[:, 0]) / mpmath.norm(u[:, 0]))
+        columns = []
+        for i in order[2:-2]:
+            w = _mp_quaternion_column(evecs[:, i], size)
+            scale = mpmath.norm(w[:, 0]) ** 2
+            for q in columns:
+                w = w - q * (q.transpose_conj() * j_adj * w)
+            value = mpmath.re((w.transpose_conj() * j_adj * w)[0, 0])
+            if value > mpmath.mpf(10) ** (10 - dps) * scale:
+                columns.append(w / mpmath.sqrt(value))
+        assert len(columns) == g.n - 1
+        columns += [u * t, v / t]
+        conj = mpmath.matrix(2 * size, 2 * size)
+        for col, q in enumerate(columns):
+            for row in range(2 * size):
+                conj[row, col], conj[row, size + col] = q[row, 0], q[row, 1]
+        g_diag = star(conj) * g_adj * conj
+        current = star(conj) * h_adj * conj
+
+        def modulus(i, j):
+            return mpmath.sqrt(abs(current[i, j]) ** 2 + abs(current[i, size + j]) ** 2)
+
+        def block(rows, cols):
+            return mpmath.sqrt(sum(modulus(i, j) ** 2 for i in rows for j in cols))
+
+        n, unit = g.n, range(g.n - 1)
+        rows = []
+        for _ in range(steps + 1):
+            corners = [modulus(n - 1, n - 1), modulus(n - 1, n), modulus(n, n - 1), modulus(n, n)]
+            blocks = [block(unit, [n - 1]), block(unit, [n]), block([n - 1], unit), block([n], unit)]
+            rows.append([float(x) for x in [corners[1] * corners[2], *corners, *blocks]])
+            current = current * g_diag * star(current)
+        return rows
 
 
 def reference_diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:

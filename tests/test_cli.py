@@ -257,6 +257,26 @@ def test_malformed_json_exit_code(tmp_path, capsys):
         assert "bad.json" in err and field in err
 
 
+def test_non_number_entries_are_one_error_line(tmp_path, capsys):
+    # Each used to pass: numpy read "0.5" and true as numbers, and boolean
+    # rows and cols were reported as an 'entries' mismatch.
+    good = json.loads(jsonio.dumps(make_loxodromic([Quaternion(1)], Quaternion(1.05)).to_json_dict()))
+    bad = tmp_path / "bad.json"
+    variants = []
+    for value in ("0.5", True, None, [0.5]):
+        doc = json.loads(json.dumps(good))
+        doc["entries"][1][0] = value
+        variants.append((doc, "'entries'"))
+    for key in ("rows", "cols"):
+        variants.append((dict(good, **{key: True}), f"'{key}'"))
+    for doc, field in variants:
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(["classify", str(bad)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("qhspace: error: ") and err.count("\n") == 1
+        assert "bad.json" in err and field in err
+
+
 def test_non_loxodromic_test_input(tmp_path, capsys):
     g_path, h_path = write_pair(str(tmp_path))
     code, _, err = run(["test", h_path, g_path], capsys)

@@ -14,6 +14,7 @@ from helpers import (
     reference_dumps,
     reference_elementary_certificate,
     reference_jorgensen_test,
+    reference_orbit_rows,
     same_bits,
     shared_fixed_point_pairs,
     small_perturbation,
@@ -37,20 +38,25 @@ from qhspace.jorgensen import (
 )
 from qhspace.qmatrix import QMatrix
 from qhspace.quaternion import Quaternion
-from qhspace.spectral import _fixed_point_data, loxodromic_data, spectral_report
+from qhspace import spectral
+from qhspace.spectral import _fixed_point_data, _unit_block_columns, loxodromic_data, spectral_report
 from qhspace.spn1 import (
     NormalFormParams,
     StabilizerKind,
+    _structure_inverse,
     compose,
+    form_matrix,
     group_inverse,
     herm_form,
     is_member,
     make_loxodromic,
     make_normal_form,
+    membership_residual,
     random_element,
+    retract,
     sample_elements,
 )
-from qhspace.tolerances import pairing_vanishes
+from qhspace.tolerances import DIAGONAL_TOL, pairing_vanishes
 
 
 def slow_loxodromic():
@@ -463,22 +469,86 @@ def test_stress_grid_orbits_complete_or_stop_typed():
     assert counts["complete"] > counts["diverged"]
 
 
-def test_conjugators_off_the_group_are_refused():
-    # The unit-block basis of these n = 5 conjugators is off the group by
-    # 7e-4 to 3.6e-3 relative to |C|^2, far beyond rounding; one retraction
-    # step must not hide that.
-    refused = 0
+def test_n5_stress_conjugators_are_admitted(monkeypatch):
+    # The unit columns are eigenvectors of the kept eig.  The SVD basis they
+    # replaced put five of these n = 5 conjugators off the group by 7e-4 to
+    # 3.6e-3 relative to |C|^2, and they were refused; the eigenvector basis
+    # is on it to 8.7e-10 before its one retraction step.
+    raw = []
+    monkeypatch.setattr(spectral, "retract", lambda m: raw.append(m) or retract(m))
+    built = 0
     for g, h in stress_shared_pairs(5):
         try:
             _fixed_point_data(g)
         except (ClassificationError, ArithmeticError):
             continue
-        try:
-            _diagonal_frame(g, h)
-        except NumericError as err:
-            assert "diagonalizing conjugator" in str(err)
-            refused += 1
-    assert refused == 5
+        _diagonal_frame(g, h)
+        residual, _ = membership_residual(raw[-1])
+        assert residual <= 1e-9 * raw[-1].norm_max() ** 2
+        built += 1
+    assert built == 24
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("q", [Quaternion(0.0, 0.0, 1.0, 0.0), Quaternion(0.6, 0.8)])
+def test_repeated_non_real_unit_classes_get_a_frame(n, q):
+    # diag(q, ..., q, lam, 1/conj(lam)) conjugated by sampled words: eig
+    # returns both v and v j of one quaternionic line for each copy of q.
+    d = make_loxodromic([q] * (n - 1), Quaternion(1.2, 0.3))
+    j_mat = form_matrix(n)
+    built = 0
+    for c in sample_elements(n, 31, 8, 8):
+        g = is_member(c.m @ d.m @ group_inverse(c).m)
+        frame = _diagonal_frame(g, g)
+        conj = frame.data.conjugator.m
+        d_mat = _structure_inverse(conj) @ g.m @ conj
+        assert (d_mat - QMatrix.diag([d_mat[i, i] for i in range(n + 1)])).norm_max() <= DIAGONAL_TOL
+        columns = QMatrix.from_blocks([_unit_block_columns(g, frame.data.unit_eigs)])
+        assert (columns.star() @ j_mat @ columns - QMatrix.identity(n - 1)).norm_max() <= 1e-10
+        built += 1
+    assert built == 8
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_a_candidate_repeating_a_kept_line_is_dropped(monkeypatch, n):
+    # Each eig candidate followed by a copy of its line, v (0.6 + 0.8i): in a
+    # class of multiplicity n - 1 the copy projects to rounding and must fail
+    # the form-positivity cut, whatever order eig lists the candidates in.
+    original = spectral._eigen_candidates
+
+    def doubled(m):
+        spectrum, values, vecs = original(m)
+        copies = vecs.scale_right(np.full(len(values), 0.6 + 0.8j))
+        ca = np.stack([vecs.ca, copies.ca], axis=1).reshape(-1, m.rows, 1)
+        cb = np.stack([vecs.cb, copies.cb], axis=1).reshape(-1, m.rows, 1)
+        return spectrum, [lam for lam in values for _ in range(2)], QMatrix._owning(ca, cb)
+
+    monkeypatch.setattr(spectral, "_eigen_candidates", doubled)
+    j_mat = form_matrix(n)
+    for q in (Quaternion(0.0, 0.0, 1.0, 0.0), Quaternion(0.6, 0.8)):
+        d = make_loxodromic([q] * (n - 1), Quaternion(1.2, 0.3))
+        for c in sample_elements(n, 31, 4, 8):
+            g = is_member(c.m @ d.m @ group_inverse(c).m)
+            columns = QMatrix.from_blocks([_unit_block_columns(g, _fixed_point_data(g).unit_eigs)])
+            assert (columns.star() @ j_mat @ columns - QMatrix.identity(n - 1)).norm_max() <= 1e-10
+            assert loxodromic_data(g).conjugator is not None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_orbit_matches_a_50_digit_recursion(n):
+    # g = c diag(1, ..., 1, 1.05, 1/1.05) c^-1 with short sampled words c, so
+    # the frame is not the identity.  The orbit's pi, corner moduli and block
+    # norms agree with the 50-digit ones to at most 6.3e-13 relative here.
+    d = make_loxodromic([Quaternion(1)] * (n - 1), Quaternion(1.05))
+    for seed in (61, 62, 63):
+        c = next(iter(sample_elements(n, seed, 1, 4)))
+        g = is_member(c.m @ d.m @ group_inverse(c).m)
+        h = small_perturbation(n, np.random.default_rng(seed))
+        trace = conjugation_orbit(g, h, steps=16)
+        assert trace.branch == "T1" and len(trace.steps) == 17
+        for step, want in zip(trace.steps, reference_orbit_rows(g, h, 16)):
+            got = [step.pi, *step.corner_moduli, *step.block_norms]
+            assert all(abs(x - y) <= 1e-10 * y for x, y in zip(got, want))
 
 
 def quaternion_bits(q):
