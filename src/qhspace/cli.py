@@ -6,6 +6,14 @@ a pair), ``iterate`` (conjugation-orbit trace), ``fk`` (pullback-sequence
 report) and ``verify`` (identity / inequality residual tables over a sample
 batch).  Exit codes: 0 success, 1 usage or input error, 2 verification
 failure.
+
+A call parses its arguments with its subcommand's own parser: the top-level
+parser only hands the arguments after the command name on to it, so
+``main`` looks the command up itself and runs the top-level parser only
+when the arguments do not start with a command name.  Usage, help and error
+text are those of the top-level route.  Each file artifact is written with
+one descriptor: its UTF-8 bytes go out through ``os.open``/``os.write``,
+not through a text-mode file object.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import math
 import os
 import sys
 import warnings
+from gettext import gettext
 
 import numpy as np
 
@@ -29,6 +38,9 @@ from .tolerances import ENTRY_IDENTITY_FLOOR, admission
 
 
 class _Parser(argparse.ArgumentParser):
+    #: The subcommand parsers by name; set on the top-level parser by build_parser.
+    commands = {}
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -51,8 +63,13 @@ def _write_output(text, path):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        data = memoryview(text.encode("utf-8"))
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
 
 
 def _write_table(args, header, rows, summary):
@@ -201,7 +218,8 @@ def _cmd_verify(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="qhspace", description=__doc__)
+    # The help shows the docstring's first two paragraphs: the commands and exit codes.
+    parser = _Parser(prog="qhspace", description="\n\n".join(__doc__.split("\n\n")[:2]))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, batch=False):
@@ -246,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, batch=True)
     p.add_argument("--format", choices=("json",), default="json")
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -256,9 +275,26 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv):
+    """The Namespace the top-level parser gives for ``argv``, in one parser pass.
+
+    Raises SystemExit, after printing usage, help or an error, as that
+    parser does.
+    """
+    parser = _shared_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # The parser outlives any rebinding of the handlers, so look them up by name.

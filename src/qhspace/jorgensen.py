@@ -39,7 +39,7 @@ from .crossratio import _cross_ratio_parts, _pairing_table
 from .errors import ClassificationError, MembershipError, NumericError
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
-from .spectral import LoxodromicData, _fixed_point_data, _lift, loxodromic_data
+from .spectral import LoxodromicData, _fixed_point_data, _has_one_expanding_pair, _lift, loxodromic_data
 from .spn1 import SpElement, _require_same_space, _structure_inverse, is_member, make_loxodromic, retract
 from .tolerances import (
     BOUND_FLOOR,
@@ -182,11 +182,14 @@ def _certificate(data: LoxodromicData, h: SpElement, flags) -> Certificate:
         return Certificate.PRESERVES_PAIR
     if not (fixes_u or fixes_v):
         return Certificate.NEITHER
+    # h is not loxodromic, or its fixed points are not certified; the group
+    # still fixes a point, so the elementary certificate stands.  Its moduli
+    # decide the first before any of its eigenvectors is checked.
+    if not _has_one_expanding_pair(h):
+        return Certificate.FIXES_ONE_SWAPS_NONE
     try:
         h_data = _fixed_point_data(h)
     except (ClassificationError, NumericError):
-        # h is not loxodromic, or its fixed points are not certified; the
-        # group still fixes a point, so the elementary certificate stands.
         return Certificate.FIXES_ONE_SWAPS_NONE
     if abs(h_data.lam_n) > 1.0 + LOXODROMY_MARGIN:
         # Pairings of h's fixed points p, q with u and v: <p,u>, <p,v>, <q,v>, <q,u>.

@@ -41,8 +41,11 @@ call.  ``right_eigenpairs`` makes one walk over that spectrum: it takes all
 2k adjoint eigenvectors of a k x k matrix as quaternionic candidates at once
 (``_eigen_candidates``, which the diagonal frame reads too), checks their
 residuals as one stack and the cached pairing mismatches, and matches each
-cached representative to its candidate by nearest value.  Only ``classify``
-takes a second decomposition, the SVD of ``eigenspace_basis``.
+cached representative to its candidate by nearest value.  That match alone,
+with no residual checked, gives the matched values (``_matched_values``),
+from whose moduli the Jørgensen certificate rules out a non-loxodromic
+partner.  Only ``classify`` takes a second decomposition, the SVD of
+``eigenspace_basis``.
 """
 
 from __future__ import annotations
@@ -442,6 +445,11 @@ def right_eigenvalues(m: QMatrix, tol=PAIRING_TOL):
     return list(spectrum.reps)
 
 
+def _candidate_values(evals):
+    """The adjoint eigenvalues, each conjugated into the upper half plane."""
+    return [complex(lam.real, abs(lam.imag)) for lam in evals.tolist()]
+
+
 def _eigen_candidates(m: QMatrix):
     """``(spectrum, values, vecs)``: adjoint eigenvector idx as quaternionic candidate idx.
 
@@ -461,7 +469,34 @@ def _eigen_candidates(m: QMatrix):
         np.where(lower, ca * 0j - cb * np.conj(1 + 0j), ca),
         np.where(lower, ca * (1 + 0j) + cb * np.conj(0j), cb),
     )
-    return spectrum, [complex(lam.real, abs(lam.imag)) for lam in evals.tolist()], vecs
+    return spectrum, _candidate_values(evals), vecs
+
+
+def _nearest_candidates(reps, values):
+    """For each representative in turn, the index of its nearest remaining value.
+
+    Each similarity class appears twice per multiplicity among the values,
+    so every representative is matched to one candidate of its own.
+    """
+    remaining = list(range(len(values)))
+    picks = []
+    for rep in reps:
+        i = min(remaining, key=lambda k: abs(values[k] - rep))
+        remaining.remove(i)
+        picks.append(i)
+    return picks
+
+
+def _matched_values(m: QMatrix):
+    """The candidate values :func:`right_eigenpairs` returns, unchecked.
+
+    One value per cached representative, in representative order, taken from
+    the candidates before any eigenvector residual or pairing mismatch is
+    checked: a caller that decides from the moduli alone skips that work.
+    """
+    spectrum = _adjoint_spectrum(m)
+    values = _candidate_values(spectrum.evals)
+    return [values[i] for i in _nearest_candidates(spectrum.reps, values)]
 
 
 def right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):
@@ -483,13 +518,8 @@ def right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):
     if bad.any():
         raise NumericError("eigenpair residual too large", residual=float(resid[np.argmax(bad)]))
     _check_pairing(spectrum, max(tol, PAIRING_TOL))
-    # Each similarity class appears twice per multiplicity; keep the nearest
-    # candidate for each cached representative.
-    remaining = list(range(2 * m.rows))
     pairs = []
-    for rep in spectrum.reps:
-        i = min(remaining, key=lambda k: abs(reps[k] - rep))
-        remaining.remove(i)
+    for i in _nearest_candidates(spectrum.reps, reps):
         vec = QMatrix._owning(vecs.ca[i], vecs.cb[i])
         pairs.append((reps[i], vec, float(resid[i] / scale[i])))
     pairs.sort(key=lambda p: (abs(p[0]), p[0].real))

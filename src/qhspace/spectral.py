@@ -41,7 +41,14 @@ import numpy as np
 from .errors import ClassificationError, MembershipError, NumericError
 from .crossratio import _cross_ratio_parts, _pairing_table
 from .geometry import ProjectivePoint
-from .qmatrix import QMatrix, _eigen_candidates, eigenspace_basis, right_eigenpairs, right_eigenvalues
+from .qmatrix import (
+    QMatrix,
+    _eigen_candidates,
+    _matched_values,
+    eigenspace_basis,
+    right_eigenpairs,
+    right_eigenvalues,
+)
 from .quaternion import Quaternion
 from .spn1 import SpElement, form_matrix, herm_form, is_member, retract
 from .tolerances import (
@@ -221,12 +228,28 @@ def _build_conjugator(g: SpElement, unit_reps, u_vec, v_vec):
 _FIXED_POINT_PAIRINGS = _pairing_table((0, 1, 0, 1))
 
 
+def _expanding_contracting(moduli):
+    """The indices of the expanding moduli and of the contracting moduli."""
+    big = [i for i, m in enumerate(moduli) if m > 1.0 + UNIT_MODULUS_TOL]
+    small = [i for i, m in enumerate(moduli) if m < 1.0 - UNIT_MODULUS_TOL]
+    return big, small
+
+
+def _has_one_expanding_pair(g: SpElement) -> bool:
+    """Whether g has exactly one expanding and one contracting class.
+
+    The first test of :func:`_fixed_point_data`, on the same eigenvalue
+    moduli, decided before any eigenvector residual is checked.
+    """
+    big, small = _expanding_contracting([abs(lam) for lam in _matched_values(g.m)])
+    return len(big) == 1 and len(small) == 1
+
+
 def _fixed_point_data(g: SpElement) -> LoxodromicData:
     """:func:`loxodromic_data` without the conjugator; certifies u and v distinct."""
     pairs = right_eigenpairs(g.m, tol=UNIT_MODULUS_TOL)
     moduli = [abs(p[0]) for p in pairs]
-    big = [i for i, m in enumerate(moduli) if m > 1.0 + UNIT_MODULUS_TOL]
-    small = [i for i, m in enumerate(moduli) if m < 1.0 - UNIT_MODULUS_TOL]
+    big, small = _expanding_contracting(moduli)
     if len(big) != 1 or len(small) != 1:
         raise ClassificationError(
             "element is not loxodromic: expected exactly one expanding and one "

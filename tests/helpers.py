@@ -9,6 +9,7 @@ from collections import Counter
 import mpmath
 import numpy as np
 
+from qhspace.cli import _shared_parser
 from qhspace.crossratio import DEGENERACY_TOL, CrossRatioValue, EntryIdentityReport, _moduli
 from qhspace.errors import ClassificationError, MembershipError, NumericError, ShapeMismatchError
 from qhspace.geometry import Position, ProjectivePoint, apply, from_lift, projectively_close, q_infinity, q_zero
@@ -992,3 +993,13 @@ def reference_element_dict(g: SpElement):
 
 def reference_point_dict(p: ProjectivePoint):
     return {"lift": [[float(v) for v in p.lift.components[i, 0]] for i in range(p.lift.rows)]}
+
+
+# -- reference argument parsing ------------------------------------------------
+
+
+def reference_parse_args(argv):
+    """The Namespace of ``argv`` from the top-level parser, which hands the
+    arguments after the command name on to the subcommand's parser; the
+    route that ``cli._parse_args`` shortens."""
+    return _shared_parser().parse_args(argv)

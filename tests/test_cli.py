@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import pathlib
+import shutil
+import stat
 import subprocess
 import sys
 
@@ -11,6 +14,7 @@ from helpers import (
     reference_dumps,
     reference_element_dict,
     reference_factor_params,
+    reference_parse_args,
     reference_sample_elements,
     reference_verify,
     small_perturbation,
@@ -417,3 +421,111 @@ def test_floating_point_failure_is_one_error_line(tmp_path):
     assert lines[0].startswith("qhspace: error:")
     assert "overflow" in lines[0]
     assert ".py" not in lines[0]
+
+
+def dispatch_table(g_path, h_path, out_path):
+    """argv by the exit code they give: every command, help and usage errors."""
+    return {
+        0: [
+            ["sample", "--n", "1", "--count", "2", "--seed", "3", "--word-length", "4"],
+            ["sample", "--count", "1", "--out", out_path],
+            ["classify", g_path],
+            ["classify", "--to", "1e-6", h_path, "--out", out_path],
+            ["test", g_path, h_path],
+            ["test", "--tol", "1e-9", "--", g_path, h_path],
+            ["iterate", g_path, h_path, "--steps", "4", "--format", "json"],
+            ["fk", g_path, h_path, "--steps", "2"],
+            ["verify", "--cou", "2"],
+            ["verify", "--n", "1", "--count", "2", "--word-length", "4", "--out", out_path],
+        ],
+        "help": [
+            ["-h"],
+            ["--help"],
+            ["--he"],
+            ["classify", "-h"],
+            ["test", g_path, h_path, "--help"],
+            ["--help", "classify"],
+        ],
+        1: [
+            [],
+            ["bogus"],
+            ["bogus", g_path],
+            ["--tol", "1", "classify", g_path],
+            ["classify"],
+            ["iterate", g_path],
+            ["classify", g_path, "extra"],
+            ["test", g_path, h_path, "--steps", "4", "more"],
+            ["verify", "--tol", "nan"],
+            ["sample", "--count", "two"],
+            ["fk", g_path, h_path, "--format", "xml"],
+        ],
+    }
+
+
+def run_routed(argv, parse, monkeypatch, capsys, out_path):
+    """Exit code, stdout, stderr and the output artifact of ``main(argv)``
+    with ``parse`` as its argument parser."""
+    monkeypatch.setattr(cli, "_parse_args", parse)
+    out = pathlib.Path(out_path)
+    if out.is_dir():
+        shutil.rmtree(out)
+    out.unlink(missing_ok=True)
+    result = run(argv, capsys)
+    if out.is_dir():
+        artifact = {path.name: path.read_bytes() for path in out.iterdir()}
+    else:
+        artifact = out.read_bytes() if out.exists() else None
+    return (*result, artifact)
+
+
+def test_dispatch_matches_the_top_level_route(tmp_path, monkeypatch, capsys):
+    g_path, h_path = write_pair(str(tmp_path))
+    out_path = str(tmp_path / "out")
+    table = dispatch_table(g_path, h_path, out_path)
+    parse = cli._parse_args
+    for argv in table[0]:
+        got, want = parse(argv), reference_parse_args(argv)
+        assert (got, repr(got)) == (want, repr(want)), argv
+    for code, argvs in table.items():
+        for argv in argvs:
+            want = run_routed(argv, reference_parse_args, monkeypatch, capsys, out_path)
+            got = run_routed(argv, parse, monkeypatch, capsys, out_path)
+            assert got == want, argv
+            assert want[0] == (0 if code == "help" else code), argv
+            assert want[1].startswith("usage: qhspace") == (code == "help"), argv
+    monkeypatch.setattr(cli.sys, "argv", ["qhspace", "classify", g_path])
+    assert parse(None) == reference_parse_args(None)
+
+
+def test_write_output_writes_the_utf8_bytes(tmp_path, monkeypatch):
+    path = str(tmp_path / "report.json")
+    text = '{"kind": "Loxodromic", "note": "\u00f8 \u2014 \U0001d53b"}\n' * 400
+    with open(path, "w") as fh:
+        fh.write(text * 3)
+    # Short writes: every byte still goes out, in order.
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:1000]))
+    cli._write_output(text, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == text.encode("utf-8")
+
+
+def test_write_output_creates_files_with_the_mode_open_gives(tmp_path):
+    old = os.umask(0o002)
+    try:
+        cli._write_output("{}", str(tmp_path / "raw.json"))
+        with open(tmp_path / "text.json", "w") as fh:
+            fh.write("{}")
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("raw.json", "text.json")}
+    assert modes == {0o666 & ~0o002}
+
+
+def test_write_output_to_a_missing_directory_is_one_error_line(tmp_path, capsys):
+    g_path, _ = write_pair(str(tmp_path))
+    path = str(tmp_path / "missing" / "report.json")
+    code, out, err = run(["classify", g_path, "--out", path], capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("qhspace: error: ")
+    assert path in err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    _reference_certificate,
     count_linalg,
     parabolic_factor,
     preserved_pairs,
@@ -30,16 +31,25 @@ from qhspace.jorgensen import (
     Certificate,
     DegenerateOrbitError,
     Verdict,
+    _certificate,
     _diagonal_frame,
+    _fixed_point_brackets,
     conjugation_orbit,
     elementary_certificate,
     fk_sequence,
     jorgensen_test,
 )
-from qhspace.qmatrix import QMatrix
+from qhspace.qmatrix import QMatrix, _matched_values, right_eigenpairs
 from qhspace.quaternion import Quaternion
 from qhspace import spectral
-from qhspace.spectral import _fixed_point_data, _unit_block_columns, loxodromic_data, spectral_report
+from qhspace.spectral import (
+    _fixed_point_data,
+    _has_one_expanding_pair,
+    _lift,
+    _unit_block_columns,
+    loxodromic_data,
+    spectral_report,
+)
 from qhspace.spn1 import (
     NormalFormParams,
     StabilizerKind,
@@ -56,7 +66,7 @@ from qhspace.spn1 import (
     retract,
     sample_elements,
 )
-from qhspace.tolerances import DIAGONAL_TOL, pairing_vanishes
+from qhspace.tolerances import DIAGONAL_TOL, UNIT_MODULUS_TOL, pairing_vanishes
 
 
 def slow_loxodromic():
@@ -623,6 +633,58 @@ def test_stress_shared_pairs_get_the_certified_verdict(n):
         assert outcome.verdict is CERTIFIED_VERDICTS[certificate]
         checked += 1
     assert checked >= 20
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_certificate_decides_from_moduli_as_the_reference_path_does(n):
+    # Both orders of each stress pair: with the roles swapped, h is the
+    # near-parabolic loxodromic of the grid.  The reference checks all of h's
+    # eigenpairs before it reads the moduli.
+    seen = set()
+    near_parabolic = 0
+    for pair in stress_shared_pairs(n):
+        for g, h in (pair, pair[::-1]):
+            try:
+                data = _fixed_point_data(g)
+            except (ClassificationError, ArithmeticError):
+                continue
+            flags = _fixed_point_brackets(data, h)[3]
+            want = _reference_certificate(_lift(data.lifts, 0), _lift(data.lifts, 1), h, flags)
+            assert _certificate(data, h, flags) is want
+            loxodromic = _has_one_expanding_pair(h)
+            seen.add((want, loxodromic))
+            near_parabolic += loxodromic and max(map(abs, _matched_values(h.m))) - 1.0 <= 1.01e-3
+    assert (Certificate.FIXES_ONE_SWAPS_NONE, False) in seen
+    assert (Certificate.SHARES_EXACTLY_ONE, True) in seen
+    assert near_parabolic >= 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_loxodromy_is_read_from_the_matched_candidate_moduli(n):
+    # eig splits a parabolic element's unit class by up to about 1e-5, so the
+    # averaged representatives and the candidates right_eigenpairs returns
+    # can fall on different sides of the unit-modulus cut.
+    rng = np.random.default_rng(n)
+    elements = [h for pair in stress_shared_pairs(n) for h in pair]
+    for c in sample_elements(n, 4, 60, 6):
+        try:
+            elements.append(is_member(c.m @ parabolic_factor(n, rng, scale=1.0).m @ group_inverse(c).m))
+        except MembershipError:
+            continue
+    checked = 0
+    for h in elements:
+        values = _matched_values(h.m)
+        try:
+            pairs = right_eigenpairs(h.m, tol=UNIT_MODULUS_TOL)
+        except NumericError:
+            continue
+        assert sorted(values, key=lambda v: (abs(v), v.real)) == [p[0] for p in pairs]
+        moduli = [abs(p[0]) for p in pairs]
+        expanding = sum(m > 1.0 + UNIT_MODULUS_TOL for m in moduli)
+        contracting = sum(m < 1.0 - UNIT_MODULUS_TOL for m in moduli)
+        assert _has_one_expanding_pair(h) == (expanding == contracting == 1)
+        checked += 1
+    assert checked >= 40
 
 
 def near_parabolic_pairs(n):
