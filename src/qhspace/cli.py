@@ -57,6 +57,17 @@ def _factor(text):
     return value
 
 
+def _positive(text):
+    """The ``--steps`` count: an integer, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _write_output(text, path):
     if path is None:
         sys.stdout.write(text)
@@ -249,14 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iterate", help="conjugation-orbit trace for a pair")
     p.add_argument("g")
     p.add_argument("h")
-    p.add_argument("--steps", type=int, default=16)
+    p.add_argument("--steps", type=_positive, default=16)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     add_common(p)
 
     p = sub.add_parser("fk", help="pullback-sequence report for a pair")
     p.add_argument("g")
     p.add_argument("h")
-    p.add_argument("--steps", type=int, default=8)
+    p.add_argument("--steps", type=_positive, default=8)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     add_common(p)
 

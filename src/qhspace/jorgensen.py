@@ -18,10 +18,14 @@ to h's.
 
 The diagonal frame serves only the instrumented orbit: ``h_{k+1} = h_k g
 h_k^-1`` records the corner products ``pi_k``, compares them against the
-geometric contraction bound per step, and cross-checks the closed-form block
-recursion against direct matrix conjugation.  The pullback sequence
-``f_k = g^-k h_{2k} g^k`` then witnesses non-discreteness: its off-diagonal
-blocks decay while the elements stay pairwise distinct.
+geometric contraction bound per step, and cross-checks the closed-form
+recursion against direct matrix conjugation.  The recursion is a sum over h's
+column blocks, each scaled by its entries of g's diagonal and multiplied by
+the matching row block of the structure inverse ``J h* J``, which the step
+takes once and shares with the cross-check.  The pullback sequence ``f_k =
+g^-k h_{2k} g^k`` then witnesses non-discreteness: each f_k is h_{2k} between
+two diagonal matrices of eigenvalue powers.  Its off-diagonal blocks decay
+while the elements stay pairwise distinct.
 
 Each step forms ``h g J h* J``, which doubles any drift of h off the group,
 so every matrix of the frame is retracted onto the group before admission.
@@ -302,42 +306,24 @@ class IterationTrace:
         return header, rows
 
 
-def _cell(q: Quaternion) -> QMatrix:
-    """The 1 x 1 matrix holding ``q``."""
-    return QMatrix.diag([q])
-
-
-def _block_update(h: SpElement, unit_diag, lam_n: Quaternion, lam_n1: Quaternion) -> QMatrix:
+def _block_update(h: SpElement, inverse: QMatrix, unit_diag, lam_n: Quaternion, lam_n1: Quaternion) -> QMatrix:
     """One step of the closed-form recursion for h g h^-1 with diagonal g.
 
-    Every block of the product is written out from the block partition and
-    the structure inverse, keeping quaternion factors in display order; the
+    With ``inverse`` = J h* J, whose row blocks are ``[A*, -theta*, -gamma*]``,
+    ``[-beta*, conj(a_n1n1), conj(a_nn1)]`` and ``[-alpha*, conj(a_n1n),
+    conj(a_nn)]``, the product is a sum over h's column blocks: ``[A; gamma;
+    theta] L`` times the first, h's column n times ``lam_n`` times the second,
+    and h's column n+1 times ``lam_n1`` times the third.  Each of the nine
+    blocks sums its three terms in that order.  Only g's diagonal enters; the
     orbit cross-checks this against plain matrix conjugation.
     """
-    a_blk, al, be = h.A, h.alpha, h.beta
-    ga, th = h.gamma, h.theta
-    a, b = h.a_nn, h.a_nn1
-    c, d = h.a_n1n, h.a_n1n1
-    l_mat = QMatrix.diag(list(unit_diag))
-    a_l = a_blk @ l_mat
-    ga_l = ga @ l_mat
-    th_l = th @ l_mat
-    row1 = [
-        a_l @ a_blk.star() - al.scale_right(lam_n) @ be.star() - be.scale_right(lam_n1) @ al.star(),
-        -(a_l @ th.star()) + al.scale_right(lam_n * d.conj()) + be.scale_right(lam_n1 * c.conj()),
-        -(a_l @ ga.star()) + al.scale_right(lam_n * b.conj()) + be.scale_right(lam_n1 * a.conj()),
-    ]
-    row2 = [
-        ga_l @ a_blk.star() - be.star().scale_left(a * lam_n) - al.star().scale_left(b * lam_n1),
-        -(ga_l @ th.star()) + _cell(a * lam_n * d.conj() + b * lam_n1 * c.conj()),
-        -(ga_l @ ga.star()) + _cell(a * lam_n * b.conj() + b * lam_n1 * a.conj()),
-    ]
-    row3 = [
-        th_l @ a_blk.star() - be.star().scale_left(c * lam_n) - al.star().scale_left(d * lam_n1),
-        -(th_l @ th.star()) + _cell(c * lam_n * d.conj() + d * lam_n1 * c.conj()),
-        -(th_l @ ga.star()) + _cell(c * lam_n * b.conj() + d * lam_n1 * a.conj()),
-    ]
-    return QMatrix.from_blocks([row1, row2, row3])
+    n, every = h.n, slice(None)
+    unit = h.m.submatrix(every, slice(0, n - 1)) @ QMatrix.diag(unit_diag)
+    return (
+        unit @ inverse.submatrix(slice(0, n - 1), every)
+        + h.m.submatrix(every, n - 1).scale_right(lam_n) @ inverse.submatrix(n - 1, every)
+        + h.m.submatrix(every, n).scale_right(lam_n1) @ inverse.submatrix(n, every)
+    )
 
 
 def conjugation_orbit(g: SpElement, h: SpElement, steps=DEFAULT_ORBIT_STEPS) -> IterationTrace:
@@ -352,13 +338,13 @@ def conjugation_orbit(g: SpElement, h: SpElement, steps=DEFAULT_ORBIT_STEPS) -> 
     as ``diverged_at``, at the first element too large for membership to be
     decided (:func:`qhspace.tolerances.admission` refuses its scale).
     """
+    if steps < 1:
+        raise ValueError(f"the orbit needs at least one step, got steps = {steps}")
     return _orbit_in_frame(_diagonal_frame(g, h), steps)
 
 
 def _orbit_in_frame(frame: _DiagonalFrame, steps) -> IterationTrace:
     """The conjugation orbit of ``frame.h_conj`` under the diagonal ``g``."""
-    if steps < 1:
-        raise ValueError("the orbit needs at least one step")
     mg = frame.data.mg
     current = frame.h_conj
     pi0 = current.a_nn1.modulus() * current.a_n1n.modulus()
@@ -412,8 +398,9 @@ def _orbit_in_frame(frame: _DiagonalFrame, steps) -> IterationTrace:
         if 0.0 < pi < ORBIT_UNDERFLOW:
             truncated_at = k
             break
-        formula = _block_update(current, frame.unit_diag, frame.lam_n, frame.lam_n1)
-        direct = current.m @ frame.g_diag.m @ _structure_inverse(current.m)
+        inverse = _structure_inverse(current.m)
+        formula = _block_update(current, inverse, frame.unit_diag, frame.lam_n, frame.lam_n1)
+        direct = current.m @ frame.g_diag.m @ inverse
         discrepancy = (formula - direct).norm_max()
         try:
             current = is_member(retract(formula))
@@ -465,10 +452,14 @@ def fk_sequence(g: SpElement, h: SpElement, K=8):
     unitarity defect of the leading block go to zero while the two corner
     moduli approach ``|lam_n|`` and ``1/|lam_n|``; together with pairwise
     distinctness this is the non-discreteness witness, read at
-    :data:`FK_CONVERGENCE_TOL`.  The blocks are assembled from the stored
-    orbit elements with eigenvalue powers applied per block, never by
-    forming g^k as a matrix; the returned elements are those blocks retracted.
+    :data:`FK_CONVERGENCE_TOL`.  Each f_k is ``diag(d^-k) h_{2k} diag(d^k)``
+    with d = (unit eigenvalues, lam_n, lam_n1), g's diagonal in its frame;
+    the powers are taken entry by entry, so g^k is never formed as a
+    matrix.  The norms, the defect and the corners are read from slices of
+    f_k; the returned elements are the f_k retracted.
     """
+    if K < 1:
+        raise ValueError(f"the pullback sequence needs K >= 1, got K = {K}")
     frame = _diagonal_frame(g, h)
     trace = _orbit_in_frame(frame, 2 * K)
     if trace.degenerate_at is not None:
@@ -477,33 +468,23 @@ def fk_sequence(g: SpElement, h: SpElement, K=8):
         raise NumericError(f"orbit underflowed at step {trace.truncated_at}; reduce K")
     if trace.diverged_at is not None:
         raise NumericError(f"orbit diverged at step {trace.diverged_at}: it outgrew the admission rule")
-    lam_n, lam_n1 = frame.lam_n, frame.lam_n1
-    unit_diag = frame.unit_diag
-    mod_n = lam_n.modulus()
+    mod_n = frame.lam_n.modulus()
+    diag = (*frame.unit_diag, frame.lam_n, frame.lam_n1)
+    top, mid, bot = slice(0, g.n - 1), g.n - 1, g.n
 
     elements, offs, defects, corners = [], [], [], []
     for k in range(K + 1):
-        hk = trace.steps[2 * k].element
-        l_pow = QMatrix.diag([q**k for q in unit_diag])
-        l_neg = QMatrix.diag([q ** (-k) for q in unit_diag])
-        lam_n_k = lam_n**k
-        lam_n_mk = lam_n ** (-k)
-        lam_n1_k = lam_n1**k
-        lam_n1_mk = lam_n1 ** (-k)
-        top = l_neg @ hk.A @ l_pow
-        f12 = (l_neg @ hk.alpha).scale_right(lam_n_k)
-        f13 = (l_neg @ hk.beta).scale_right(lam_n1_k)
-        f21 = (hk.gamma @ l_pow).scale_left(lam_n_mk)
-        f31 = (hk.theta @ l_pow).scale_left(lam_n1_mk)
-        f22 = lam_n_mk * hk.a_nn * lam_n_k
-        f23 = lam_n_mk * hk.a_nn1 * lam_n1_k
-        f32 = lam_n1_mk * hk.a_n1n * lam_n_k
-        f33 = lam_n1_mk * hk.a_n1n1 * lam_n1_k
-        blocks = [[top, f12, f13], [f21, _cell(f22), _cell(f23)], [f31, _cell(f32), _cell(f33)]]
-        elements.append(is_member(retract(QMatrix.from_blocks(blocks))))
-        offs.append((f12.norm_fro(), f13.norm_fro(), f21.norm_fro(), f31.norm_fro(), f23.modulus(), f32.modulus()))
-        defects.append((top @ top.star() - QMatrix.identity(top.rows)).norm_max())
-        corners.append((f22.modulus(), f33.modulus()))
+        h_2k = trace.steps[2 * k].element.m
+        f = QMatrix.diag([q ** -k for q in diag]) @ h_2k @ QMatrix.diag([q**k for q in diag])
+        a_blk = f.submatrix(top, top)
+        elements.append(is_member(retract(f)))
+        offs.append((
+            f.submatrix(top, mid).norm_fro(), f.submatrix(top, bot).norm_fro(),
+            f.submatrix(mid, top).norm_fro(), f.submatrix(bot, top).norm_fro(),
+            f[mid, bot].modulus(), f[bot, mid].modulus(),
+        ))
+        defects.append((a_blk @ a_blk.star() - QMatrix.identity(a_blk.rows)).norm_max())
+        corners.append((f[mid, mid].modulus(), f[bot, bot].modulus()))
 
     converged = (
         max(offs[-1]) <= FK_CONVERGENCE_TOL

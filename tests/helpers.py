@@ -861,10 +861,44 @@ def _mp_quaternion_column(zeta, size):
     return out
 
 
-def reference_orbit_rows(g: SpElement, h: SpElement, steps, dps=50):
+def reference_orbit_rows(g: SpElement, h: SpElement, steps, dps=None):
     """``[pi, |a_nn|, |a_nn1|, |a_n1n|, |a_n1n1|, |alpha|, |beta|, |gamma|,
     |theta|]`` of h_k for k = 0..steps, from ``h_{k+1} = h_k g h_k^-1`` in
     g's diagonal frame at ``dps`` digits, on complex adjoints.
+
+    The recursion is not retracted, so its drift off the group, about
+    10^-dps at the start, doubles at each step; the default of
+    ``50 + 3 steps`` digits keeps it far below the float orbit's values.
+    """
+    with mpmath.workdps(50 + 3 * steps if dps is None else dps):
+        rows, _ = _mp_orbit_rows(g, h, steps)
+        return [[float(x) for x in row] for row in rows]
+
+
+def reference_fk_rows(g: SpElement, h: SpElement, K, dps=None):
+    """``[off_12, off_13, off_21, off_31, off_23, off_32, |f_nn|, |f_n1n1|]``
+    of the pullbacks ``f_k = g^-k h_{2k} g^k`` for k = 0..K, from the rows of
+    :func:`reference_orbit_rows` at ``dps`` digits (default ``50 + 6 K``).
+
+    In g's diagonal frame the unit eigenvalues have modulus 1, so with
+    m = |lam_n| each block of h_{2k} is only rescaled: alpha and theta by
+    m^k, beta and gamma by m^-k, a_nn1 by m^-2k and a_n1n by m^2k, while the
+    corners a_nn and a_n1n1 keep their moduli.
+    """
+    with mpmath.workdps(50 + 6 * K if dps is None else dps):
+        rows, m = _mp_orbit_rows(g, h, 2 * K)
+        out = []
+        for k in range(K + 1):
+            _, a_nn, a_nn1, a_n1n, a_n1n1, alpha, beta, gamma, theta = rows[2 * k]
+            up, down = m**k, m ** (-k)
+            values = [alpha * up, beta * down, gamma * down, theta * up, a_nn1 * down**2, a_n1n * up**2, a_nn, a_n1n1]
+            out.append([float(x) for x in values])
+        return out
+
+
+def _mp_orbit_rows(g: SpElement, h: SpElement, steps):
+    """The rows of :func:`reference_orbit_rows` as mpmath numbers, with
+    |lam_n|, at the working precision.
 
     g and h are first carried onto the group by Newton-Schulz steps
     ``X (3I - J X* J X) / 2`` run to convergence: the float entries are on it
@@ -875,61 +909,60 @@ def reference_orbit_rows(g: SpElement, h: SpElement, steps, dps=50):
     choice the frame leaves open, a unit quaternion per column or a unitary
     mix within a repeated class.
     """
-    size = g.n + 1
-    with mpmath.workdps(dps):
-        j_adj = mpmath.matrix(form_matrix(g.n).adjoint().real.tolist())
+    size, dps = g.n + 1, mpmath.mp.dps
+    j_adj = mpmath.matrix(form_matrix(g.n).adjoint().real.tolist())
 
-        def star(x):
-            return j_adj * x.transpose_conj() * j_adj
+    def star(x):
+        return j_adj * x.transpose_conj() * j_adj
 
-        def on_group(m):
-            x = mpmath.matrix(m.adjoint().tolist())
-            for _ in range(100):
-                step = x * (3 * mpmath.eye(2 * size) - star(x) * x) / 2
-                if mpmath.mnorm(step - x, 1) <= mpmath.mpf(10) ** (5 - dps):
-                    return step
-                x = step
-            raise AssertionError("Newton-Schulz did not converge")
+    def on_group(m):
+        x = mpmath.matrix(m.adjoint().tolist())
+        for _ in range(100):
+            step = x * (3 * mpmath.eye(2 * size) - star(x) * x) / 2
+            if mpmath.mnorm(step - x, 1) <= mpmath.mpf(10) ** (5 - dps):
+                return step
+            x = step
+        raise AssertionError("Newton-Schulz did not converge")
 
-        g_adj, h_adj = on_group(g.m), on_group(h.m)
-        evals, evecs = mpmath.eig(g_adj)
-        order = sorted(range(2 * size), key=lambda i: abs(evals[i]))
-        columns = [_mp_quaternion_column(evecs[:, i], size) for i in (order[-1], order[0])]
-        u, v = columns
-        v = v * mpmath.inverse(-(u.transpose_conj() * j_adj * v))
-        t = mpmath.sqrt(mpmath.norm(v[:, 0]) / mpmath.norm(u[:, 0]))
-        columns = []
-        for i in order[2:-2]:
-            w = _mp_quaternion_column(evecs[:, i], size)
-            scale = mpmath.norm(w[:, 0]) ** 2
-            for q in columns:
-                w = w - q * (q.transpose_conj() * j_adj * w)
-            value = mpmath.re((w.transpose_conj() * j_adj * w)[0, 0])
-            if value > mpmath.mpf(10) ** (10 - dps) * scale:
-                columns.append(w / mpmath.sqrt(value))
-        assert len(columns) == g.n - 1
-        columns += [u * t, v / t]
-        conj = mpmath.matrix(2 * size, 2 * size)
-        for col, q in enumerate(columns):
-            for row in range(2 * size):
-                conj[row, col], conj[row, size + col] = q[row, 0], q[row, 1]
-        g_diag = star(conj) * g_adj * conj
-        current = star(conj) * h_adj * conj
+    g_adj, h_adj = on_group(g.m), on_group(h.m)
+    evals, evecs = mpmath.eig(g_adj)
+    order = sorted(range(2 * size), key=lambda i: abs(evals[i]))
+    columns = [_mp_quaternion_column(evecs[:, i], size) for i in (order[-1], order[0])]
+    u, v = columns
+    v = v * mpmath.inverse(-(u.transpose_conj() * j_adj * v))
+    t = mpmath.sqrt(mpmath.norm(v[:, 0]) / mpmath.norm(u[:, 0]))
+    columns = []
+    for i in order[2:-2]:
+        w = _mp_quaternion_column(evecs[:, i], size)
+        scale = mpmath.norm(w[:, 0]) ** 2
+        for q in columns:
+            w = w - q * (q.transpose_conj() * j_adj * w)
+        value = mpmath.re((w.transpose_conj() * j_adj * w)[0, 0])
+        if value > mpmath.mpf(10) ** (10 - dps) * scale:
+            columns.append(w / mpmath.sqrt(value))
+    assert len(columns) == g.n - 1
+    columns += [u * t, v / t]
+    conj = mpmath.matrix(2 * size, 2 * size)
+    for col, q in enumerate(columns):
+        for row in range(2 * size):
+            conj[row, col], conj[row, size + col] = q[row, 0], q[row, 1]
+    g_diag = star(conj) * g_adj * conj
+    current = star(conj) * h_adj * conj
 
-        def modulus(i, j):
-            return mpmath.sqrt(abs(current[i, j]) ** 2 + abs(current[i, size + j]) ** 2)
+    def modulus(i, j):
+        return mpmath.sqrt(abs(current[i, j]) ** 2 + abs(current[i, size + j]) ** 2)
 
-        def block(rows, cols):
-            return mpmath.sqrt(sum(modulus(i, j) ** 2 for i in rows for j in cols))
+    def block(rows, cols):
+        return mpmath.sqrt(sum(modulus(i, j) ** 2 for i in rows for j in cols))
 
-        n, unit = g.n, range(g.n - 1)
-        rows = []
-        for _ in range(steps + 1):
-            corners = [modulus(n - 1, n - 1), modulus(n - 1, n), modulus(n, n - 1), modulus(n, n)]
-            blocks = [block(unit, [n - 1]), block(unit, [n]), block([n - 1], unit), block([n], unit)]
-            rows.append([float(x) for x in [corners[1] * corners[2], *corners, *blocks]])
-            current = current * g_diag * star(current)
-        return rows
+    n, unit = g.n, range(g.n - 1)
+    rows = []
+    for _ in range(steps + 1):
+        corners = [modulus(n - 1, n - 1), modulus(n - 1, n), modulus(n, n - 1), modulus(n, n)]
+        blocks = [block(unit, [n - 1]), block(unit, [n]), block([n - 1], unit), block([n], unit)]
+        rows.append([corners[1] * corners[2], *corners, *blocks])
+        current = current * g_diag * star(current)
+    return rows, abs(evals[order[-1]])
 
 
 def reference_diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:

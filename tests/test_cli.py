@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    count_linalg,
     reference_dumps,
     reference_element_dict,
     reference_factor_params,
@@ -232,6 +233,19 @@ def test_tolerance_must_be_finite_and_not_negative(command, tol, capsys):
     assert (code, out) == (1, "")
     assert err.startswith("usage: qhspace")
     assert err.splitlines()[-1].endswith(f"error: argument --tol: must be finite and at least 0, got '{tol}'")
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+@pytest.mark.parametrize("command", ["iterate", "fk"])
+def test_steps_must_be_positive(command, steps, tmp_path, monkeypatch, capsys):
+    # The count is refused before the diagonal frame is built.
+    g_path, h_path = write_pair(str(tmp_path))
+    calls = count_linalg(monkeypatch)
+    code, out, err = run([command, g_path, h_path, "--steps", steps], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: qhspace")
+    assert err.splitlines()[-1].endswith(f"error: argument --steps: must be a positive integer, got '{steps}'")
+    assert not calls
 
 
 def test_zero_tolerance_parses(capsys):

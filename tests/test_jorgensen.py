@@ -14,6 +14,7 @@ from helpers import (
     reference_diagonal_frame,
     reference_dumps,
     reference_elementary_certificate,
+    reference_fk_rows,
     reference_jorgensen_test,
     reference_orbit_rows,
     same_bits,
@@ -72,6 +73,11 @@ from qhspace.tolerances import DIAGONAL_TOL, UNIT_MODULUS_TOL, pairing_vanishes
 def slow_loxodromic():
     """diag(1, 1.05, 1/1.05): mg = 1/20 + 1/21 = 41/420."""
     return make_loxodromic([Quaternion(1)], Quaternion(1.05))
+
+
+def readme_pair():
+    """The pair of the README's quick tour."""
+    return slow_loxodromic(), random_element(n=2, seed=7, word_length=8)
 
 
 def both_stabilizer(rng):
@@ -375,6 +381,17 @@ def test_readme_pair_pullbacks_converge():
     assert report.converged and report.distinct
 
 
+@pytest.mark.parametrize("steps", [0, -1])
+def test_step_counts_below_one_are_refused_before_the_frame(steps, monkeypatch):
+    g, h = readme_pair()
+    calls = count_linalg(monkeypatch)
+    with pytest.raises(ValueError, match=f"the orbit needs at least one step, got steps = {steps}"):
+        conjugation_orbit(g, h, steps=steps)
+    with pytest.raises(ValueError, match=f"the pullback sequence needs K >= 1, got K = {steps}"):
+        fk_sequence(g, h, K=steps)
+    assert not calls
+
+
 def test_fk_sequence_degenerate_route():
     rng = np.random.default_rng(11)
     g = slow_loxodromic()
@@ -544,21 +561,63 @@ def test_a_candidate_repeating_a_kept_line_is_dropped(monkeypatch, n):
             assert loxodromic_data(g).conjugator is not None
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_orbit_matches_a_50_digit_recursion(n):
-    # g = c diag(1, ..., 1, 1.05, 1/1.05) c^-1 with short sampled words c, so
-    # the frame is not the identity.  The orbit's pi, corner moduli and block
-    # norms agree with the 50-digit ones to at most 6.3e-13 relative here.
+def conjugated_contracting_pairs(n):
+    """(c diag(1, ..., 1, 1.05, 1/1.05) c^-1, h) with short sampled words c,
+    so the frame is not the identity, and small perturbations h."""
     d = make_loxodromic([Quaternion(1)] * (n - 1), Quaternion(1.05))
+    pairs = []
     for seed in (61, 62, 63):
         c = next(iter(sample_elements(n, seed, 1, 4)))
-        g = is_member(c.m @ d.m @ group_inverse(c).m)
-        h = small_perturbation(n, np.random.default_rng(seed))
+        pairs.append((is_member(c.m @ d.m @ group_inverse(c).m), small_perturbation(n, np.random.default_rng(seed))))
+    return pairs
+
+
+def orbit_rows(trace):
+    return [[s.pi, *s.corner_moduli, *s.block_norms] for s in trace.steps]
+
+
+def assert_rows_close(got_rows, want_rows, rel):
+    assert len(got_rows) == len(want_rows)
+    for got, want in zip(got_rows, want_rows):
+        assert all(abs(x - y) <= rel * y for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_orbit_matches_a_50_digit_recursion(n):
+    # The orbit's pi, corner moduli and block norms agree with the
+    # high-precision ones (98 digits for 16 steps) to at most 6.1e-13
+    # relative here.
+    for g, h in conjugated_contracting_pairs(n):
         trace = conjugation_orbit(g, h, steps=16)
         assert trace.branch == "T1" and len(trace.steps) == 17
-        for step, want in zip(trace.steps, reference_orbit_rows(g, h, 16)):
-            got = [step.pi, *step.corner_moduli, *step.block_norms]
-            assert all(abs(x - y) <= 1e-10 * y for x, y in zip(got, want))
+        assert_rows_close(orbit_rows(trace), reference_orbit_rows(g, h, 16), 1e-10)
+
+
+def test_readme_pair_orbit_matches_the_high_precision_recursion():
+    # 64 steps need more than 50 digits: the unretracted reference drifts off
+    # the group by a factor 2 per step, and at 50 digits its block norms
+    # level off near 1e-33 while the float orbit's fall to 1e-85.
+    trace = conjugation_orbit(*readme_pair())
+    assert_rows_close(orbit_rows(trace), reference_orbit_rows(*readme_pair(), 64), 1e-12)
+
+
+def fk_rows(report):
+    return [[*offs, *corners] for offs, corners in zip(report.off_block_norms, report.corner_moduli)]
+
+
+def test_readme_pair_pullbacks_match_the_high_precision_orbit():
+    # Off-diagonal norms and corners of every f_k, against the rescaled rows
+    # of the reference orbit: at most 2.6e-14 relative here, and 3.3e-13 on
+    # the conjugated pairs below.
+    _, report = fk_sequence(*readme_pair(), K=16)
+    assert_rows_close(fk_rows(report), reference_fk_rows(*readme_pair(), 16), 1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_conjugated_pullbacks_match_the_high_precision_orbit(n):
+    for g, h in conjugated_contracting_pairs(n):
+        _, report = fk_sequence(g, h, K=8)
+        assert_rows_close(fk_rows(report), reference_fk_rows(g, h, 8), 1e-12)
 
 
 def quaternion_bits(q):
