@@ -30,6 +30,7 @@ import numpy as np
 
 from . import jsonio
 from .crossratio import corner_slack_table, entry_identity_table
+from .errors import MembershipError, ShapeMismatchError
 from .jorgensen import DegenerateOrbitError, conjugation_orbit, fk_sequence, jorgensen_test
 from .qmatrix import QMatrix
 from .spectral import spectral_report
@@ -58,7 +59,7 @@ def _factor(text):
 
 
 def _positive(text):
-    """The ``--steps`` count: an integer, at least 1."""
+    """A count or size option: an integer, at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -96,10 +97,11 @@ def _write_table(args, header, rows, summary):
 def _load_element(path, tol):
     data = jsonio.load_file(path)
     try:
-        m = QMatrix.from_json_dict(data)
+        return is_member(QMatrix.from_json_dict(data), tol=tol)
+    except (ShapeMismatchError, MembershipError) as exc:
+        raise ValueError(f"element in {path} refused: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"malformed element in {path}: {exc}") from exc
-    return is_member(m, tol=tol)
 
 
 def _cmd_sample(args):
@@ -239,10 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "residual up to c max(1, s)^2, s the largest entry modulus")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         if batch:
-            p.add_argument("--n", type=int, default=2, help="quaternionic dimension")
+            p.add_argument("--n", type=_positive, default=2, help="quaternionic dimension")
             p.add_argument("--seed", type=int, default=0, help="PCG64 seed")
-            p.add_argument("--count", type=int, default=10, help="number of elements")
-            p.add_argument("--word-length", type=int, default=8,
+            p.add_argument("--count", type=_positive, default=10, help="number of elements")
+            p.add_argument("--word-length", type=_positive, default=8,
                            help="generator word length per element")
 
     p = sub.add_parser("sample", help="write seeded random group elements as JSON")

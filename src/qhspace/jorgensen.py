@@ -16,16 +16,18 @@ points, which routes the pair to the verdicts of
 :func:`elementary_certificate`; its shared-point check joins g's lift stack
 to h's.
 
-The diagonal frame serves only the instrumented orbit: ``h_{k+1} = h_k g
-h_k^-1`` records the corner products ``pi_k``, compares them against the
-geometric contraction bound per step, and cross-checks the closed-form
-recursion against direct matrix conjugation.  The recursion is a sum over h's
-column blocks, each scaled by its entries of g's diagonal and multiplied by
-the matching row block of the structure inverse ``J h* J``, which the step
-takes once and shares with the cross-check.  The pullback sequence ``f_k =
-g^-k h_{2k} g^k`` then witnesses non-discreteness: each f_k is h_{2k} between
-two diagonal matrices of eigenvalue powers.  Its off-diagonal blocks decay
-while the elements stay pairwise distinct.
+The diagonal frame serves only the instrumented orbit ``h_{k+1} = h_k g
+h_k^-1``.  Its loop runs only the recursion, a sum over h's column blocks,
+each scaled by its entries of g's diagonal and multiplied by the matching row
+block of the structure inverse ``J h* J``, until pi underflows or an element
+outgrows the admission rule.  The records are read afterwards from the orbit
+as one stack: the corner products ``pi_k`` against the geometric contraction
+bound, the block norms, and the recursion cross-checked against direct
+matrix conjugation in one stacked product.  The pullback sequence ``f_k =
+g^-k h_{2k} g^k`` then witnesses non-discreteness.  It skips the cross-check
+and forms every f_k, h_{2k} between two diagonal matrices of eigenvalue
+powers, as one stack.  Its off-diagonal blocks decay while the elements stay
+pairwise distinct.
 
 Each step forms ``h g J h* J``, which doubles any drift of h off the group,
 so every matrix of the frame is retracted onto the group before admission.
@@ -39,12 +41,14 @@ from enum import Enum
 
 import numpy as np
 
-from .crossratio import _cross_ratio_parts, _pairing_table
+from .crossratio import _cross_ratio_parts, _moduli, _pairing_table
 from .errors import ClassificationError, MembershipError, NumericError
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
 from .spectral import LoxodromicData, _fixed_point_data, _has_one_expanding_pair, _lift, loxodromic_data
-from .spn1 import SpElement, _require_same_space, _structure_inverse, is_member, make_loxodromic, retract
+from .spn1 import (
+    SpElement, _first, _require_same_space, _stack_admission, _structure_inverse, is_member, make_loxodromic, retract,
+)
 from .tolerances import (
     BOUND_FLOOR,
     BOUND_SLACK,
@@ -306,24 +310,61 @@ class IterationTrace:
         return header, rows
 
 
-def _block_update(h: SpElement, inverse: QMatrix, unit_diag, lam_n: Quaternion, lam_n1: Quaternion) -> QMatrix:
+def _block_update(h: SpElement, frame: _DiagonalFrame) -> QMatrix:
     """One step of the closed-form recursion for h g h^-1 with diagonal g.
 
-    With ``inverse`` = J h* J, whose row blocks are ``[A*, -theta*, -gamma*]``,
-    ``[-beta*, conj(a_n1n1), conj(a_nn1)]`` and ``[-alpha*, conj(a_n1n),
-    conj(a_nn)]``, the product is a sum over h's column blocks: ``[A; gamma;
-    theta] L`` times the first, h's column n times ``lam_n`` times the second,
-    and h's column n+1 times ``lam_n1`` times the third.  Each of the nine
-    blocks sums its three terms in that order.  Only g's diagonal enters; the
-    orbit cross-checks this against plain matrix conjugation.
+    With the structure inverse J h* J, whose row blocks are ``[A*, -theta*,
+    -gamma*]``, ``[-beta*, conj(a_n1n1), conj(a_nn1)]`` and ``[-alpha*,
+    conj(a_n1n), conj(a_nn)]``, the product is a sum over h's column blocks:
+    ``[A; gamma; theta] L`` times the first, h's column n times ``lam_n``
+    times the second, and h's column n+1 times ``lam_n1`` times the third.
+    Each of the nine blocks sums its three terms in that order.  Only g's
+    diagonal enters; the orbit cross-checks this against plain matrix
+    conjugation.
     """
     n, every = h.n, slice(None)
-    unit = h.m.submatrix(every, slice(0, n - 1)) @ QMatrix.diag(unit_diag)
+    inverse = _structure_inverse(h.m)
+    unit = h.m.submatrix(every, slice(0, n - 1)) @ QMatrix.diag(frame.unit_diag)
     return (
         unit @ inverse.submatrix(slice(0, n - 1), every)
-        + h.m.submatrix(every, n - 1).scale_right(lam_n) @ inverse.submatrix(n - 1, every)
-        + h.m.submatrix(every, n).scale_right(lam_n1) @ inverse.submatrix(n, every)
+        + h.m.submatrix(every, n - 1).scale_right(frame.lam_n) @ inverse.submatrix(n - 1, every)
+        + h.m.submatrix(every, n).scale_right(frame.lam_n1) @ inverse.submatrix(n, every)
     )
+
+
+def _orbit_in_frame(frame: _DiagonalFrame, steps):
+    """Run ``h_{k+1} = h_k g h_k^-1`` from ``frame.h_conj`` for at most ``steps`` steps.
+
+    Returns ``(elements, updates, truncated_at, diverged_at)``: the admitted
+    h_0 ... h_k, the unretracted recursion values that gave h_1 ... h_k, the
+    step at which pi underflowed and the first step whose element outgrew
+    the admission rule (each None when the orbit did not stop for it).
+    """
+    current = frame.h_conj
+    elements, updates = [current], []
+    for k in range(steps):
+        if 0.0 < current.a_nn1.modulus() * current.a_n1n.modulus() < ORBIT_UNDERFLOW:
+            return elements, updates, k, None
+        update = _block_update(current, frame)
+        try:
+            current = is_member(retract(update))
+        except MembershipError as exc:
+            if exc.decided:
+                raise
+            return elements, updates, None, k + 1
+        elements.append(current)
+        updates.append(update)
+    return elements, updates, None, None
+
+
+def _blocks(m: QMatrix):
+    """Per element of a stack: the Frobenius norms of alpha, beta, gamma and
+    theta, the moduli of the corner block ``[[a_nn, a_nn1], [a_n1n, a_n1n1]]``
+    and the corner product ``pi = |a_nn1| |a_n1n|``."""
+    n, top = m.rows - 1, slice(0, m.rows - 2)
+    blocks = (m.submatrix(top, n - 1), m.submatrix(top, n), m.submatrix(n - 1, top), m.submatrix(n, top))
+    corners = _moduli(m.submatrix(slice(n - 1, None), slice(n - 1, None)))
+    return np.stack([b.norm_fro() for b in blocks], axis=-1), corners, corners[:, 0, 1] * corners[:, 1, 0]
 
 
 def conjugation_orbit(g: SpElement, h: SpElement, steps=DEFAULT_ORBIT_STEPS) -> IterationTrace:
@@ -340,77 +381,33 @@ def conjugation_orbit(g: SpElement, h: SpElement, steps=DEFAULT_ORBIT_STEPS) -> 
     """
     if steps < 1:
         raise ValueError(f"the orbit needs at least one step, got steps = {steps}")
-    return _orbit_in_frame(_diagonal_frame(g, h), steps)
+    frame = _diagonal_frame(g, h)
+    elements, updates, truncated_at, diverged_at = _orbit_in_frame(frame, steps)
+    orbit = QMatrix.stack([e.m for e in elements])
+    block_norms, corners, pi = _blocks(orbit)
+    discrepancy = [None]
+    if updates:
+        before = _lift(orbit, slice(0, -1))
+        direct = before @ frame.g_diag.m @ _structure_inverse(before)
+        discrepancy += (QMatrix.stack(updates) - direct).norm_max().tolist()
 
-
-def _orbit_in_frame(frame: _DiagonalFrame, steps) -> IterationTrace:
-    """The conjugation orbit of ``frame.h_conj`` under the diagonal ``g``."""
     mg = frame.data.mg
-    current = frame.h_conj
-    pi0 = current.a_nn1.modulus() * current.a_n1n.modulus()
-    diag0 = current.a_nn.modulus() * current.a_n1n1.modulus()
-    t1 = mg * (1.0 + math.sqrt(pi0))
-    t2 = mg * (1.0 + math.sqrt(diag0))
+    sqrt_pi = [math.sqrt(p) for p in pi.tolist()]
+    t1 = mg * (1.0 + sqrt_pi[0])
+    t2 = mg * (1.0 + math.sqrt(float(corners[0, 0, 0] * corners[0, 1, 1])))
     branch = "T1" if t1 < 1.0 else ("T2" if t2 < 1.0 else None)
-    r_value = None
-    sqrt_pi0 = math.sqrt(pi0)
-    sqrt_pi1 = None
-
+    r_value = mg * (1.0 + sqrt_pi[1]) if branch == "T2" and len(sqrt_pi) > 1 else None
     records = []
-    degenerate_at = truncated_at = diverged_at = discrepancy = None
-    for k in range(steps + 1):
-        pi = current.a_nn1.modulus() * current.a_n1n.modulus()
-        sqrt_pi = math.sqrt(pi)
-        if k == 1:
-            sqrt_pi1 = sqrt_pi
-            if branch == "T2":
-                r_value = mg * (1.0 + sqrt_pi1)
+    rows = zip(elements, pi.tolist(), sqrt_pi, corners.reshape(-1, 4).tolist(), block_norms.tolist(), discrepancy)
+    for k, (element, p, root, corner, norms, gap) in enumerate(rows):
         bound = None
         if branch == "T1":
-            bound = (t1**k) * sqrt_pi0
+            bound = (t1**k) * sqrt_pi[0]
         elif branch == "T2" and k >= 1:
-            bound = (r_value ** (k - 1)) * sqrt_pi1
-        bound_ok = None
-        if bound is not None:
-            bound_ok = sqrt_pi <= bound * (1.0 + BOUND_SLACK) + BOUND_FLOOR
-        records.append(
-            OrbitStep(
-                k=k,
-                element=current,
-                pi=pi,
-                sqrt_pi=sqrt_pi,
-                bound=bound,
-                bound_ok=bound_ok,
-                corner_moduli=current.corner_moduli(),
-                block_norms=(
-                    current.alpha.norm_fro(),
-                    current.beta.norm_fro(),
-                    current.gamma.norm_fro(),
-                    current.theta.norm_fro(),
-                ),
-                formula_vs_matmul=discrepancy,
-            )
-        )
-        if pi == 0.0 and degenerate_at is None:
-            degenerate_at = k
-        if k == steps:
-            break
-        if 0.0 < pi < ORBIT_UNDERFLOW:
-            truncated_at = k
-            break
-        inverse = _structure_inverse(current.m)
-        formula = _block_update(current, inverse, frame.unit_diag, frame.lam_n, frame.lam_n1)
-        direct = current.m @ frame.g_diag.m @ inverse
-        discrepancy = (formula - direct).norm_max()
-        try:
-            current = is_member(retract(formula))
-        except MembershipError as exc:
-            if exc.decided:
-                raise
-            diverged_at = k + 1
-            break
+            bound = (r_value ** (k - 1)) * sqrt_pi[1]
+        bound_ok = None if bound is None else root <= bound * (1.0 + BOUND_SLACK) + BOUND_FLOOR
+        records.append(OrbitStep(k, element, p, root, bound, bound_ok, tuple(corner), tuple(norms), gap))
     applicable = branch is not None
-    checked = [s.bound_ok for s in records if s.bound_ok is not None]
     return IterationTrace(
         steps=records,
         mg=mg,
@@ -419,8 +416,8 @@ def _orbit_in_frame(frame: _DiagonalFrame, steps) -> IterationTrace:
         R=r_value,
         branch=branch,
         bounds_applicable=applicable,
-        bounds_hold=applicable and all(checked),
-        degenerate_at=degenerate_at,
+        bounds_hold=applicable and all(s.bound_ok for s in records if s.bound_ok is not None),
+        degenerate_at=_first(pi == 0.0),
         truncated_at=truncated_at,
         diverged_at=diverged_at,
     )
@@ -452,39 +449,42 @@ def fk_sequence(g: SpElement, h: SpElement, K=8):
     unitarity defect of the leading block go to zero while the two corner
     moduli approach ``|lam_n|`` and ``1/|lam_n|``; together with pairwise
     distinctness this is the non-discreteness witness, read at
-    :data:`FK_CONVERGENCE_TOL`.  Each f_k is ``diag(d^-k) h_{2k} diag(d^k)``
-    with d = (unit eigenvalues, lam_n, lam_n1), g's diagonal in its frame;
-    the powers are taken entry by entry, so g^k is never formed as a
-    matrix.  The norms, the defect and the corners are read from slices of
-    f_k; the returned elements are the f_k retracted.
+    :data:`FK_CONVERGENCE_TOL`.  The 2K-step orbit runs without its
+    cross-check, and its even steps are pulled back as one stack: f_k is
+    ``diag(d^-k) h_{2k} diag(d^k)`` with d = (unit eigenvalues, lam_n,
+    lam_n1), g's diagonal in its frame, and the powers taken entry by entry,
+    so g^k is never formed as a matrix.  The stack is retracted and admitted
+    at once; the norms, the defects and the corners are read from its slices,
+    and distinctness from one comparison of every pair.  The returned
+    elements are the f_k retracted.
     """
     if K < 1:
         raise ValueError(f"the pullback sequence needs K >= 1, got K = {K}")
     frame = _diagonal_frame(g, h)
-    trace = _orbit_in_frame(frame, 2 * K)
-    if trace.degenerate_at is not None:
-        raise DegenerateOrbitError(trace.degenerate_at, jorgensen_test(g, h).verdict)
-    if trace.truncated_at is not None and trace.truncated_at < 2 * K:
-        raise NumericError(f"orbit underflowed at step {trace.truncated_at}; reduce K")
-    if trace.diverged_at is not None:
-        raise NumericError(f"orbit diverged at step {trace.diverged_at}: it outgrew the admission rule")
+    orbit_steps, _, truncated_at, diverged_at = _orbit_in_frame(frame, 2 * K)
+    orbit = QMatrix.stack([e.m for e in orbit_steps])
+    if (degenerate_at := _first(_blocks(orbit)[2] == 0.0)) is not None:
+        raise DegenerateOrbitError(degenerate_at, jorgensen_test(g, h).verdict)
+    if truncated_at is not None:
+        raise NumericError(f"orbit underflowed at step {truncated_at}; reduce K")
+    if diverged_at is not None:
+        raise NumericError(f"orbit diverged at step {diverged_at}: it outgrew the admission rule")
     mod_n = frame.lam_n.modulus()
-    diag = (*frame.unit_diag, frame.lam_n, frame.lam_n1)
-    top, mid, bot = slice(0, g.n - 1), g.n - 1, g.n
+    diag, ks = (*frame.unit_diag, frame.lam_n, frame.lam_n1), range(K + 1)
+    powers = [QMatrix.stack([QMatrix.diag([q ** (sign * k) for q in diag]) for k in ks]) for sign in (-1, 1)]
+    f = powers[0] @ _lift(orbit, slice(None, None, 2)) @ powers[1]
+    retracted = retract(f)
+    residual, admitted, refusal = _stack_admission(retracted)
+    if (refused := _first(~admitted)) is not None:
+        raise refusal(refused)
+    elements = [SpElement(QMatrix(retracted.ca[k], retracted.cb[k]), g.n, float(residual[k])) for k in ks]
 
-    elements, offs, defects, corners = [], [], [], []
-    for k in range(K + 1):
-        h_2k = trace.steps[2 * k].element.m
-        f = QMatrix.diag([q ** -k for q in diag]) @ h_2k @ QMatrix.diag([q**k for q in diag])
-        a_blk = f.submatrix(top, top)
-        elements.append(is_member(retract(f)))
-        offs.append((
-            f.submatrix(top, mid).norm_fro(), f.submatrix(top, bot).norm_fro(),
-            f.submatrix(mid, top).norm_fro(), f.submatrix(bot, top).norm_fro(),
-            f[mid, bot].modulus(), f[bot, mid].modulus(),
-        ))
-        defects.append((a_blk @ a_blk.star() - QMatrix.identity(a_blk.rows)).norm_max())
-        corners.append((f[mid, mid].modulus(), f[bot, bot].modulus()))
+    norms, corners, _ = _blocks(f)
+    offs = [tuple(row) for row in np.column_stack((norms, corners[:, 0, 1], corners[:, 1, 0])).tolist()]
+    a_blk = f.submatrix(slice(0, g.n - 1), slice(0, g.n - 1))
+    defects = (a_blk @ a_blk.star() - QMatrix.identity(g.n - 1)).norm_max().tolist()
+    corners = [tuple(row) for row in corners[:, [0, 1], [0, 1]].tolist()]
+    gaps = (_lift(retracted, (slice(None), None)) - _lift(retracted, None)).norm_max()
 
     converged = (
         max(offs[-1]) <= FK_CONVERGENCE_TOL
@@ -492,21 +492,16 @@ def fk_sequence(g: SpElement, h: SpElement, K=8):
         and abs(corners[-1][0] - mod_n) <= FK_CONVERGENCE_TOL
         and abs(corners[-1][1] - 1.0 / mod_n) <= FK_CONVERGENCE_TOL
     )
-    distinct = all(
-        (elements[i].m - elements[j].m).norm_max() > 0.0
-        for i in range(len(elements))
-        for j in range(i + 1, len(elements))
-    )
     report = FkReport(
-        ks=list(range(K + 1)),
+        ks=list(ks),
         off_block_norms=offs,
         unitarity_defects=defects,
         corner_moduli=corners,
         expanding_modulus=mod_n,
         contracting_modulus=1.0 / mod_n,
-        log10_scale=[k * math.log10(mod_n) for k in range(K + 1)],
+        log10_scale=[k * math.log10(mod_n) for k in ks],
         converged=converged,
-        distinct=distinct,
+        distinct=bool((gaps[np.triu_indices(K + 1, 1)] > 0.0).all()),
         threshold=FK_CONVERGENCE_TOL,
     )
     return elements, report

@@ -162,7 +162,8 @@ class LoxodromicData:
 
 
 def _lift(lifts: QMatrix, k) -> QMatrix:
-    """Lift k of a stack, a view of its storage."""
+    """Lift k of a stack, a view of its storage; any index of the leading axis
+    (a slice, or None to add an axis) gives the matching view of a stack."""
     return QMatrix._owning(lifts.ca[k], lifts.cb[k])
 
 

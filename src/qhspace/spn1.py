@@ -110,15 +110,6 @@ class SpElement:
     def a_n1n1(self) -> Quaternion:
         return self.m[self.n, self.n]
 
-    def corner_moduli(self):
-        """Moduli of (a_nn, a_nn1, a_n1n, a_n1n1)."""
-        return (
-            self.a_nn.modulus(),
-            self.a_nn1.modulus(),
-            self.a_n1n.modulus(),
-            self.a_n1n1.modulus(),
-        )
-
     def __repr__(self):
         return f"SpElement(n={self.n}, residual={self.residual:.2e})"
 

@@ -13,7 +13,18 @@ from qhspace.cli import _shared_parser
 from qhspace.crossratio import DEGENERACY_TOL, CrossRatioValue, EntryIdentityReport, _moduli
 from qhspace.errors import ClassificationError, MembershipError, NumericError, ShapeMismatchError
 from qhspace.geometry import Position, ProjectivePoint, apply, from_lift, projectively_close, q_infinity, q_zero
-from qhspace.jorgensen import Certificate, TestOutcome, Verdict, _DiagonalFrame
+from qhspace.jorgensen import (
+    Certificate,
+    DegenerateOrbitError,
+    FkReport,
+    IterationTrace,
+    OrbitStep,
+    TestOutcome,
+    Verdict,
+    _DiagonalFrame,
+    _diagonal_frame,
+    jorgensen_test,
+)
 from qhspace.jsonio import format_float
 from qhspace.qmatrix import QMatrix, _adjoint_spectrum, right_eigenvalues
 from qhspace.quaternion import Quaternion
@@ -45,9 +56,13 @@ from qhspace.spn1 import (
     sample_elements,
 )
 from qhspace.tolerances import (
+    BOUND_FLOOR,
+    BOUND_SLACK,
     DIAGONAL_TOL,
     EIGENPAIR_TOL,
+    FK_CONVERGENCE_TOL,
     LOXODROMY_MARGIN,
+    ORBIT_UNDERFLOW,
     PAIRING_TOL,
     RECIPROCAL_TOL,
     UNIT_MODULUS_TOL,
@@ -963,6 +978,163 @@ def _mp_orbit_rows(g: SpElement, h: SpElement, steps):
         rows.append([corners[1] * corners[2], *corners, *blocks])
         current = current * g_diag * star(current)
     return rows, abs(evals[order[-1]])
+
+
+def _reference_block_update(h: SpElement, inverse: QMatrix, unit_diag, lam_n, lam_n1) -> QMatrix:
+    """The closed-form step h g h^-1 for diagonal g, on the step's structure inverse."""
+    n, every = h.n, slice(None)
+    unit = h.m.submatrix(every, slice(0, n - 1)) @ QMatrix.diag(unit_diag)
+    return (
+        unit @ inverse.submatrix(slice(0, n - 1), every)
+        + h.m.submatrix(every, n - 1).scale_right(lam_n) @ inverse.submatrix(n - 1, every)
+        + h.m.submatrix(every, n).scale_right(lam_n1) @ inverse.submatrix(n, every)
+    )
+
+
+def reference_orbit_in_frame(frame: _DiagonalFrame, steps) -> IterationTrace:
+    """The conjugation orbit one step at a time: each step writes its record
+    from its own element, cross-checks the recursion against ``h g J h* J``
+    and retracts and admits the next element."""
+    mg = frame.data.mg
+    current = frame.h_conj
+    pi0 = current.a_nn1.modulus() * current.a_n1n.modulus()
+    diag0 = current.a_nn.modulus() * current.a_n1n1.modulus()
+    t1 = mg * (1.0 + math.sqrt(pi0))
+    t2 = mg * (1.0 + math.sqrt(diag0))
+    branch = "T1" if t1 < 1.0 else ("T2" if t2 < 1.0 else None)
+    r_value = None
+    sqrt_pi0 = math.sqrt(pi0)
+    sqrt_pi1 = None
+
+    records = []
+    degenerate_at = truncated_at = diverged_at = discrepancy = None
+    for k in range(steps + 1):
+        pi = current.a_nn1.modulus() * current.a_n1n.modulus()
+        sqrt_pi = math.sqrt(pi)
+        if k == 1:
+            sqrt_pi1 = sqrt_pi
+            if branch == "T2":
+                r_value = mg * (1.0 + sqrt_pi1)
+        bound = None
+        if branch == "T1":
+            bound = (t1**k) * sqrt_pi0
+        elif branch == "T2" and k >= 1:
+            bound = (r_value ** (k - 1)) * sqrt_pi1
+        bound_ok = None
+        if bound is not None:
+            bound_ok = sqrt_pi <= bound * (1.0 + BOUND_SLACK) + BOUND_FLOOR
+        records.append(
+            OrbitStep(
+                k=k,
+                element=current,
+                pi=pi,
+                sqrt_pi=sqrt_pi,
+                bound=bound,
+                bound_ok=bound_ok,
+                corner_moduli=(current.a_nn.modulus(), current.a_nn1.modulus(),
+                               current.a_n1n.modulus(), current.a_n1n1.modulus()),
+                block_norms=(
+                    current.alpha.norm_fro(),
+                    current.beta.norm_fro(),
+                    current.gamma.norm_fro(),
+                    current.theta.norm_fro(),
+                ),
+                formula_vs_matmul=discrepancy,
+            )
+        )
+        if pi == 0.0 and degenerate_at is None:
+            degenerate_at = k
+        if k == steps:
+            break
+        if 0.0 < pi < ORBIT_UNDERFLOW:
+            truncated_at = k
+            break
+        inverse = _structure_inverse(current.m)
+        formula = _reference_block_update(current, inverse, frame.unit_diag, frame.lam_n, frame.lam_n1)
+        direct = current.m @ frame.g_diag.m @ inverse
+        discrepancy = (formula - direct).norm_max()
+        try:
+            current = is_member(retract(formula))
+        except MembershipError as exc:
+            if exc.decided:
+                raise
+            diverged_at = k + 1
+            break
+    applicable = branch is not None
+    checked = [s.bound_ok for s in records if s.bound_ok is not None]
+    return IterationTrace(
+        steps=records,
+        mg=mg,
+        T1=t1,
+        T2=t2,
+        R=r_value,
+        branch=branch,
+        bounds_applicable=applicable,
+        bounds_hold=applicable and all(checked),
+        degenerate_at=degenerate_at,
+        truncated_at=truncated_at,
+        diverged_at=diverged_at,
+    )
+
+
+def reference_conjugation_orbit(g: SpElement, h: SpElement, steps) -> IterationTrace:
+    return reference_orbit_in_frame(_diagonal_frame(g, h), steps)
+
+
+def reference_fk_sequence(g: SpElement, h: SpElement, K):
+    """The pullbacks one at a time, from the cross-checked orbit: each f_k
+    is formed, retracted, admitted and measured alone, and every pair of
+    them is compared."""
+    frame = _diagonal_frame(g, h)
+    trace = reference_orbit_in_frame(frame, 2 * K)
+    if trace.degenerate_at is not None:
+        raise DegenerateOrbitError(trace.degenerate_at, jorgensen_test(g, h).verdict)
+    if trace.truncated_at is not None:
+        raise NumericError(f"orbit underflowed at step {trace.truncated_at}; reduce K")
+    if trace.diverged_at is not None:
+        raise NumericError(f"orbit diverged at step {trace.diverged_at}: it outgrew the admission rule")
+    mod_n = frame.lam_n.modulus()
+    diag = (*frame.unit_diag, frame.lam_n, frame.lam_n1)
+    top, mid, bot = slice(0, g.n - 1), g.n - 1, g.n
+
+    elements, offs, defects, corners = [], [], [], []
+    for k in range(K + 1):
+        h_2k = trace.steps[2 * k].element.m
+        f = QMatrix.diag([q ** -k for q in diag]) @ h_2k @ QMatrix.diag([q**k for q in diag])
+        a_blk = f.submatrix(top, top)
+        elements.append(is_member(retract(f)))
+        offs.append((
+            f.submatrix(top, mid).norm_fro(), f.submatrix(top, bot).norm_fro(),
+            f.submatrix(mid, top).norm_fro(), f.submatrix(bot, top).norm_fro(),
+            f[mid, bot].modulus(), f[bot, mid].modulus(),
+        ))
+        defects.append((a_blk @ a_blk.star() - QMatrix.identity(a_blk.rows)).norm_max())
+        corners.append((f[mid, mid].modulus(), f[bot, bot].modulus()))
+
+    converged = (
+        max(offs[-1]) <= FK_CONVERGENCE_TOL
+        and defects[-1] <= FK_CONVERGENCE_TOL
+        and abs(corners[-1][0] - mod_n) <= FK_CONVERGENCE_TOL
+        and abs(corners[-1][1] - 1.0 / mod_n) <= FK_CONVERGENCE_TOL
+    )
+    distinct = all(
+        (elements[i].m - elements[j].m).norm_max() > 0.0
+        for i in range(len(elements))
+        for j in range(i + 1, len(elements))
+    )
+    report = FkReport(
+        ks=list(range(K + 1)),
+        off_block_norms=offs,
+        unitarity_defects=defects,
+        corner_moduli=corners,
+        expanding_modulus=mod_n,
+        contracting_modulus=1.0 / mod_n,
+        log10_scale=[k * math.log10(mod_n) for k in range(K + 1)],
+        converged=converged,
+        distinct=distinct,
+        threshold=FK_CONVERGENCE_TOL,
+    )
+    return elements, report
 
 
 def reference_diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:

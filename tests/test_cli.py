@@ -248,6 +248,39 @@ def test_steps_must_be_positive(command, steps, tmp_path, monkeypatch, capsys):
     assert not calls
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("option", ["--n", "--count", "--word-length"])
+@pytest.mark.parametrize("command", ["sample", "verify"])
+def test_batch_counts_must_be_positive(command, option, value, monkeypatch, capsys):
+    # Each used to pass the parser and fail in the sampler as a runtime error.
+    sampled = []
+    monkeypatch.setattr(cli, "sample_elements", lambda *args, **kwargs: sampled.append(args) or iter(()))
+    code, out, err = run([command, option, value], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: qhspace")
+    assert err.splitlines()[-1].endswith(f"error: argument {option}: must be a positive integer, got '{value}'")
+    assert not sampled
+
+
+def test_refused_elements_name_their_file(tmp_path, capsys):
+    # Both used to print only the reason, so a pair's error did not say
+    # whether g or h was at fault.
+    g_path, h_path = write_pair(str(tmp_path))
+    doc = json.loads(pathlib.Path(h_path).read_text())
+    doc["entries"][0][0] += 0.1
+    off_group = tmp_path / "off_group.json"
+    off_group.write_text(json.dumps(doc))
+    not_square = tmp_path / "not_square.json"
+    not_square.write_text(json.dumps({"rows": 2, "cols": 3, "entries": [[1, 0, 0, 0]] * 6}))
+    for path, reason in ((off_group, "matrix does not preserve the Hermitian form"),
+                         (not_square, "group elements must be square")):
+        for argv in (["test", g_path, str(path)], ["classify", str(path)]):
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"qhspace: error: element in {path} refused: {reason}")
+            assert err.count("\n") == 1
+
+
 def test_zero_tolerance_parses(capsys):
     assert build_parser().parse_args(["verify", "--tol", "0"]).tol == 0.0
     code, out, _ = run(["verify", "--n", "2", "--count", "2", "--tol", "0"], capsys)

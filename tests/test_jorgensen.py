@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from helpers import (
     preserved_pairs,
     random_unit_quaternion,
     reference_brackets_on,
+    reference_conjugation_orbit,
     reference_cross_ratios,
     reference_diagonal_frame,
     reference_dumps,
     reference_elementary_certificate,
     reference_fk_rows,
+    reference_fk_sequence,
     reference_jorgensen_test,
     reference_orbit_rows,
     same_bits,
@@ -618,6 +622,81 @@ def test_conjugated_pullbacks_match_the_high_precision_orbit(n):
     for g, h in conjugated_contracting_pairs(n):
         _, report = fk_sequence(g, h, K=8)
         assert_rows_close(fk_rows(report), reference_fk_rows(g, h, 8), 1e-12)
+
+
+def assert_same_orbit(got, want):
+    # Every record field bit for bit (repr tells -0.0 from 0.0), and every
+    # element's matrix and residual.
+    def fields(trace):
+        return repr(dataclasses.replace(trace, steps=[dataclasses.replace(s, element=None) for s in trace.steps]))
+
+    assert fields(got) == fields(want)
+    for a, b in zip(got.steps, want.steps):
+        assert same_bits(a.element.m, b.element.m) and a.element.residual == b.element.residual
+
+
+def assert_same_pullbacks(got, want):
+    (got_elements, got_report), (want_elements, want_report) = got, want
+    assert repr(got_report) == repr(want_report)
+    assert len(got_elements) == len(want_elements)
+    for a, b in zip(got_elements, want_elements):
+        assert same_bits(a.m, b.m) and a.residual == b.residual
+
+
+def n1_pairs():
+    d = make_loxodromic([], Quaternion(1.05))
+    return [(d, small_perturbation(1, np.random.default_rng(seed))) for seed in (61, 62)]
+
+
+#: (pair, orbit steps, K): the README pair, the conjugated contracting pairs
+#: for n = 2, 3, 5, n = 1, and orbits that underflow, diverge and degenerate.
+STACKED_CASES = [
+    ("readme", lambda: [readme_pair()], 64, 16),
+    *[(f"conjugated n={n}", partial(conjugated_contracting_pairs, n), 64, 16) for n in (2, 3, 5)],
+    ("n=1", n1_pairs, 64, 16),
+    ("truncated", lambda: [readme_pair()], 200, 100),
+    ("diverged", lambda: [(make_loxodromic([Quaternion(1)], Quaternion(2)), random_element(2, seed=21, word_length=6))],
+     6, 3),
+    ("degenerate", lambda: [(slow_loxodromic(), both_stabilizer(np.random.default_rng(11)))], 6, 4),
+]
+
+
+@pytest.mark.parametrize("name, pairs, steps, K", STACKED_CASES, ids=[c[0] for c in STACKED_CASES])
+def test_stacked_records_and_pullbacks_match_the_step_by_step_loop(name, pairs, steps, K):
+    for g, h in pairs():
+        assert_same_orbit(conjugation_orbit(g, h, steps), reference_conjugation_orbit(g, h, steps))
+        try:
+            want = reference_fk_sequence(g, h, K)
+        except (ArithmeticError, DegenerateOrbitError) as err:
+            with pytest.raises(type(err)) as got:
+                fk_sequence(g, h, K)
+            assert str(got.value) == str(err)
+        else:
+            assert_same_pullbacks(fk_sequence(g, h, K), want)
+
+
+def test_stacked_cases_reach_each_stop():
+    truncated, diverged, degenerate = (
+        conjugation_orbit(g, h, steps) for _, pairs, steps, _ in STACKED_CASES[-3:] for g, h in pairs()
+    )
+    assert truncated.truncated_at == 149 and diverged.diverged_at == 5 and degenerate.degenerate_at == 0
+
+
+def test_pullbacks_form_no_cross_check_product(monkeypatch):
+    # The step-by-step loop forms h g J h* J at each of the 2K orbit steps,
+    # two products each, which the pullback report never reads.
+    products = []
+    original = QMatrix.__matmul__
+
+    def counted(self, other):
+        products.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(QMatrix, "__matmul__", counted)
+    reference_fk_sequence(*readme_pair(), 8)
+    before, products[:] = len(products), []
+    fk_sequence(*readme_pair(), K=8)
+    assert len(products) <= before - 2 * 16
 
 
 def quaternion_bits(q):
