@@ -32,7 +32,7 @@ import numpy as np
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
 from .spn1 import SpElement, _form_times
-from .tolerances import DEGENERACY_TOL, pairing_vanishes  # noqa: F401 (DEGENERACY_TOL's old home)
+from .tolerances import pairing_vanishes
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeMismatchError
 from .quaternion import Quaternion
-from .tolerances import CLUSTER_TOL, EIGENPAIR_TOL, PAIRING_TOL
+from .tolerances import CLUSTER_TOL, EIGENPAIR_TOL
 
 
 class QMatrix:
@@ -398,9 +398,9 @@ def _pair_adjoint_eigenvalues(evals):
     conjugate.  Representatives keep algebraic multiplicity.  Returns the
     representatives, sorted by (modulus, real part), and the mismatch
     ``|partner - conj(lam)|`` of each pair in matching order.  No step
-    depends on a tolerance, so one pairing serves every tolerance.  The
-    arithmetic is on Python complex numbers; the halving is a complex
-    product, as numpy takes it, so the bits are those of numpy scalars.
+    depends on a tolerance.  The arithmetic is on Python complex numbers;
+    the halving is a complex product, as numpy takes it, so the bits are
+    those of numpy scalars.
     """
     order = np.argsort(-evals.imag, kind="stable")
     pool = evals[order].tolist()
@@ -419,29 +419,30 @@ def _pair_adjoint_eigenvalues(evals):
     return tuple(reps), tuple(mismatches)
 
 
-def _check_pairing(spectrum: _Spectrum, tol):
-    """Raise at the first pair whose mismatch exceeds ``tol`` times the adjoint's norm (at least 1)."""
-    limit = tol * max(1.0, spectrum.adj_norm)
+def _check_pairing(spectrum: _Spectrum):
+    """Raise at the first pair whose mismatch exceeds ``EIGENPAIR_TOL`` times
+    the adjoint's norm (at least 1)."""
+    limit = EIGENPAIR_TOL * max(1.0, spectrum.adj_norm)
     for mismatch in spectrum.mismatches:
         if mismatch > limit:
             raise NumericError("adjoint spectrum does not split into conjugate pairs", residual=mismatch)
 
 
-def right_eigenvalues(m: QMatrix, tol=PAIRING_TOL):
+def right_eigenvalues(m: QMatrix):
     """One complex representative per right-eigenvalue similarity class.
 
     The representative is the class member with non-negative imaginary part;
     multiplicities are preserved, so a square matrix of size k yields k
     values.  Results are sorted by (modulus, real part) for determinism.
     Raises :class:`NumericError` at the first pair, in matching order, whose
-    mismatch exceeds ``tol`` times the adjoint's norm (at least 1): the exact
-    adjoint spectrum is conjugate-symmetric, so any split is eigensolver
-    rounding, which grows with norm and conditioning.
+    mismatch exceeds ``EIGENPAIR_TOL`` times the adjoint's norm (at least 1):
+    the exact adjoint spectrum is conjugate-symmetric, so any split is
+    eigensolver rounding, which grows with norm and conditioning.
     """
     if m.rows != m.cols:
         raise ShapeMismatchError("eigenvalues require a square matrix")
     spectrum = _adjoint_spectrum(m)
-    _check_pairing(spectrum, tol)
+    _check_pairing(spectrum)
     return list(spectrum.reps)
 
 
@@ -499,25 +500,25 @@ def _matched_values(m: QMatrix):
     return [values[i] for i in _nearest_candidates(spectrum.reps, values)]
 
 
-def right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):
+def right_eigenpairs(m: QMatrix):
     """Eigenvalue representatives together with quaternionic eigenvectors.
 
     Returns a list of ``(lam, v, residual)`` with ``m @ v`` close to
     ``v * lam`` and residual measured relative to ``|v|``.  Raises
     :class:`NumericError` at the first candidate, in adjoint order, whose
-    residual exceeds ``tol``; the candidates are checked as one stack.  Then,
-    as :func:`right_eigenvalues` at ``max(tol, PAIRING_TOL)``, it raises when
-    the spectrum does not split into conjugate pairs.
+    residual exceeds ``EIGENPAIR_TOL``; the candidates are checked as one
+    stack.  Then, as :func:`right_eigenvalues`, it raises when the spectrum
+    does not split into conjugate pairs.
     """
     if m.rows != m.cols:
         raise ShapeMismatchError("eigenpairs require a square matrix")
     spectrum, reps, vecs = _eigen_candidates(m)
     resid = (m @ vecs - vecs.scale_right(np.array(reps))).norm_max()
     scale = vecs.norm_fro()
-    bad = (scale == 0.0) | (resid > tol * np.maximum(scale, 1.0))
+    bad = (scale == 0.0) | (resid > EIGENPAIR_TOL * np.maximum(scale, 1.0))
     if bad.any():
         raise NumericError("eigenpair residual too large", residual=float(resid[np.argmax(bad)]))
-    _check_pairing(spectrum, max(tol, PAIRING_TOL))
+    _check_pairing(spectrum)
     pairs = []
     for i in _nearest_candidates(spectrum.reps, reps):
         vec = QMatrix._owning(vecs.ca[i], vecs.cb[i])
@@ -526,7 +527,7 @@ def right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):
     return pairs
 
 
-def eigenspace_basis(m: QMatrix, lam, atol=CLUSTER_TOL):
+def eigenspace_basis(m: QMatrix, lam):
     """Orthonormal basis (columns) of the adjoint eigenspace for ``lam``.
 
     Works on the complex adjoint via SVD, so it is robust for defective
@@ -536,6 +537,4 @@ def eigenspace_basis(m: QMatrix, lam, atol=CLUSTER_TOL):
     shifted = adj - complex(lam) * np.eye(adj.shape[0])
     _, svals, vh = np.linalg.svd(shifted)
     scale = max(1.0, float(svals.max())) if len(svals) else 1.0
-    mask = svals <= atol * scale
-    basis = vh[mask].conj().T
-    return basis
+    return vh[svals <= CLUSTER_TOL * scale].conj().T

@@ -170,15 +170,14 @@ J = Quaternion(0.0, 0.0, 1.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def similar(a: Quaternion, b: Quaternion, tol=SCALAR_TOL) -> bool:
+def similar(a: Quaternion, b: Quaternion) -> bool:
     """Whether a and b lie in the same conjugation orbit q*a*q^-1.
 
     Two quaternions are conjugate exactly when they share real part and
-    modulus, so the check is O(1) and needs no search for a conjugator.
+    modulus, each to within ``SCALAR_TOL``, so the check is O(1) and needs no
+    search for a conjugator.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be non-negative")
-    return abs(a.re() - b.re()) <= tol and abs(a.modulus() - b.modulus()) <= tol
+    return abs(a.re() - b.re()) <= SCALAR_TOL and abs(a.modulus() - b.modulus()) <= SCALAR_TOL
 
 
 # -- vectorized component kernels -----------------------------------------

@@ -54,7 +54,6 @@ from .spn1 import SpElement, form_matrix, herm_form, is_member, retract
 from .tolerances import (
     CLUSTER_TOL,
     FORM_POSITIVITY_TOL,
-    PAIRING_TOL,
     POSITION_TOL,
     RECIPROCAL_TOL,
     UNIT_MODULUS_TOL,
@@ -79,50 +78,45 @@ class Classification:
     low_confidence: bool = False
 
 
-def _cluster(reps, radius):
-    """Group sorted complex representatives into clusters of nearby values."""
+def _cluster(reps):
+    """Group sorted complex representatives into clusters of values within
+    ``CLUSTER_TOL`` of their neighbours."""
     order = sorted(range(len(reps)), key=lambda i: (reps[i].real, reps[i].imag))
     clusters = []
     for idx in order:
-        if clusters and abs(reps[idx] - clusters[-1][-1]) <= radius:
+        if clusters and abs(reps[idx] - clusters[-1][-1]) <= CLUSTER_TOL:
             clusters[-1].append(reps[idx])
         else:
             clusters.append([reps[idx]])
     return clusters
 
 
-def _restricted_form_eigs(g: SpElement, lam, atol):
-    """Eigenvalues of the ambient form restricted to an adjoint eigenspace."""
-    basis = eigenspace_basis(g.m, lam, atol=atol)
-    if basis.shape[1] == 0:
-        raise NumericError(f"empty eigenspace for representative {lam}")
-    k_form = form_matrix(g.n).adjoint()
-    gram = basis.conj().T @ k_form @ basis
-    gram = 0.5 * (gram + gram.conj().T)
-    return np.linalg.eigvalsh(gram)
-
-
-def classify(g: SpElement, tol=UNIT_MODULUS_TOL) -> Classification:
+def classify(g: SpElement) -> Classification:
     """Sort an element into identity / elliptic / parabolic / loxodromic."""
     eye = QMatrix.identity(g.n + 1)
-    reps = right_eigenvalues(g.m, tol=max(PAIRING_TOL, tol))
+    reps = right_eigenvalues(g.m)
     moduli = tuple(abs(lam) for lam in reps)
-    if (g.m - eye).norm_max() <= tol:
+    if (g.m - eye).norm_max() <= UNIT_MODULUS_TOL:
         return Classification(ElementKind.IDENTITY, moduli, 0)
-    if max(moduli) > 1.0 + tol:
+    if max(moduli) > 1.0 + UNIT_MODULUS_TOL:
         return Classification(ElementKind.LOXODROMIC, moduli, 2)
+    k_form = form_matrix(g.n).adjoint()
     interior = False
     low_confidence = False
     boundary = 0
-    for cluster in _cluster(reps, CLUSTER_TOL):
+    for cluster in _cluster(reps):
         lam_hat = sum(cluster) / len(cluster)
-        eigs = _restricted_form_eigs(g, lam_hat, atol=max(CLUSTER_TOL, tol))
-        smallest = eigs[0]
-        if smallest < -tol:
+        basis = eigenspace_basis(g.m, lam_hat)
+        if basis.shape[1] == 0:
+            raise NumericError(f"empty eigenspace for representative {lam_hat}")
+        # The ambient form restricted to the eigenspace, and its least eigenvalue.
+        gram = basis.conj().T @ k_form @ basis
+        smallest = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[0]
+        if smallest < -UNIT_MODULUS_TOL:
             # An indefinite restriction meets the null cone as well.
             interior = True
             boundary += 1
-        elif smallest <= tol:
+        elif smallest <= UNIT_MODULUS_TOL:
             boundary += 1
             if smallest < 0:
                 low_confidence = True
@@ -185,7 +179,7 @@ def _unit_block_columns(g: SpElement, unit_reps):
     j_mat = form_matrix(g.n)
     _, values, vecs = _eigen_candidates(g.m)
     accepted = []
-    for cluster in _cluster(unit_reps, CLUSTER_TOL):
+    for cluster in _cluster(unit_reps):
         wanted = len(accepted) + len(cluster)
         for i, lam in enumerate(values):
             if len(accepted) == wanted:
@@ -248,7 +242,7 @@ def _has_one_expanding_pair(g: SpElement) -> bool:
 
 def _fixed_point_data(g: SpElement) -> LoxodromicData:
     """:func:`loxodromic_data` without the conjugator; certifies u and v distinct."""
-    pairs = right_eigenpairs(g.m, tol=UNIT_MODULUS_TOL)
+    pairs = right_eigenpairs(g.m)
     moduli = [abs(p[0]) for p in pairs]
     big, small = _expanding_contracting(moduli)
     if len(big) != 1 or len(small) != 1:
@@ -298,7 +292,7 @@ def spectral_report(g: SpElement) -> dict:
     """JSON-ready classification report for one element."""
     cls = classify(g)
     report = {"kind": cls.kind.value, "delta": None, "mg": None, "u": None, "v": None,
-              "eigs": [[lam.real, lam.imag] for lam in right_eigenvalues(g.m, tol=UNIT_MODULUS_TOL)],
+              "eigs": [[lam.real, lam.imag] for lam in right_eigenvalues(g.m)],
               "boundary_classes": cls.boundary_classes, "low_confidence": cls.low_confidence}
     if cls.kind is ElementKind.LOXODROMIC:
         data = _fixed_point_data(g)

@@ -8,16 +8,17 @@ The form on the (n+1)-dimensional right quaternionic vector space is
          [ 0,      -1,  0]],
 
 so the last two coordinates carry the negative swap block.  An element g
-belongs to the group when ``g* J g = J``; admission caches the block
-partition
+belongs to the group when ``g* J g = J``.  An admitted element's block
+views read the partition
 
     g = [[A,     alpha,   beta  ],
          [gamma, a_nn,    a_nn1 ],
          [theta, a_n1n,   a_n1n1]]
 
-with A of size (n-1) x (n-1), which everything downstream (inversion, the
-thirteen unitarity identities, corner-entry inequalities, the conjugation
-recursion) is phrased in.
+with A of size (n-1) x (n-1), each a new read-only view of the frozen
+matrix on every access; everything downstream (inversion, the thirteen
+unitarity identities, corner-entry inequalities, the conjugation recursion)
+is phrased in it.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def herm_form(z: QMatrix, w: QMatrix) -> Quaternion:
 
 
 class SpElement:
-    """A matrix admitted into Sp(n,1), with cached block decomposition."""
+    """A matrix admitted into Sp(n,1), frozen, with views of its blocks."""
 
     __slots__ = ("m", "n", "residual")
 

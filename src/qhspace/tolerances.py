@@ -18,13 +18,10 @@ and ``qhspace verify``.
 #: Two quaternions are similar: real parts and moduli each within this.
 SCALAR_TOL = 1e-10
 
-#: The adjoint spectrum splits into conjugate pairs: each mismatch at most
-#: this times the adjoint's norm (at least 1).  Also the least pairing
-#: tolerance classification asks for.
-PAIRING_TOL = 1e-8
-
-#: An eigenpair is accepted: ``|M v - v lam| <= EIGENPAIR_TOL * max(|v|, 1)``.
-EIGENPAIR_TOL = 1e-8
+#: The eigen routines accept the adjoint spectrum: it splits into conjugate
+#: pairs, each mismatch at most this times the adjoint's norm (at least 1),
+#: and each eigenpair has ``|M v - v lam| <= EIGENPAIR_TOL * max(|v|, 1)``.
+EIGENPAIR_TOL = 1e-7
 
 #: Eigenvalue representatives, and frame eigenvector candidates, this close
 #: join one class; also ``classify``'s singular-value cut, relative to the largest.
@@ -48,7 +45,9 @@ POSITION_TOL = 1e-9
 #: by at most this relative to the larger of them.
 PROJECTIVE_TOL = 1e-9
 
-#: An eigenvalue is unit: its modulus is within this of 1.
+#: An eigenvalue is unit: its modulus is within this of 1.  Also ``classify``'s
+#: cuts for the identity (max-norm distance) and for the sign of the form
+#: restricted to an eigenspace.
 UNIT_MODULUS_TOL = 1e-7
 
 #: The expanding and contracting moduli are reciprocal: their product is

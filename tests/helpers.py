@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 
 from qhspace.cli import _shared_parser
-from qhspace.crossratio import DEGENERACY_TOL, CrossRatioValue, EntryIdentityReport, _moduli
+from qhspace.crossratio import CrossRatioValue, EntryIdentityReport, _moduli
 from qhspace.errors import ClassificationError, MembershipError, NumericError, ShapeMismatchError
 from qhspace.geometry import Position, ProjectivePoint, apply, from_lift, projectively_close, q_infinity, q_zero
 from qhspace.jorgensen import (
@@ -58,12 +58,12 @@ from qhspace.spn1 import (
 from qhspace.tolerances import (
     BOUND_FLOOR,
     BOUND_SLACK,
+    DEGENERACY_TOL,
     DIAGONAL_TOL,
     EIGENPAIR_TOL,
     FK_CONVERGENCE_TOL,
     LOXODROMY_MARGIN,
     ORBIT_UNDERFLOW,
-    PAIRING_TOL,
     RECIPROCAL_TOL,
     UNIT_MODULUS_TOL,
     admission,
@@ -591,7 +591,11 @@ def quaternion_vector_from_adjoint(zeta) -> QMatrix:
 
 
 def reference_right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):
-    """``right_eigenpairs`` with one ``QMatrix`` per adjoint eigenvector."""
+    """``right_eigenpairs`` with one ``QMatrix`` per adjoint eigenvector.
+
+    Residuals are checked at ``tol``; the pairing, by ``right_eigenvalues``,
+    at ``EIGENPAIR_TOL``.
+    """
     spectrum = _adjoint_spectrum(m)
     evals, evecs = spectrum.evals, spectrum.evecs
     j_unit = Quaternion(0.0, 0.0, 1.0, 0.0)
@@ -608,7 +612,7 @@ def reference_right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):
             raise NumericError("eigenpair residual too large", residual=resid)
         candidates.append((rep, vec, resid / scale))
     pairs = []
-    for rep in right_eigenvalues(m, tol=max(tol, PAIRING_TOL)):
+    for rep in right_eigenvalues(m):
         j = int(np.argmin([abs(p[0] - rep) for p in candidates]))
         pairs.append(candidates.pop(j))
     pairs.sort(key=lambda p: (abs(p[0]), p[0].real))
@@ -660,7 +664,7 @@ def reference_spectral_report(g: SpElement) -> dict:
     cls = classify(g)
     report = {
         "kind": cls.kind.value,
-        "eigs": [[lam.real, lam.imag] for lam in right_eigenvalues(g.m, tol=UNIT_MODULUS_TOL)],
+        "eigs": [[lam.real, lam.imag] for lam in right_eigenvalues(g.m)],
         "delta": None,
         "mg": None,
         "u": None,
@@ -677,6 +681,21 @@ def reference_spectral_report(g: SpElement) -> dict:
     return report
 
 
+def _reads_loxodromic(h: SpElement, tol) -> bool:
+    """Whether h reads as loxodromic at unit-modulus margin ``tol``, as
+    ``classify`` decided when it took a tolerance: the pairing mismatches of
+    the cached spectrum within ``tol`` times the adjoint's norm (at least 1),
+    h farther than ``tol`` from the identity, and a modulus above ``1 + tol``.
+    """
+    spectrum = _adjoint_spectrum(h.m)
+    for mismatch in spectrum.mismatches:
+        if mismatch > tol * max(1.0, spectrum.adj_norm):
+            raise NumericError("adjoint spectrum does not split into conjugate pairs", residual=mismatch)
+    if (h.m - QMatrix.identity(h.n + 1)).norm_max() <= tol:
+        return False
+    return max(abs(lam) for lam in spectrum.reps) > 1.0 + tol
+
+
 def reference_elementary_certificate(g: SpElement, h: SpElement) -> Certificate:
     data = reference_loxodromic_data(g)
     u, v = data.attracting, data.repelling
@@ -687,7 +706,7 @@ def reference_elementary_certificate(g: SpElement, h: SpElement) -> Certificate:
     if (fixes_u and fixes_v) or swaps:
         return Certificate.PRESERVES_PAIR
     if fixes_u or fixes_v:
-        if classify(h, tol=LOXODROMY_MARGIN).kind is ElementKind.LOXODROMIC:
+        if _reads_loxodromic(h, LOXODROMY_MARGIN):
             h_data = reference_loxodromic_data(h)
             shared = sum(
                 1

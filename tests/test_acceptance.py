@@ -204,7 +204,7 @@ def test_criterion_06_eigenvalue_oracle():
             worst_class,
             max(abs(a - b) for got, want in zip(votes, expected) for a, b in zip(got, want)),
         )
-        for _, _, residual in right_eigenpairs(element.m, tol=1e-8):
+        for _, _, residual in right_eigenpairs(element.m):
             worst_residual = max(worst_residual, residual)
     ok = worst_class <= 1e-8 and worst_residual <= 1e-8
     _report(

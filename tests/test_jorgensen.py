@@ -813,7 +813,7 @@ def test_loxodromy_is_read_from_the_matched_candidate_moduli(n):
     for h in elements:
         values = _matched_values(h.m)
         try:
-            pairs = right_eigenpairs(h.m, tol=UNIT_MODULUS_TOL)
+            pairs = right_eigenpairs(h.m)
         except NumericError:
             continue
         assert sorted(values, key=lambda v: (abs(v), v.real)) == [p[0] for p in pairs]

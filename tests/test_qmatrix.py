@@ -126,7 +126,7 @@ def test_eigenvalues_are_similarity_invariants():
 
 def test_eigenpair_residuals_and_right_scaling():
     m = random_qmatrix(3, 3)
-    pairs = right_eigenpairs(m, tol=1e-8)
+    pairs = right_eigenpairs(m)
     assert len(pairs) == 3
     for lam, vec, residual in pairs:
         assert residual <= 1e-10
@@ -374,21 +374,22 @@ def test_eigenvalue_pairing_runs_once_per_frozen_element(monkeypatch):
     assert len(pairings) == 2 * len(elements)
 
 
-def test_cached_pairing_raises_as_a_fresh_one():
+def test_cached_pairing_raises_as_a_fresh_one(monkeypatch):
     m = QMatrix.from_components(np.random.default_rng(5).standard_normal((3, 3, 4)))
     unfrozen = m.copy()
     m.freeze()
     right_eigenvalues(m)
     for tol in (1e-8, 1e-12, 1e-300, 0.0):
+        monkeypatch.setattr(qmatrix, "EIGENPAIR_TOL", tol)
         outcomes = []
         for target in (m, unfrozen):
             try:
-                outcomes.append(("ok", np.array(right_eigenvalues(target, tol=tol)).tobytes()))
+                outcomes.append(("ok", np.array(right_eigenvalues(target)).tobytes()))
             except NumericError as exc:
                 outcomes.append(("error", str(exc), exc.residual))
         assert outcomes[0] == outcomes[1]
     with pytest.raises(NumericError):
-        right_eigenvalues(m, tol=0.0)
+        right_eigenvalues(m)
 
 
 def test_json_dict_matches_per_entry_reference():
@@ -440,16 +441,18 @@ def test_stacked_eigenpairs_match_per_candidate_reference(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
-def test_stacked_eigenpairs_raise_like_the_reference(n):
+def test_stacked_eigenpairs_raise_like_the_reference(n, monkeypatch):
     raised = 0
-    for g in _eigenpair_oracle_cases(n):
+    cases = _eigenpair_oracle_cases(n)  # classified at the real tolerance
+    monkeypatch.setattr(qmatrix, "EIGENPAIR_TOL", 1e-18)
+    for g in cases:
         for m in (g.m, g.m.copy()):
             try:
                 want = reference_right_eigenpairs(m, tol=1e-18)
             except NumericError as err:
                 want = err
             try:
-                got = right_eigenpairs(m, tol=1e-18)
+                got = right_eigenpairs(m)
             except NumericError as err:
                 got = err
             if isinstance(want, NumericError):

@@ -73,11 +73,6 @@ def test_similar_matches_explicit_conjugation():
     assert approx_equal(lhs, Quaternion(1, -1), 1e-15)
 
 
-def test_similar_rejects_negative_tolerance():
-    with pytest.raises(ValueError):
-        similar(I, J, tol=-1.0)
-
-
 def test_accessors():
     q = Quaternion(1, 2, 3, 4)
     assert q.re() == 1.0

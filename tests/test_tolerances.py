@@ -2,12 +2,14 @@
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import qhspace
+import qhspace.qmatrix as qmatrix
 import qhspace.tolerances as tolerances
 
 PACKAGE = Path(qhspace.__file__).parent
@@ -88,6 +90,23 @@ def test_admission_tol_is_compared_in_one_function():
     assert set(_functions_comparing("ADMISSION_TOL")) == {("tolerances.py", "admission")}
 
 
+def test_eigenpair_tol_is_compared_in_the_two_eigen_acceptance_checks():
+    assert sorted(_functions_comparing("EIGENPAIR_TOL")) == [
+        ("qmatrix.py", "_check_pairing"),
+        ("qmatrix.py", "right_eigenpairs"),
+    ]
+
+
+def test_only_membership_sampling_and_point_comparison_take_a_tolerance():
+    functions = [getattr(qhspace, name) for name in qhspace.__all__] + [qmatrix.eigenspace_basis]
+    taking = {
+        function.__name__
+        for function in functions
+        if inspect.isfunction(function) and any("tol" in name for name in inspect.signature(function).parameters)
+    }
+    assert taking == {"is_member", "sample_elements", "projectively_close"}
+
+
 def test_tolerances_imports_nothing_from_the_package():
     tree = ast.parse((PACKAGE / "tolerances.py").read_text(encoding="utf-8"))
     imported = []
@@ -103,13 +122,11 @@ def test_tolerances_imports_nothing_from_the_package():
     "module, name",
     [
         ("quaternion", "SCALAR_TOL"),
-        ("qmatrix", "PAIRING_TOL"),
         ("spn1", "ADMISSION_TOL"),
         ("spn1", "CONSTRAINT_TOL"),
         ("geometry", "POSITION_TOL"),
         ("spectral", "UNIT_MODULUS_TOL"),
         ("spectral", "CLUSTER_TOL"),
-        ("crossratio", "DEGENERACY_TOL"),
         ("jorgensen", "LOXODROMY_MARGIN"),
         ("jorgensen", "BOUND_SLACK"),
         ("jorgensen", "BOUND_FLOOR"),
