@@ -9,17 +9,21 @@ factors do not commute), but its absolute value
 
     |[z1,z2,w1,w2]| = |<w1,z1><w2,z2>| / |<w1,z2><w2,z1>|
 
-does not.  Cross-ratios against the distinguished boundary points recover
-the corner entries of a group element, which is what links them to the
-discreteness condition: six of the eight pairings of the two corner-entry
-identities are corner entries of h or -1 (:func:`entry_identity_table`).
+does not.  :func:`_brackets` takes the discreteness test's two brackets
+[h(u), v, u, h(v)] and [h(u), u, v, h(v)] on any lift stack [u, v].  At
+g's fixed points their numerators are h's corner entries in the frame where
+g is diagonal; at the boundary points qinf and q0 they are h's own corner
+entries, and the brackets are the corner-entry identities that
+:func:`entry_identity_table` checks.  So ``test`` and ``verify`` evaluate
+one identity through one function, each with its own rule for the
+denominators.
 
-On the ``classify`` and ``test`` paths every pairing is taken by
-:func:`_cross_ratio_parts` on a stack of lifts: a loxodromic element's
-fixed-point lift stack [u, v] when it is certified, and the stacks [u, v,
-h(u), h(v)] of the discreteness test and [u, v, p, q] of its shared-point
-certificate; :func:`cross_ratio` uses it too.  A caller names the pairings
-it wants once, as a constant index table (:func:`_pairing_table`).
+Every pairing is taken by :func:`_cross_ratio_parts` on a stack of lifts:
+a loxodromic element's fixed-point lift stack [u, v] when it is certified,
+the stacks [u, v, h(u), h(v)] of the brackets and [u, v, p, q] of the
+test's shared-point certificate; :func:`cross_ratio` uses it too.  A caller
+names the pairings it wants once, as a constant index table
+(:func:`_pairing_table`).
 """
 
 from __future__ import annotations
@@ -60,6 +64,9 @@ def _pairing_table(index):
 
 #: The table of one cross-ratio of the lifts z1, z2, w1, w2 in stack order.
 _CROSS_RATIO = _pairing_table((0, 1, 2, 3))
+#: Bracket k takes z1, z2, w1 and w2 from column k of this index into the
+#: lifts a, b, h(a), h(b).
+_BRACKETS = _pairing_table([[2, 2], [1, 0], [0, 1], [3, 3]])
 
 
 def _moduli(m: QMatrix) -> np.ndarray:
@@ -83,29 +90,40 @@ def _cross_ratio_parts(lifts: QMatrix, table=_CROSS_RATIO, norms=None):
     slice of a single stacked product, with J applied by moving rows, so each
     keeps the bits it has alone, and the norms of the lifts are taken once, as
     one stack.  Returns the pairings (1 x 1 matrices) and their moduli and
-    vanishing flags, each with the pairing axis first and the shape of the
-    table's index after it.  The flags are one call of the library's one rule
-    for a zero pairing, :func:`~qhspace.tolerances.pairing_vanishes`.
+    vanishing flags, each with the pairing axis first, the shape of the
+    table's index after it and then any axes of ``lifts`` between its first
+    (the lift axis, along which the norms are taken) and its last two.  The
+    flags are one call of the library's one rule for a zero pairing,
+    :func:`~qhspace.tolerances.pairing_vanishes`.
     """
     w_index, z_index = table
     w, z = (QMatrix._owning(lifts.ca.take(k, 0), lifts.cb.take(k, 0)) for k in table)
     pairings = w.star() @ _form_times(z)
     moduli = _moduli(pairings)[..., 0, 0]
     norms = lifts.norm_fro() if norms is None else norms
-    return pairings, moduli, pairing_vanishes(moduli, norms.take(w_index), norms.take(z_index))
+    return pairings, moduli, pairing_vanishes(moduli, norms.take(w_index, 0), norms.take(z_index, 0))
 
 
-def _vanishing_and_abs(moduli, norms):
-    """Vanishing flags (last axis in :data:`_PAIRING_NAMES` order), degeneracy
-    flags and |cross-ratio|, NaN where degenerate, from the pairing moduli and
-    the norms of the lifts z1, z2, w1, w2.  The flags are the library's one
-    rule for a zero pairing, :func:`~qhspace.tolerances.pairing_vanishes`."""
-    flags = [pairing_vanishes(mod, norms[a], norms[b]) for mod, (a, b) in zip(moduli, _PAIRING_LIFTS)]
-    vanishing = np.stack(np.broadcast_arrays(*flags), axis=-1)
-    degenerate = vanishing[..., 1] | vanishing[..., 3]
-    abs_value = np.full(degenerate.shape, math.nan)
-    np.divide(moduli[0] * moduli[2], moduli[1] * moduli[3], out=abs_value, where=~degenerate)
-    return vanishing, degenerate, abs_value
+def _joined(a: QMatrix, b: QMatrix) -> QMatrix:
+    """Two lift stacks as one along the first axis, ``a`` first, each
+    broadcast against the other's remaining axes."""
+    return QMatrix._owning(*(np.concatenate(np.broadcast_arrays(x, y)) for x, y in ((a.ca, b.ca), (a.cb, b.cb))))
+
+
+def _brackets(h: QMatrix, lifts: QMatrix):
+    """Moduli and vanishing flags of the pairings of [h(a), b, a, h(b)] and
+    [h(a), a, b, h(b)] for the lift stack ``lifts`` = [a, b].
+
+    ``h`` is a matrix or a stack, broadcast against the axes of the lifts
+    after the first.  h(a) and h(b) are one product ``h [a, b]``, and the
+    eight pairings come from one :func:`_cross_ratio_parts` call on the stack
+    a, b, h(a), h(b).  Both results have shape ``(4, 2, ...)``: the pairings
+    in :data:`_PAIRING_NAMES` order, then the two brackets.  Numerators and
+    denominators are left to the caller, which keeps its own rule for a
+    vanishing denominator.
+    """
+    _, moduli, vanishing = _cross_ratio_parts(_joined(lifts, h @ lifts), _BRACKETS)
+    return moduli, vanishing
 
 
 def _names(flags) -> tuple:
@@ -173,29 +191,23 @@ def entry_identity_table(m: QMatrix):
 
     Returns ``(lhs, rhs, vanishing)``: ``lhs`` and ``rhs`` have shape
     ``(..., 2)`` with the two identities of :class:`EntryIdentityReport` on
-    the last axis (``lhs`` is NaN where its cross-ratio is degenerate), and
-    ``vanishing`` has shape ``(..., 2, 4)`` with the pairing flags in
-    :data:`_PAIRING_NAMES` order.
+    the last axis (``lhs`` is NaN where ``<q0, qinf>`` or ``<h(qinf),
+    h(q0)>`` vanishes), and ``vanishing`` has shape ``(..., 2, 4)`` with the
+    pairing flags in :data:`_PAIRING_NAMES` order.
 
-    The lifts of q0 and qinf are unit columns, so six of the eight pairings
-    are corner entries of h or -1: <h(qinf), qinf> = -a_n1n, <h(qinf), q0> =
-    -a_nn, <q0, h(q0)> = -conj(a_nn1), <qinf, h(q0)> = -conj(a_n1n1) and
-    <q0, qinf> = <qinf, q0> = -1.  The other two are both <h(qinf), h(q0)>,
-    the one product taken.  The bits are those of :func:`cross_ratio`.
+    These are the discreteness test's brackets (:func:`_brackets`) on the
+    unit lifts of qinf and q0: ``rhs`` is the product of each bracket's
+    numerators, whose moduli are h's corner entries, and ``lhs`` the bracket.
+    The bits are those of :func:`cross_ratio`.
     """
     n = m.rows - 1
-    # h(qinf) and h(q0) are h's last columns, copied contiguous as a product
-    # leaves them (as _form_times leaves its result): BLAS sums a strided
-    # vector in another order (from n = 7).
-    h_qi, h_qz = (m.submatrix(slice(0, n + 1), k).copy() for k in (n - 1, n))
-    pairing = _moduli(h_qz.star() @ _form_times(h_qi))[..., 0, 0]
-    # A last axis of length 1 broadcasts against the two identities.
-    norm_qi, norm_qz, pairing = (np.expand_dims(x, -1) for x in (h_qi.norm_fro(), h_qz.norm_fro(), pairing))
-    corners = _moduli(m.submatrix(slice(n - 1, n + 1), slice(n - 1, n + 1)))
-    # corners = [[|a_nn|, |a_nn1|], [|a_n1n|, |a_n1n1|]]
-    first, second = corners[..., (1, 0), 0], corners[..., (0, 1), 1]
-    vanishing, _, lhs = _vanishing_and_abs((first, 1.0, second, pairing), (norm_qi, 1.0, 1.0, norm_qz))
-    return lhs, first * second, vanishing
+    # The unit lifts [qinf, q0], with an axis of length 1 per stack axis of m.
+    units = np.eye(n + 1, dtype=complex)[n - 1 :].reshape((2,) + (1,) * (m.ca.ndim - 2) + (n + 1, 1))
+    moduli, vanishing = _brackets(m, QMatrix._owning(units, np.zeros_like(units)))
+    rhs = moduli[0] * moduli[2]
+    lhs = np.full(rhs.shape, math.nan)
+    np.divide(rhs, moduli[1] * moduli[3], out=lhs, where=~(vanishing[1] | vanishing[3]))
+    return np.moveaxis(lhs, 0, -1), np.moveaxis(rhs, 0, -1), np.moveaxis(vanishing, (0, 1), (-1, -2))
 
 
 def corner_bound_slacks(h: SpElement) -> np.ndarray:

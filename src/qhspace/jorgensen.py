@@ -7,14 +7,13 @@ v (repelling), the test evaluates
     mg * (1 + |[h(u), u, v, h(v)]|^(1/2)) < 1.
 
 If either holds, the group generated by g and h is elementary or not
-discrete.  Both are evaluated on g's certified lift stack [u, v] directly:
-h(u) and h(v) are one stacked product, and the eight pairings of the two
-brackets come from one call of the pairing kernel.  Their numerators are
-the corner entries of h in the frame where g is diagonal, and whether they
-vanish (the one zero rule) decides whether h fixes or exchanges the fixed
-points, which routes the pair to the verdicts of
-:func:`elementary_certificate`; its shared-point check joins g's lift stack
-to h's.
+discrete.  Both are evaluated on g's certified lift stack [u, v] directly
+by :func:`~qhspace.crossratio._brackets`, which ``verify`` calls at qinf and
+q0 for its corner-entry identities.  Their numerators are the corner entries
+of h in the frame where g is diagonal, and whether they vanish (the one zero
+rule) decides whether h fixes or exchanges the fixed points, which routes the
+pair to the verdicts of :func:`elementary_certificate`; its shared-point
+check joins g's lift stack to h's.
 
 The diagonal frame serves only the instrumented orbit ``h_{k+1} = h_k g
 h_k^-1``.  Its loop runs only the recursion, a sum over h's column blocks,
@@ -41,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .crossratio import _cross_ratio_parts, _moduli, _pairing_table
+from .crossratio import _brackets, _cross_ratio_parts, _joined, _moduli
 from .errors import ClassificationError, MembershipError, NumericError
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
@@ -145,16 +144,6 @@ def _diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
     return _DiagonalFrame(g_diag, unit_diag, lam_n, g_diag.a_n1n1, h_conj, data)
 
 
-#: Bracket k takes z1, z2, w1 and w2 from column k of this index into the
-#: lifts u, v, h(u), h(v).
-_BRACKETS = _pairing_table([[2, 2], [1, 0], [0, 1], [3, 3]])
-
-
-def _joined(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Two stacks as one, ``a`` first."""
-    return QMatrix._owning(np.concatenate((a.ca, b.ca)), np.concatenate((a.cb, b.cb)))
-
-
 def _fixed_point_brackets(data: LoxodromicData, h: SpElement):
     """``(cross_abs1, cross_abs2, corner_moduli, flags)`` of the test.
 
@@ -163,16 +152,14 @@ def _fixed_point_brackets(data: LoxodromicData, h: SpElement):
     that ``<v, u> = -1``, as in the diagonalizing conjugator, so the
     numerators are h's corners in g's diagonal frame.  The denominators,
     ``<v, u>`` and its image ``<h(u), h(v)>``, are nonzero because g's fixed
-    points are certified distinct.  h(u) and h(v) are one stacked product
-    ``h [u, v]``, and the eight pairings of the two brackets, their moduli
-    and flags come from one call of
-    :func:`~qhspace.crossratio._cross_ratio_parts` on the stack u, v, h(u),
-    h(v): each pairing is a slice of one stacked product, so it keeps the
-    bits it has alone.
+    points are certified distinct, so no zero rule is put to them.  The
+    moduli and flags of the eight pairings come from
+    :func:`~qhspace.crossratio._brackets`, the function that takes the
+    corner-entry identities of ``verify`` at qinf and q0.
     """
     _require_same_space(data.lifts.rows - 1, h.n)
     uv = QMatrix.stack([_lift(data.lifts, 0), _lift(data.lifts, 1).scale_right(-data.vu_pairing.inverse())])
-    _, moduli, vanishing = _cross_ratio_parts(_joined(uv, h.m @ uv), _BRACKETS)
+    moduli, vanishing = _brackets(h.m, uv)
     cross_abs = moduli[0] * moduli[2] / (moduli[1] * moduli[3])
     # Pairing rows w1z1, w1z2, w2z2, w2z1, one column per bracket: the corners
     # a_n1n = <h(u), u>, a_nn1 = <h(v), v>, a_nn = <h(u), v>, a_n1n1 = <h(v), u>.

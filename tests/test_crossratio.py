@@ -16,6 +16,7 @@ from helpers import (
 )
 
 from qhspace.crossratio import (
+    _cross_ratio_parts,
     _moduli,
     corner_bound_slacks,
     corner_slack_table,
@@ -164,13 +165,37 @@ def test_cross_ratio_matches_scalar_reference():
                 assert got.value.to_json() == ref.value.to_json() or got.degenerate
 
 
+@pytest.mark.parametrize("count", [4, 7])
+def test_cross_ratio_parts_takes_a_stack_of_lift_stacks(count):
+    # Lift stack k is scaled by 10^(6k), so a pairing put to the zero rule
+    # with another stack's norms gets another flag; in the odd stacks z1 and
+    # w1 are both qinf, whose pairing vanishes exactly.
+    n, draws = 3, np.random.default_rng(count)
+    stacks = []
+    for k in range(count):
+        points = [random_boundary_point(n, draws) for _ in range(4)]
+        if k % 2:
+            points[0] = points[2] = q_infinity(n)
+        stacks.append(QMatrix.stack([p.lift for p in points]).scale_right(10.0 ** (6 * k)))
+    lifts = QMatrix._owning(*(np.stack([getattr(s, part) for s in stacks], axis=1) for part in ("ca", "cb")))
+    pairings, moduli, vanishing = _cross_ratio_parts(lifts)
+    assert moduli.shape == vanishing.shape == (4, count)
+    for k, stack in enumerate(stacks):
+        own_pairings, own_moduli, own_vanishing = _cross_ratio_parts(stack)
+        assert pairings.ca[:, k].tobytes() == own_pairings.ca.tobytes()
+        assert pairings.cb[:, k].tobytes() == own_pairings.cb.tobytes()
+        assert moduli[:, k].tobytes() == own_moduli.tobytes()
+        assert (vanishing[:, k] == own_vanishing).all()
+    assert vanishing[0, 1::2].all() and not vanishing[:, ::2].any()
+
+
 #: Word lengths of the long words added per n: at these lengths the pairing
 #: <h(qinf), h(q0)> of some words is flagged as vanishing relative to lifts of
 #: size |h| (seed 0), so that branch is compared too.
 LONG_WORDS = {2: (64, 96), 3: (64,)}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9])
 def test_entry_identity_table_matches_per_element_reference(n):
     base = check_elements(n)
     long_words = [list(sample_elements(n, 0, 30, length)) for length in LONG_WORDS.get(n, ())]

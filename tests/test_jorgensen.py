@@ -29,7 +29,7 @@ from helpers import (
 
 import qhspace.jsonio as jsonio
 
-from qhspace.crossratio import cross_ratio
+from qhspace.crossratio import cross_ratio, entry_identity_check
 from qhspace.errors import ClassificationError, MembershipError, NumericError, ShapeMismatchError
 from qhspace.geometry import ProjectivePoint, apply
 from qhspace.jorgensen import (
@@ -72,6 +72,24 @@ from qhspace.spn1 import (
     sample_elements,
 )
 from qhspace.tolerances import DIAGONAL_TOL, UNIT_MODULUS_TOL, pairing_vanishes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_brackets_at_qinf_and_q0_are_the_entry_identities(n):
+    # g's attracting fixed point is qinf and its repelling one q0, so the
+    # test's brackets are the corner-entry identities that verify checks.
+    rng = np.random.default_rng(n)
+    g = make_loxodromic([random_unit_quaternion(rng) for _ in range(n - 1)], Quaternion(1.7, 0.4))
+    checked = 0
+    for h in sample_elements(n, 3, 16, 8):
+        report = entry_identity_check(h)
+        if report.degenerate:
+            continue
+        outcome = jorgensen_test(g, h)
+        assert outcome.cross_abs1 == pytest.approx(report.lhs1, rel=1e-12, abs=0.0)
+        assert outcome.cross_abs2 == pytest.approx(report.lhs2, rel=1e-12, abs=0.0)
+        checked += 1
+    assert checked >= 10
 
 
 def slow_loxodromic():
