@@ -44,7 +44,7 @@ from .crossratio import _brackets, _cross_ratio_parts, _joined, _moduli
 from .errors import ClassificationError, MembershipError, NumericError
 from .qmatrix import QMatrix
 from .quaternion import Quaternion
-from .spectral import LoxodromicData, _fixed_point_data, _has_one_expanding_pair, _lift, loxodromic_data
+from .spectral import LoxodromicData, _fixed_point_data, _lift, loxodromic_data
 from .spn1 import (
     SpElement, _first, _require_same_space, _stack_admission, _structure_inverse, is_member, make_loxodromic, retract,
 )
@@ -178,10 +178,9 @@ def _certificate(data: LoxodromicData, h: SpElement, flags) -> Certificate:
     if not (fixes_u or fixes_v):
         return Certificate.NEITHER
     # h is not loxodromic, or its fixed points are not certified; the group
-    # still fixes a point, so the elementary certificate stands.  Its moduli
-    # decide the first before any of its eigenvectors is checked.
-    if not _has_one_expanding_pair(h):
-        return Certificate.FIXES_ONE_SWAPS_NONE
+    # still fixes a point, so the elementary certificate stands.
+    # _fixed_point_data refuses a non-loxodromic h from its moduli, before
+    # any of its eigenvectors is checked.
     try:
         h_data = _fixed_point_data(h)
     except (ClassificationError, NumericError):

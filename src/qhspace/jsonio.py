@@ -69,8 +69,11 @@ def _emit(obj, out, newline):
 
 def load_file(path: str):
     """Parse a JSON file, naming the path and offset on failure."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"malformed JSON in {path} at offset {exc.start}: not UTF-8 text ({exc.reason})") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -33,19 +33,19 @@ never makes a caller's array read-only and a frozen matrix never shares
 memory with a writable array.
 
 The eigen routines share one decomposition: the adjoint, its Frobenius norm
-and a single ``np.linalg.eig``.  A frozen matrix (see :meth:`QMatrix.freeze`;
-every group element is one) computes it on first use, together with the
-pairing of its eigenvalues into right-eigenvalue representatives, and keeps
-it, read-only, for every later routine; an unfrozen matrix recomputes it per
-call.  ``right_eigenpairs`` makes one walk over that spectrum: it takes all
-2k adjoint eigenvectors of a k x k matrix as quaternionic candidates at once
+and a single ``np.linalg.eig``, with two read-offs made from it at once: the
+pairing of its eigenvalues into right-eigenvalue representatives, and the
+match of each representative to its nearest candidate value, an adjoint
+eigenvalue conjugated into the upper half plane.  A frozen matrix (see
+:meth:`QMatrix.freeze`; every group element is one) computes them on first
+use and keeps them, read-only, for every later routine; an unfrozen matrix
+recomputes them per call.  ``right_eigenpairs`` takes all 2k adjoint
+eigenvectors of a k x k matrix as quaternionic candidates at once
 (``_eigen_candidates``, which the diagonal frame reads too), checks their
-residuals as one stack and the cached pairing mismatches, and matches each
-cached representative to its candidate by nearest value.  That match alone,
-with no residual checked, gives the matched values (``_matched_values``),
-from whose moduli the Jørgensen certificate rules out a non-loxodromic
-partner.  Only ``classify`` takes a second decomposition, the SVD of
-``eigenspace_basis``.
+residuals as one stack and the kept pairing mismatches, and returns the kept
+match.  The matched values alone, with no residual checked, are what
+``spectral._fixed_point_data`` reads loxodromy from.  Only ``classify`` takes
+a second decomposition, the SVD of ``eigenspace_basis``.
 """
 
 from __future__ import annotations
@@ -317,6 +317,8 @@ class QMatrix:
             comp = np.asarray(data["entries"], dtype=float).reshape(data["rows"], data["cols"], 4)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"field 'entries' must be rows x cols lists of 4 numbers: {exc}") from exc
+        if not np.isfinite(comp).all():
+            raise ValueError(f"field 'entries' must hold finite numbers, found {comp[~np.isfinite(comp)][0]}")
         return cls.from_components(comp)
 
     def __repr__(self):
@@ -368,21 +370,27 @@ class _Spectrum(NamedTuple):
     evecs: np.ndarray
     reps: tuple
     mismatches: tuple
+    values: tuple
+    matched: tuple
 
 
 def _adjoint_spectrum(m: QMatrix) -> _Spectrum:
-    """The complex adjoint of ``m``, its Frobenius norm, its ``eig`` and pairing.
+    """The complex adjoint of ``m``, its Frobenius norm, its ``eig``, pairing and match.
 
-    Every eigen routine reads this one decomposition.  A frozen matrix
-    cannot change, so it keeps the result, with read-only arrays, and later
-    calls reuse it; for an unfrozen matrix it is recomputed on each call.
+    ``values`` are the adjoint eigenvalues, each conjugated into the upper
+    half plane, and ``matched`` holds, for each representative in turn, the
+    index of its value.  Every eigen routine reads this one decomposition.  A frozen matrix cannot change, so it keeps the result,
+    with read-only arrays, and later calls reuse it; for an unfrozen matrix
+    it is recomputed on each call.
     """
     if m._spectrum is not None:
         return m._spectrum
     adj = m.adjoint()
     evals, evecs = np.linalg.eig(adj)
     reps, mismatches = _pair_adjoint_eigenvalues(evals)
-    spectrum = _Spectrum(adj, float(np.linalg.norm(adj)), evals, evecs, reps, mismatches)
+    values = tuple(complex(lam.real, abs(lam.imag)) for lam in evals.tolist())
+    matched = _nearest_candidates(reps, values)
+    spectrum = _Spectrum(adj, float(np.linalg.norm(adj)), evals, evecs, reps, mismatches, values, matched)
     if not (m.ca.flags.writeable or m.cb.flags.writeable):
         for arr in (adj, evals, evecs):
             arr.flags.writeable = False
@@ -419,6 +427,21 @@ def _pair_adjoint_eigenvalues(evals):
     return tuple(reps), tuple(mismatches)
 
 
+def _nearest_candidates(reps, values):
+    """For each representative in turn, the index of its nearest remaining value.
+
+    Each similarity class appears twice per multiplicity among the values,
+    so every representative is matched to one candidate of its own.
+    """
+    remaining = list(range(len(values)))
+    picks = []
+    for rep in reps:
+        i = min(remaining, key=lambda k: abs(values[k] - rep))
+        remaining.remove(i)
+        picks.append(i)
+    return tuple(picks)
+
+
 def _check_pairing(spectrum: _Spectrum):
     """Raise at the first pair whose mismatch exceeds ``EIGENPAIR_TOL`` times
     the adjoint's norm (at least 1)."""
@@ -446,18 +469,13 @@ def right_eigenvalues(m: QMatrix):
     return list(spectrum.reps)
 
 
-def _candidate_values(evals):
-    """The adjoint eigenvalues, each conjugated into the upper half plane."""
-    return [complex(lam.real, abs(lam.imag)) for lam in evals.tolist()]
-
-
 def _eigen_candidates(m: QMatrix):
-    """``(spectrum, values, vecs)``: adjoint eigenvector idx as quaternionic candidate idx.
+    """``(spectrum, vecs)``: adjoint eigenvector idx as quaternionic candidate idx.
 
     ``vecs`` stacks the 2k unchecked candidates of a k x k matrix.  One whose
     eigenvalue lies in the lower half plane is right-multiplied by j, which
-    conjugates the eigenvalue into ``values[idx]``; a class of multiplicity k
-    has 2k candidates, each of its k quaternionic lines twice.
+    conjugates the eigenvalue into ``spectrum.values[idx]``; a class of
+    multiplicity k has 2k candidates, each of its k quaternionic lines twice.
     """
     spectrum = _adjoint_spectrum(m)
     evals, evecs = spectrum.evals, spectrum.evecs
@@ -470,34 +488,7 @@ def _eigen_candidates(m: QMatrix):
         np.where(lower, ca * 0j - cb * np.conj(1 + 0j), ca),
         np.where(lower, ca * (1 + 0j) + cb * np.conj(0j), cb),
     )
-    return spectrum, _candidate_values(evals), vecs
-
-
-def _nearest_candidates(reps, values):
-    """For each representative in turn, the index of its nearest remaining value.
-
-    Each similarity class appears twice per multiplicity among the values,
-    so every representative is matched to one candidate of its own.
-    """
-    remaining = list(range(len(values)))
-    picks = []
-    for rep in reps:
-        i = min(remaining, key=lambda k: abs(values[k] - rep))
-        remaining.remove(i)
-        picks.append(i)
-    return picks
-
-
-def _matched_values(m: QMatrix):
-    """The candidate values :func:`right_eigenpairs` returns, unchecked.
-
-    One value per cached representative, in representative order, taken from
-    the candidates before any eigenvector residual or pairing mismatch is
-    checked: a caller that decides from the moduli alone skips that work.
-    """
-    spectrum = _adjoint_spectrum(m)
-    values = _candidate_values(spectrum.evals)
-    return [values[i] for i in _nearest_candidates(spectrum.reps, values)]
+    return spectrum, vecs
 
 
 def right_eigenpairs(m: QMatrix):
@@ -512,17 +503,18 @@ def right_eigenpairs(m: QMatrix):
     """
     if m.rows != m.cols:
         raise ShapeMismatchError("eigenpairs require a square matrix")
-    spectrum, reps, vecs = _eigen_candidates(m)
-    resid = (m @ vecs - vecs.scale_right(np.array(reps))).norm_max()
+    spectrum, vecs = _eigen_candidates(m)
+    values = spectrum.values
+    resid = (m @ vecs - vecs.scale_right(np.array(values))).norm_max()
     scale = vecs.norm_fro()
     bad = (scale == 0.0) | (resid > EIGENPAIR_TOL * np.maximum(scale, 1.0))
     if bad.any():
         raise NumericError("eigenpair residual too large", residual=float(resid[np.argmax(bad)]))
     _check_pairing(spectrum)
     pairs = []
-    for i in _nearest_candidates(spectrum.reps, reps):
+    for i in spectrum.matched:
         vec = QMatrix._owning(vecs.ca[i], vecs.cb[i])
-        pairs.append((reps[i], vec, float(resid[i] / scale[i])))
+        pairs.append((values[i], vec, float(resid[i] / scale[i])))
     pairs.sort(key=lambda p: (abs(p[0]), p[0].real))
     return pairs
 

@@ -17,17 +17,21 @@ plus one expanding/contracting pair (lam_n, lam_n1) with
 
 both well defined because |lam - 1| depends only on (Re lam, |lam|).
 
-The fixed points are certified once, on one lift stack: the eigenvectors u
-(expanding class) and v (contracting class) become a frozen ``(2, n+1, 1)``
-stack, and ``<u,u>``, ``<v,v>`` and ``<v,u>`` are slices of one stacked
-pairing product (``crossratio._cross_ratio_parts``).  From them and the two
-norms the boundary check and the check that u and v do not pair to zero
-read; every consumer takes the stack as it is.  Only the diagonal frame of
-the conjugation orbit builds the conjugator that makes g diagonal;
-``classify`` and the Jørgensen test read the invariants and the certified
-fixed points alone.  Its unit columns come from the same cached ``eig`` (the
-SVD of ``eigenspace_basis`` serves ``classify`` alone), and it is retracted
-onto the group before it is admitted.
+The fixed points are certified once, on one lift stack.  Loxodromy is read
+first, from the moduli of the kept spectrum's matched candidate values (the
+values ``right_eigenpairs`` returns), so an element that is not loxodromic
+is refused before any eigenvector residual is checked.  Then the
+eigenvectors u (expanding class) and v (contracting class) become a frozen
+``(2, n+1, 1)`` stack, and ``<u,u>``, ``<v,v>`` and ``<v,u>`` are slices of
+one stacked pairing product (``crossratio._cross_ratio_parts``).  From them
+and the two norms the boundary check and the check that u and v do not pair
+to zero read; every consumer takes the stack and the certified ``<v,u>`` as
+they are.  Only the diagonal frame of the conjugation orbit builds the
+conjugator that makes g diagonal; ``classify`` and the Jørgensen test read
+the invariants and the certified fixed points alone.  Its unit columns come
+from the same cached ``eig`` (the SVD of ``eigenspace_basis`` serves
+``classify`` alone), and it is retracted onto the group before it is
+admitted.
 """
 
 from __future__ import annotations
@@ -43,14 +47,14 @@ from .crossratio import _cross_ratio_parts, _pairing_table
 from .geometry import ProjectivePoint
 from .qmatrix import (
     QMatrix,
+    _adjoint_spectrum,
     _eigen_candidates,
-    _matched_values,
     eigenspace_basis,
     right_eigenpairs,
     right_eigenvalues,
 )
 from .quaternion import Quaternion
-from .spn1 import SpElement, form_matrix, herm_form, is_member, retract
+from .spn1 import SpElement, form_matrix, is_member, retract
 from .tolerances import (
     CLUSTER_TOL,
     FORM_POSITIVITY_TOL,
@@ -177,11 +181,11 @@ def _unit_block_columns(g: SpElement, unit_reps):
     accepted column an eigenvector; of a k-fold class's 2k candidates it keeps k.
     """
     j_mat = form_matrix(g.n)
-    _, values, vecs = _eigen_candidates(g.m)
+    spectrum, vecs = _eigen_candidates(g.m)
     accepted = []
     for cluster in _cluster(unit_reps):
         wanted = len(accepted) + len(cluster)
-        for i, lam in enumerate(values):
+        for i, lam in enumerate(spectrum.values):
             if len(accepted) == wanted:
                 break
             if min(abs(lam - rep) for rep in cluster) > CLUSTER_TOL:
@@ -200,17 +204,19 @@ def _unit_block_columns(g: SpElement, unit_reps):
     return accepted
 
 
-def _build_conjugator(g: SpElement, unit_reps, u_vec, v_vec):
+def _build_conjugator(g: SpElement, data: LoxodromicData):
     """Assemble C in the group with C^-1 g C diagonal, or None on failure.
 
-    The repelling lift v is scaled so that ``<v, u> = -1``, then the null
-    columns are balanced to (u t, v / t), ``t = (|v| / |u|)^(1/2)``.
+    The repelling lift v is scaled by the certified ``<v, u>`` so that
+    ``<v, u> = -1``, then the null columns are balanced to (u t, v / t),
+    ``t = (|v| / |u|)^(1/2)``.
     """
     try:
-        columns = _unit_block_columns(g, unit_reps)
+        columns = _unit_block_columns(g, data.unit_eigs)
     except NumericError:
         return None
-    v_vec = v_vec.scale_right(-herm_form(v_vec, u_vec).inverse())
+    u_vec = _lift(data.lifts, 0)
+    v_vec = _lift(data.lifts, 1).scale_right(-data.vu_pairing.inverse())
     t = math.sqrt(v_vec.norm_fro() / u_vec.norm_fro())
     mat = retract(QMatrix.from_blocks([columns + [u_vec.scale_right(t), v_vec.scale_right(1.0 / t)]]))
     try:
@@ -230,26 +236,23 @@ def _expanding_contracting(moduli):
     return big, small
 
 
-def _has_one_expanding_pair(g: SpElement) -> bool:
-    """Whether g has exactly one expanding and one contracting class.
-
-    The first test of :func:`_fixed_point_data`, on the same eigenvalue
-    moduli, decided before any eigenvector residual is checked.
-    """
-    big, small = _expanding_contracting([abs(lam) for lam in _matched_values(g.m)])
-    return len(big) == 1 and len(small) == 1
-
-
 def _fixed_point_data(g: SpElement) -> LoxodromicData:
-    """:func:`loxodromic_data` without the conjugator; certifies u and v distinct."""
-    pairs = right_eigenpairs(g.m)
-    moduli = [abs(p[0]) for p in pairs]
+    """:func:`loxodromic_data` without the conjugator; certifies u and v distinct.
+
+    The expanding/contracting split is read from the kept spectrum's matched
+    values, sorted as :func:`right_eigenpairs` sorts its pairs, so a
+    non-loxodromic g is refused before any eigenvector residual is checked.
+    """
+    spectrum = _adjoint_spectrum(g.m)
+    values = sorted((spectrum.values[i] for i in spectrum.matched), key=lambda lam: (abs(lam), lam.real))
+    moduli = [abs(lam) for lam in values]
     big, small = _expanding_contracting(moduli)
     if len(big) != 1 or len(small) != 1:
         raise ClassificationError(
             "element is not loxodromic: expected exactly one expanding and one "
             f"contracting eigenvalue class, got moduli {moduli}"
         )
+    pairs = right_eigenpairs(g.m)
     lam_n, u_vec, _ = pairs[big[0]]
     lam_n1, v_vec, _ = pairs[small[0]]
     if abs(abs(lam_n) * abs(lam_n1) - 1.0) > RECIPROCAL_TOL * abs(lam_n):
@@ -283,9 +286,7 @@ def loxodromic_data(g: SpElement) -> LoxodromicData:
     frame calls it; other callers read the same data without the conjugator.
     """
     data = _fixed_point_data(g)
-    # The lifts are copies of the eigenvectors, so C keeps its bits.
-    conjugator = _build_conjugator(g, data.unit_eigs, _lift(data.lifts, 0), _lift(data.lifts, 1))
-    return replace(data, conjugator=conjugator)
+    return replace(data, conjugator=_build_conjugator(g, data))
 
 
 def spectral_report(g: SpElement) -> dict:

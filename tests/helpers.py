@@ -31,7 +31,7 @@ from qhspace.quaternion import Quaternion
 from qhspace.spectral import (
     ElementKind,
     LoxodromicData,
-    _build_conjugator,
+    _unit_block_columns,
     classify,
     invariants_from_eigs,
     loxodromic_data,
@@ -619,6 +619,23 @@ def reference_right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):
     return pairs
 
 
+def _reference_conjugator(g: SpElement, unit_reps, u_vec, v_vec):
+    """The diagonalizing conjugator with v scaled by its own pairing
+    ``herm_form(v, u)``, where ``loxodromic_data`` reads the certified
+    ``vu_pairing``; None when it is not built or not admitted."""
+    try:
+        columns = _unit_block_columns(g, unit_reps)
+    except NumericError:
+        return None
+    v_vec = v_vec.scale_right(-herm_form(v_vec, u_vec).inverse())
+    t = math.sqrt(v_vec.norm_fro() / u_vec.norm_fro())
+    mat = retract(QMatrix.from_blocks([columns + [u_vec.scale_right(t), v_vec.scale_right(1.0 / t)]]))
+    try:
+        return is_member(mat)
+    except MembershipError:
+        return None
+
+
 def reference_loxodromic_data(g: SpElement) -> LoxodromicData:
     """``loxodromic_data`` from the per-candidate eigenpairs, with the
     conjugator built from the eigenvectors themselves."""
@@ -656,7 +673,7 @@ def reference_loxodromic_data(g: SpElement) -> LoxodromicData:
         norms=np.array([attracting.lift.norm_fro(), repelling.lift.norm_fro()]),
         delta=delta,
         mg=mg,
-        conjugator=_build_conjugator(g, unit_reps, u_vec, v_vec),
+        conjugator=_reference_conjugator(g, unit_reps, u_vec, v_vec),
     )
 
 

@@ -306,6 +306,11 @@ def test_malformed_json_exit_code(tmp_path, capsys):
         assert code == 1 and out == ""
         assert err.startswith("qhspace: error: ") and err.count("\n") == 1
         assert "bad.json" in err and field in err
+    # A file that is not UTF-8 text used to give the decoder's message alone.
+    bad.write_bytes(b"\xff\xfe\x00\x01")
+    code, out, err = run(["classify", str(bad)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"qhspace: error: malformed JSON in {bad} at offset 0: not UTF-8 text (invalid start byte)\n"
 
 
 def test_non_number_entries_are_one_error_line(tmp_path, capsys):
@@ -326,6 +331,23 @@ def test_non_number_entries_are_one_error_line(tmp_path, capsys):
         assert code == 1 and out == ""
         assert err.startswith("qhspace: error: ") and err.count("\n") == 1
         assert "bad.json" in err and field in err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_are_malformed(value, tmp_path, capsys):
+    # An infinity used to end in numpy's "invalid value encountered in
+    # matmul", naming no file, and a NaN was refused as a matrix scale too
+    # large for membership to be decided.
+    g_path, h_path = write_pair(str(tmp_path))
+    doc = json.loads(pathlib.Path(h_path).read_text())
+    doc["entries"][1][2] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["classify", str(bad)], ["test", g_path, str(bad)], ["iterate", str(bad), g_path]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"qhspace: error: malformed element in {bad}: field 'entries'")
+        assert err.count("\n") == 1
 
 
 def test_non_loxodromic_test_input(tmp_path, capsys):

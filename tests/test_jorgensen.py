@@ -44,12 +44,11 @@ from qhspace.jorgensen import (
     fk_sequence,
     jorgensen_test,
 )
-from qhspace.qmatrix import QMatrix, _matched_values, right_eigenpairs
+from qhspace.qmatrix import QMatrix, _adjoint_spectrum, right_eigenpairs
 from qhspace.quaternion import Quaternion
 from qhspace import spectral
 from qhspace.spectral import (
     _fixed_point_data,
-    _has_one_expanding_pair,
     _lift,
     _unit_block_columns,
     loxodromic_data,
@@ -566,11 +565,12 @@ def test_a_candidate_repeating_a_kept_line_is_dropped(monkeypatch, n):
     original = spectral._eigen_candidates
 
     def doubled(m):
-        spectrum, values, vecs = original(m)
-        copies = vecs.scale_right(np.full(len(values), 0.6 + 0.8j))
+        spectrum, vecs = original(m)
+        copies = vecs.scale_right(np.full(len(spectrum.values), 0.6 + 0.8j))
         ca = np.stack([vecs.ca, copies.ca], axis=1).reshape(-1, m.rows, 1)
         cb = np.stack([vecs.cb, copies.cb], axis=1).reshape(-1, m.rows, 1)
-        return spectrum, [lam for lam in values for _ in range(2)], QMatrix._owning(ca, cb)
+        values = tuple(lam for lam in spectrum.values for _ in range(2))
+        return spectrum._replace(values=values), QMatrix._owning(ca, cb)
 
     monkeypatch.setattr(spectral, "_eigen_candidates", doubled)
     j_mat = form_matrix(n)
@@ -791,13 +791,51 @@ def test_stress_shared_pairs_get_the_certified_verdict(n):
     assert checked >= 20
 
 
+def stress_and_parabolic_elements(n):
+    """Both generators of the stress pairs, then parabolics conjugated by
+    sampled words."""
+    rng = np.random.default_rng(n)
+    elements = [h for pair in stress_shared_pairs(n) for h in pair]
+    for c in sample_elements(n, 4, 60, 6):
+        try:
+            elements.append(is_member(c.m @ parabolic_factor(n, rng, scale=1.0).m @ group_inverse(c).m))
+        except MembershipError:
+            continue
+    return elements
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_loxodromy_is_read_from_the_matched_candidate_moduli(n):
+    # eig splits a parabolic element's unit class by up to about 1e-5, so the
+    # averaged representatives and the candidates right_eigenpairs returns
+    # can fall on different sides of the unit-modulus cut: loxodromy is read
+    # from the candidates the kept spectrum matched.
+    checked = 0
+    for h in stress_and_parabolic_elements(n):
+        try:
+            pairs = right_eigenpairs(h.m)
+        except NumericError:
+            continue
+        spectrum = _adjoint_spectrum(h.m)
+        values = sorted((spectrum.values[i] for i in spectrum.matched), key=lambda v: (abs(v), v.real))
+        assert values == [p[0] for p in pairs]
+        checked += 1
+    assert checked >= 40
+
+
+class _EigenpairsChecked(Exception):
+    pass
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
-def test_certificate_decides_from_moduli_as_the_reference_path_does(n):
+def test_certificate_decides_from_moduli_as_the_reference_path_does(monkeypatch, n):
     # Both orders of each stress pair: with the roles swapped, h is the
     # near-parabolic loxodromic of the grid.  The reference checks all of h's
-    # eigenpairs before it reads the moduli.
-    seen = set()
-    near_parabolic = 0
+    # eigenpairs before it reads the moduli; _fixed_point_data reads the
+    # split first, so with right_eigenpairs made to raise, every element
+    # without one expanding and one contracting class is still refused,
+    # those whose eigenpairs fail included.
+    certificates = set()
     for pair in stress_shared_pairs(n):
         for g, h in (pair, pair[::-1]):
             try:
@@ -807,40 +845,35 @@ def test_certificate_decides_from_moduli_as_the_reference_path_does(n):
             flags = _fixed_point_brackets(data, h)[3]
             want = _reference_certificate(_lift(data.lifts, 0), _lift(data.lifts, 1), h, flags)
             assert _certificate(data, h, flags) is want
-            loxodromic = _has_one_expanding_pair(h)
-            seen.add((want, loxodromic))
-            near_parabolic += loxodromic and max(map(abs, _matched_values(h.m))) - 1.0 <= 1.01e-3
-    assert (Certificate.FIXES_ONE_SWAPS_NONE, False) in seen
-    assert (Certificate.SHARES_EXACTLY_ONE, True) in seen
-    assert near_parabolic >= 4
-
-
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_loxodromy_is_read_from_the_matched_candidate_moduli(n):
-    # eig splits a parabolic element's unit class by up to about 1e-5, so the
-    # averaged representatives and the candidates right_eigenpairs returns
-    # can fall on different sides of the unit-modulus cut.
-    rng = np.random.default_rng(n)
-    elements = [h for pair in stress_shared_pairs(n) for h in pair]
-    for c in sample_elements(n, 4, 60, 6):
-        try:
-            elements.append(is_member(c.m @ parabolic_factor(n, rng, scale=1.0).m @ group_inverse(c).m))
-        except MembershipError:
-            continue
-    checked = 0
+            certificates.add(want)
+    assert {Certificate.FIXES_ONE_SWAPS_NONE, Certificate.SHARES_EXACTLY_ONE} <= certificates
+    elements = stress_and_parabolic_elements(n)
+    splits = []
     for h in elements:
-        values = _matched_values(h.m)
         try:
-            pairs = right_eigenpairs(h.m)
+            moduli = [abs(p[0]) for p in right_eigenpairs(h.m)]
         except NumericError:
+            splits.append(None)
             continue
-        assert sorted(values, key=lambda v: (abs(v), v.real)) == [p[0] for p in pairs]
-        moduli = [abs(p[0]) for p in pairs]
         expanding = sum(m > 1.0 + UNIT_MODULUS_TOL for m in moduli)
         contracting = sum(m < 1.0 - UNIT_MODULUS_TOL for m in moduli)
-        assert _has_one_expanding_pair(h) == (expanding == contracting == 1)
-        checked += 1
-    assert checked >= 40
+        splits.append(expanding == contracting == 1)
+
+    def checked(m):
+        raise _EigenpairsChecked
+
+    monkeypatch.setattr(spectral, "right_eigenpairs", checked)
+    refused = {"eigenpairs pass": 0, "eigenpairs fail": 0}
+    for h, split in zip(elements, splits):
+        try:
+            _fixed_point_data(h)
+        except ClassificationError:
+            assert split is not True
+            refused["eigenpairs fail" if split is None else "eigenpairs pass"] += 1
+        except _EigenpairsChecked:
+            assert split is not False
+    assert refused["eigenpairs pass"] >= 10
+    assert n == 1 or refused["eigenpairs fail"] >= 20
 
 
 def near_parabolic_pairs(n):

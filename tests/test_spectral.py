@@ -20,6 +20,8 @@ from qhspace.qmatrix import QMatrix
 from qhspace.quaternion import I, Quaternion
 from qhspace.spectral import (
     ElementKind,
+    _fixed_point_data,
+    _lift,
     classify,
     invariants_from_eigs,
     loxodromic_data,
@@ -30,6 +32,7 @@ from qhspace.spn1 import (
     StabilizerKind,
     compose,
     group_inverse,
+    herm_form,
     identity_element,
     is_member,
     make_loxodromic,
@@ -236,6 +239,23 @@ def test_loxodromic_data_matches_the_conjugator_building_reference(n):
         if want.conjugator is not None:
             assert same_bits(got.conjugator.m, want.conjugator.m)
             assert got.conjugator.residual == want.conjugator.residual
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_vu_pairing_is_the_form_of_the_lifts_bit_for_bit(n):
+    # The conjugator scales v by the certified <v, u>; these bits are the
+    # ones herm_form gives, so the conjugator keeps the bits of scaling v
+    # by its own pairing.
+    checked = 0
+    for g in _spectral_oracle_elements(n):
+        try:
+            data = _fixed_point_data(g)
+        except (ClassificationError, ArithmeticError):
+            continue
+        want = herm_form(_lift(data.lifts, 1), _lift(data.lifts, 0))
+        assert np.array(data.vu_pairing.complex_pair()).tobytes() == np.array(want.complex_pair()).tobytes()
+        checked += 1
     assert checked >= 20
 
 
