@@ -53,7 +53,6 @@ from .tolerances import (
     BOUND_SLACK,
     DIAGONAL_TOL,
     FK_CONVERGENCE_TOL,
-    LOXODROMY_MARGIN,
     ORBIT_UNDERFLOW,
 )
 
@@ -177,20 +176,18 @@ def _certificate(data: LoxodromicData, h: SpElement, flags) -> Certificate:
         return Certificate.PRESERVES_PAIR
     if not (fixes_u or fixes_v):
         return Certificate.NEITHER
-    # h is not loxodromic, or its fixed points are not certified; the group
-    # still fixes a point, so the elementary certificate stands.
-    # _fixed_point_data refuses a non-loxodromic h from its moduli, before
-    # any of its eigenvectors is checked.
+    # h is not loxodromic, by the one decision of _fixed_point_data, or its
+    # fixed points are not certified; the group still fixes a point, so the
+    # elementary certificate stands.
     try:
         h_data = _fixed_point_data(h)
     except (ClassificationError, NumericError):
         return Certificate.FIXES_ONE_SWAPS_NONE
-    if abs(h_data.lam_n) > 1.0 + LOXODROMY_MARGIN:
-        # Pairings of h's fixed points p, q with u and v: <p,u>, <p,v>, <q,v>, <q,u>.
-        lifts, norms = _joined(data.lifts, h_data.lifts), np.concatenate((data.norms, h_data.norms))
-        _, _, vanishing = _cross_ratio_parts(lifts, norms=norms)
-        if int(vanishing[0] | vanishing[1]) + int(vanishing[2] | vanishing[3]) == 1:
-            return Certificate.SHARES_EXACTLY_ONE
+    # Pairings of h's fixed points p, q with u and v: <p,u>, <p,v>, <q,v>, <q,u>.
+    lifts, norms = _joined(data.lifts, h_data.lifts), np.concatenate((data.norms, h_data.norms))
+    _, _, vanishing = _cross_ratio_parts(lifts, norms=norms)
+    if int(vanishing[0] | vanishing[1]) + int(vanishing[2] | vanishing[3]) == 1:
+        return Certificate.SHARES_EXACTLY_ONE
     return Certificate.FIXES_ONE_SWAPS_NONE
 
 

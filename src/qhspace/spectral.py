@@ -1,12 +1,11 @@
 """Dynamical classification of group elements and loxodromic invariants.
 
-An element is loxodromic when some right-eigenvalue class has modulus away
-from 1 (equivalently it fixes exactly two boundary points), elliptic when it
-fixes an interior point, and parabolic otherwise.  Interior fixed points are
-detected by restricting the ambient Hermitian form to adjoint eigenspaces:
-the form value of a quaternionic vector equals the value of the induced
-complex form ``diag(J, J)`` on its adjoint image, so a negative eigenvalue of
-the restricted Gram matrix certifies an interior fixed point.
+An element is loxodromic when it fixes exactly two boundary points, elliptic
+when it fixes an interior point, and parabolic otherwise.  Interior fixed
+points are detected by restricting the ambient Hermitian form to adjoint
+eigenspaces: the form value of a quaternionic vector equals the value of the
+induced complex form ``diag(J, J)`` on its adjoint image, so a negative
+eigenvalue of the restricted Gram matrix certifies an interior fixed point.
 
 For a loxodromic element the spectrum splits into n-1 unit-modulus classes
 plus one expanding/contracting pair (lam_n, lam_n1) with
@@ -17,27 +16,26 @@ plus one expanding/contracting pair (lam_n, lam_n1) with
 
 both well defined because |lam - 1| depends only on (Re lam, |lam|).
 
-The fixed points are certified once, on one lift stack.  Loxodromy is read
-first, from the moduli of the kept spectrum's matched candidate values (the
-values ``right_eigenpairs`` returns), so an element that is not loxodromic
-is refused before any eigenvector residual is checked.  Then the
-eigenvectors u (expanding class) and v (contracting class) become a frozen
-``(2, n+1, 1)`` stack, and ``<u,u>``, ``<v,v>`` and ``<v,u>`` are slices of
-one stacked pairing product (``crossratio._cross_ratio_parts``).  From them
-and the two norms the boundary check and the check that u and v do not pair
-to zero read; every consumer takes the stack and the certified ``<v,u>`` as
+Loxodromy is decided once, by :func:`_fixed_point_data`, for every consumer.
+It reads the moduli of the kept spectrum's matched candidate values (the
+values ``right_eigenpairs`` returns), so an element without one expanding and
+one contracting class is refused before any eigenvector residual is checked.
+Then the eigenvectors u (expanding class) and v (contracting class) become a
+frozen ``(2, n+1, 1)`` stack, and ``<u,u>``, ``<v,v>`` and ``<v,u>`` are
+slices of one stacked pairing product (``crossratio._cross_ratio_parts``).
+``<v,u>`` must clear ``LOXODROMY_MARGIN``, which the two candidates of a
+parabolic class that ``eig`` split do not; the boundary check reads the
+other two.  Every consumer takes the stack and the certified ``<v,u>`` as
 they are.  Only the diagonal frame of the conjugation orbit builds the
-conjugator that makes g diagonal; ``classify`` and the Jørgensen test read
-the invariants and the certified fixed points alone.  Its unit columns come
-from the same cached ``eig`` (the SVD of ``eigenspace_basis`` serves
-``classify`` alone), and it is retracted onto the group before it is
-admitted.
+conjugator that makes g diagonal.  Its unit columns come from the same cached
+``eig`` (the SVD of ``eigenspace_basis`` serves ``classify`` alone), and it
+is retracted onto the group before it is admitted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -58,10 +56,10 @@ from .spn1 import SpElement, form_matrix, is_member, retract
 from .tolerances import (
     CLUSTER_TOL,
     FORM_POSITIVITY_TOL,
+    LOXODROMY_MARGIN,
     POSITION_TOL,
     RECIPROCAL_TOL,
     UNIT_MODULUS_TOL,
-    pairing_vanishes,
 )
 
 
@@ -74,12 +72,12 @@ class ElementKind(Enum):
 
 @dataclass(frozen=True)
 class Classification:
-    """Outcome of :func:`classify` with its supporting evidence."""
+    """Outcome of :func:`classify`; ``fixed_points`` certifies a loxodromic one."""
 
     kind: ElementKind
     eigen_moduli: tuple
     boundary_classes: int
-    low_confidence: bool = False
+    fixed_points: LoxodromicData | None = field(default=None, compare=False)
 
 
 def _cluster(reps):
@@ -96,17 +94,22 @@ def _cluster(reps):
 
 
 def classify(g: SpElement) -> Classification:
-    """Sort an element into identity / elliptic / parabolic / loxodromic."""
+    """Sort an element into identity / elliptic / parabolic / loxodromic.
+
+    Loxodromic is :func:`_fixed_point_data`'s decision; an element it refuses
+    is sorted by its eigenspaces.
+    """
     eye = QMatrix.identity(g.n + 1)
     reps = right_eigenvalues(g.m)
     moduli = tuple(abs(lam) for lam in reps)
     if (g.m - eye).norm_max() <= UNIT_MODULUS_TOL:
         return Classification(ElementKind.IDENTITY, moduli, 0)
-    if max(moduli) > 1.0 + UNIT_MODULUS_TOL:
-        return Classification(ElementKind.LOXODROMIC, moduli, 2)
+    try:
+        return Classification(ElementKind.LOXODROMIC, moduli, 2, _fixed_point_data(g))
+    except ClassificationError:
+        pass
     k_form = form_matrix(g.n).adjoint()
     interior = False
-    low_confidence = False
     boundary = 0
     for cluster in _cluster(reps):
         lam_hat = sum(cluster) / len(cluster)
@@ -122,13 +125,11 @@ def classify(g: SpElement) -> Classification:
             boundary += 1
         elif smallest <= UNIT_MODULUS_TOL:
             boundary += 1
-            if smallest < 0:
-                low_confidence = True
         # A positive-definite restriction carries no fixed point in the
         # closed domain.
     if interior:
         return Classification(ElementKind.ELLIPTIC, moduli, boundary)
-    return Classification(ElementKind.PARABOLIC, moduli, boundary, low_confidence)
+    return Classification(ElementKind.PARABOLIC, moduli, boundary)
 
 
 @dataclass(frozen=True)
@@ -229,24 +230,19 @@ def _build_conjugator(g: SpElement, data: LoxodromicData):
 _FIXED_POINT_PAIRINGS = _pairing_table((0, 1, 0, 1))
 
 
-def _expanding_contracting(moduli):
-    """The indices of the expanding moduli and of the contracting moduli."""
-    big = [i for i, m in enumerate(moduli) if m > 1.0 + UNIT_MODULUS_TOL]
-    small = [i for i, m in enumerate(moduli) if m < 1.0 - UNIT_MODULUS_TOL]
-    return big, small
-
-
 def _fixed_point_data(g: SpElement) -> LoxodromicData:
-    """:func:`loxodromic_data` without the conjugator; certifies u and v distinct.
+    """The one loxodromy decision: :func:`loxodromic_data` without the conjugator.
 
     The expanding/contracting split is read from the kept spectrum's matched
     values, sorted as :func:`right_eigenpairs` sorts its pairs, so a
     non-loxodromic g is refused before any eigenvector residual is checked.
+    Then u and v must pair above ``LOXODROMY_MARGIN``, relative to their norms.
     """
     spectrum = _adjoint_spectrum(g.m)
     values = sorted((spectrum.values[i] for i in spectrum.matched), key=lambda lam: (abs(lam), lam.real))
     moduli = [abs(lam) for lam in values]
-    big, small = _expanding_contracting(moduli)
+    big = [i for i, m in enumerate(moduli) if m > 1.0 + UNIT_MODULUS_TOL]
+    small = [i for i, m in enumerate(moduli) if m < 1.0 - UNIT_MODULUS_TOL]
     if len(big) != 1 or len(small) != 1:
         raise ClassificationError(
             "element is not loxodromic: expected exactly one expanding and one "
@@ -255,22 +251,24 @@ def _fixed_point_data(g: SpElement) -> LoxodromicData:
     pairs = right_eigenpairs(g.m)
     lam_n, u_vec, _ = pairs[big[0]]
     lam_n1, v_vec, _ = pairs[small[0]]
+    lifts = QMatrix.stack([u_vec, v_vec]).freeze()
+    norms = lifts.norm_fro()
+    pairings, pair_moduli, _ = _cross_ratio_parts(lifts, _FIXED_POINT_PAIRINGS, norms)
+    relative = float(pair_moduli[1] / (norms[0] * norms[1]))
+    if relative <= LOXODROMY_MARGIN:
+        raise ClassificationError(
+            f"element is not loxodromic: its candidate fixed points pair to {relative:.3e} "
+            f"relative to their norms, at or below the cut {LOXODROMY_MARGIN:.0e}"
+        )
     if abs(abs(lam_n) * abs(lam_n1) - 1.0) > RECIPROCAL_TOL * abs(lam_n):
         raise NumericError(
             "expanding/contracting moduli are not reciprocal",
             residual=abs(abs(lam_n) * abs(lam_n1) - 1.0),
         )
-    unit_reps = [p[0] for i, p in enumerate(pairs) if i not in (big[0], small[0])]
-    for lam in unit_reps:
-        if abs(abs(lam) - 1.0) > UNIT_MODULUS_TOL:
-            raise ClassificationError(f"unit block contains modulus {abs(lam)}")
-    lifts = QMatrix.stack([u_vec, v_vec]).freeze()
-    norms = lifts.norm_fro()
-    pairings, moduli, _ = _cross_ratio_parts(lifts, _FIXED_POINT_PAIRINGS, norms)
     if not (np.abs(pairings.ca[::2, 0, 0].real) <= POSITION_TOL * np.float_power(norms, 2.0)).all():
         raise NumericError("fixed points did not land on the boundary")
-    if pairing_vanishes(moduli[1], norms[0], norms[1]):
-        raise NumericError("the two fixed points pair to zero", residual=float(moduli[1]))
+    # Every other class is within UNIT_MODULUS_TOL of the unit circle: the split says so.
+    unit_reps = [p[0] for i, p in enumerate(pairs) if i not in (big[0], small[0])]
     delta, mg = invariants_from_eigs(unit_reps, lam_n, lam_n1)
     vu_pairing = Quaternion.from_complex_pair(pairings.ca[1, 0, 0], pairings.cb[1, 0, 0])
     return LoxodromicData(tuple(unit_reps), lam_n, lam_n1, lifts, norms, delta, mg, None, vu_pairing)
@@ -280,10 +278,11 @@ def loxodromic_data(g: SpElement) -> LoxodromicData:
     """Extract eigenvalue classes, fixed points and invariants of a loxodromic g.
 
     Raises :class:`ClassificationError` unless the spectrum splits into n-1
-    unit-modulus classes plus exactly one expanding and one contracting
-    class, and :class:`NumericError` when eigenvector residuals or two
-    distinct boundary fixed points cannot be certified.  Only the diagonal
-    frame calls it; other callers read the same data without the conjugator.
+    unit-modulus classes plus one expanding and one contracting class whose
+    eigenvectors pair above ``LOXODROMY_MARGIN``, and :class:`NumericError`
+    when eigenvector residuals or boundary fixed points cannot be certified.
+    Only the diagonal frame calls it; other callers read the same data
+    without the conjugator.
     """
     data = _fixed_point_data(g)
     return replace(data, conjugator=_build_conjugator(g, data))
@@ -294,9 +293,8 @@ def spectral_report(g: SpElement) -> dict:
     cls = classify(g)
     report = {"kind": cls.kind.value, "delta": None, "mg": None, "u": None, "v": None,
               "eigs": [[lam.real, lam.imag] for lam in right_eigenvalues(g.m)],
-              "boundary_classes": cls.boundary_classes, "low_confidence": cls.low_confidence}
-    if cls.kind is ElementKind.LOXODROMIC:
-        data = _fixed_point_data(g)
+              "boundary_classes": cls.boundary_classes}
+    if (data := cls.fixed_points) is not None:
         u, v = ({"lift": lift[:, 0].tolist()} for lift in data.lifts.components)
         report.update(delta=data.delta, mg=data.mg, u=u, v=v)
     return report

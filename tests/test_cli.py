@@ -372,16 +372,24 @@ def test_pairs_of_different_n_are_one_error_line(tmp_path, capsys):
             assert err.startswith("qhspace: error:") and "different spaces" in err
 
 
-def test_fixed_points_pairing_to_zero_is_one_numeric_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(spectral, "pairing_vanishes", lambda *args: True)
+def test_fixed_points_pairing_at_the_cut_is_one_classification_error(tmp_path, monkeypatch, capsys):
+    # Every relative pairing is at most 1, so with the cut at 1 no element is
+    # loxodromic: classify sorts g by its eigenspaces, and test and iterate
+    # refuse it with the one decision's error.
+    monkeypatch.setattr(spectral, "LOXODROMY_MARGIN", 1.0)
     g_path, h_path = write_pair(str(tmp_path))
+    code, out, _ = run(["classify", g_path], capsys)
+    assert code == 0 and json.loads(out)["kind"] == "Parabolic"
     errors = set()
-    for argv in (["classify", g_path], ["test", g_path, h_path], ["iterate", g_path, h_path]):
+    for argv in (["test", g_path, h_path], ["iterate", g_path, h_path]):
         code, out, err = run(argv, capsys)
         assert (code, out) == (1, "")
         errors.add(err)
     assert len(errors) == 1
-    assert errors.pop().startswith("qhspace: error: the two fixed points pair to zero")
+    assert errors.pop().startswith(
+        "qhspace: error: element is not loxodromic: its candidate fixed points pair to 1.000e+00 "
+        "relative to their norms, at or below the cut 1e+00"
+    )
 
 
 def test_float_formatting_round_trips():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,9 @@ from helpers import (
 )
 
 from qhspace import jsonio, spectral
-from qhspace.errors import ClassificationError
+from qhspace.cli import main
+from qhspace.errors import ClassificationError, MembershipError
+from qhspace.jorgensen import jorgensen_test
 from qhspace.geometry import apply, projectively_close, q_infinity, q_zero
 from qhspace.qmatrix import QMatrix
 from qhspace.quaternion import I, Quaternion
@@ -44,15 +47,16 @@ from qhspace.spn1 import (
 rng = np.random.default_rng(123)
 
 
-def vertical_parabolic():
+def vertical_parabolic(n=2, s=I):
+    """The vertical Heisenberg translation by s, an exact parabolic."""
     return make_normal_form(
         NormalFormParams(
             StabilizerKind.STAB_INFINITY,
             lam=Quaternion(1),
             mu=Quaternion(1),
-            A=QMatrix.identity(1),
-            a=QMatrix.zeros(1, 1),
-            s=I,
+            A=QMatrix.identity(n - 1),
+            a=QMatrix.zeros(n - 1, 1),
+            s=s,
         )
     )
 
@@ -295,3 +299,52 @@ def test_conjugator_lets_programming_errors_through(monkeypatch):
     monkeypatch.setattr(spectral, "is_member", broken)
     with pytest.raises(TypeError, match="broken admission"):
         loxodromic_data(g)
+
+
+def conjugated_translations(n, s, length, seed):
+    """``(w, w T w^-1)`` for T the vertical translation by s and the 80 words w
+    of ``sample_elements(n, seed, 80, length)``; None for a refused product."""
+    t = vertical_parabolic(n, s)
+    for w in sample_elements(n, seed, 80, length):
+        try:
+            yield w, compose(compose(w, t), group_inverse(w))
+        except MembershipError:
+            yield w, None
+
+
+#: (s, n, word length, seed, word index) of exact parabolics whose defective
+#: class eig splits into an expanding and a contracting value.  The first
+#: was certified loxodromic with candidate fixed points pairing to 1.6e-8 and
+#: mg = 3.3e-7; the second was certified by ``test`` while ``classify`` read
+#: it as parabolic.
+MISREAD_PARABOLICS = [(I, 5, 8, 35249, 62), (I * 2.0, 2, 6, 14188, 33)]
+
+
+@pytest.mark.parametrize("s, n, length, seed, k", MISREAD_PARABOLICS)
+def test_a_split_parabolic_is_not_loxodromic(tmp_path, capsys, s, n, length, seed, k):
+    w, g = list(conjugated_translations(n, s, length, seed))[k]
+    with pytest.raises(ClassificationError, match="candidate fixed points pair to"):
+        jorgensen_test(g, w)
+    assert classify(g).kind is ElementKind.PARABOLIC
+    path = tmp_path / "g.json"
+    path.write_text(jsonio.dumps(g.to_json_dict()))
+    assert main(["classify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "Parabolic"
+
+
+def test_classify_and_the_fixed_points_take_one_loxodromy_decision():
+    checked = 0
+    for length in (6, 8):
+        for _, g in conjugated_translations(2, I * 2.0, length, 7000 * 2 + 31 * length + 2):
+            if g is None:
+                continue
+            try:
+                _fixed_point_data(g)
+                certified = True
+            except ClassificationError:
+                certified = False
+            kind = classify(g).kind
+            assert (kind is ElementKind.LOXODROMIC) == certified
+            assert kind is ElementKind.PARABOLIC
+            checked += 1
+    assert checked >= 159

@@ -127,7 +127,7 @@ def test_tolerances_imports_nothing_from_the_package():
         ("geometry", "POSITION_TOL"),
         ("spectral", "UNIT_MODULUS_TOL"),
         ("spectral", "CLUSTER_TOL"),
-        ("jorgensen", "LOXODROMY_MARGIN"),
+        ("spectral", "LOXODROMY_MARGIN"),
         ("jorgensen", "BOUND_SLACK"),
         ("jorgensen", "BOUND_FLOOR"),
     ],
