@@ -33,19 +33,19 @@ never makes a caller's array read-only and a frozen matrix never shares
 memory with a writable array.
 
 The eigen routines share one decomposition: the adjoint, its Frobenius norm
-and a single ``np.linalg.eig``, with two read-offs made from it at once: the
-pairing of its eigenvalues into right-eigenvalue representatives, and the
-match of each representative to its nearest candidate value, an adjoint
-eigenvalue conjugated into the upper half plane.  A frozen matrix (see
+and a single ``np.linalg.eig``, read off once by one greedy pass
+(``_pair_adjoint_eigenvalues``).  It pairs the eigenvalues into classes,
+records each class's representative, candidate, partner and mismatch, and
+sorts the classes once; every routine returns them in that order, so
+``spectral`` only reads these decisions.  A frozen matrix (see
 :meth:`QMatrix.freeze`; every group element is one) computes them on first
 use and keeps them, read-only, for every later routine; an unfrozen matrix
 recomputes them per call.  ``right_eigenpairs`` takes all 2k adjoint
 eigenvectors of a k x k matrix as quaternionic candidates at once
 (``_eigen_candidates``, which the diagonal frame reads too), checks their
-residuals as one stack and the kept pairing mismatches, and returns the kept
-match.  The matched values alone, with no residual checked, are what
-``spectral._fixed_point_data`` reads loxodromy from.  Only ``classify`` takes
-a second decomposition, the SVD of ``eigenspace_basis``.
+residuals as one stack and the mismatches, and returns each class's
+candidate.  Only ``classify`` takes a second decomposition, the SVD of
+``eigenspace_basis``.
 """
 
 from __future__ import annotations
@@ -368,29 +368,26 @@ class _Spectrum(NamedTuple):
     adj_norm: float
     evals: np.ndarray
     evecs: np.ndarray
-    reps: tuple
-    mismatches: tuple
     values: tuple
-    matched: tuple
+    reps: tuple
+    candidates: tuple
+    partners: tuple
+    mismatches: tuple
 
 
 def _adjoint_spectrum(m: QMatrix) -> _Spectrum:
-    """The complex adjoint of ``m``, its Frobenius norm, its ``eig``, pairing and match.
+    """The complex adjoint of ``m``, its Frobenius norm, its ``eig`` and its classes.
 
-    ``values`` are the adjoint eigenvalues, each conjugated into the upper
-    half plane, and ``matched`` holds, for each representative in turn, the
-    index of its value.  Every eigen routine reads this one decomposition.  A frozen matrix cannot change, so it keeps the result,
-    with read-only arrays, and later calls reuse it; for an unfrozen matrix
-    it is recomputed on each call.
+    The classes are the read-off of :func:`_pair_adjoint_eigenvalues`, and
+    every eigen routine reads this one decomposition.  A frozen matrix cannot
+    change, so it keeps the result, with read-only arrays, and later calls
+    reuse it; for an unfrozen matrix it is recomputed on each call.
     """
     if m._spectrum is not None:
         return m._spectrum
     adj = m.adjoint()
     evals, evecs = np.linalg.eig(adj)
-    reps, mismatches = _pair_adjoint_eigenvalues(evals)
-    values = tuple(complex(lam.real, abs(lam.imag)) for lam in evals.tolist())
-    matched = _nearest_candidates(reps, values)
-    spectrum = _Spectrum(adj, float(np.linalg.norm(adj)), evals, evecs, reps, mismatches, values, matched)
+    spectrum = _Spectrum(adj, float(np.linalg.norm(adj)), evals, evecs, *_pair_adjoint_eigenvalues(evals))
     if not (m.ca.flags.writeable or m.cb.flags.writeable):
         for arr in (adj, evals, evecs):
             arr.flags.writeable = False
@@ -399,52 +396,40 @@ def _adjoint_spectrum(m: QMatrix) -> _Spectrum:
 
 
 def _pair_adjoint_eigenvalues(evals):
-    """Collapse the conjugate-paired adjoint spectrum to class representatives.
+    """Collapse the conjugate-paired adjoint spectrum to its classes.
 
     Greedy nearest matching: repeatedly take the remaining eigenvalue with the
     largest imaginary part and pair it with the closest candidate for its
-    conjugate.  Representatives keep algebraic multiplicity.  Returns the
-    representatives, sorted by (modulus, real part), and the mismatch
-    ``|partner - conj(lam)|`` of each pair in matching order.  No step
-    depends on a tolerance.  The arithmetic is on Python complex numbers;
-    the halving is a complex product, as numpy takes it, so the bits are
-    those of numpy scalars.
+    conjugate; each pair is one class, so multiplicity is kept.  Returns the
+    adjoint eigenvalues, each conjugated into the upper half plane, then per
+    class, sorted once by the representative's (modulus, real part): the
+    representative (the pair mean), the candidate (the pair's index whose
+    value is nearer it, the lower on a tie), the partner and the mismatch
+    ``|partner - conj(lam)|``.  No step depends on a tolerance.  The
+    arithmetic is on Python complex numbers; the halving is a complex
+    product, as numpy takes it, so the bits are those of numpy scalars.
     """
-    order = np.argsort(-evals.imag, kind="stable")
-    pool = evals[order].tolist()
-    reps = []
-    mismatches = []
+    pool = np.argsort(-evals.imag, kind="stable").tolist()
+    evals = evals.tolist()
+    values = tuple(complex(lam.real, abs(lam.imag)) for lam in evals)
+    classes = []
     while pool:
-        lam = pool.pop(0)
-        target = lam.conjugate()
-        dists = [abs(other - target) for other in pool]
+        a = pool.pop(0)
+        target = evals[a].conjugate()
+        dists = [abs(evals[k] - target) for k in pool]
         j = min(range(len(dists)), key=dists.__getitem__)
-        mismatches.append(dists[j])
-        partner = pool.pop(j)
-        rep = (0.5 + 0j) * (lam + partner.conjugate())
-        reps.append(complex(rep.real, abs(rep.imag)))
-    reps.sort(key=lambda lam: (abs(lam), lam.real))
-    return tuple(reps), tuple(mismatches)
-
-
-def _nearest_candidates(reps, values):
-    """For each representative in turn, the index of its nearest remaining value.
-
-    Each similarity class appears twice per multiplicity among the values,
-    so every representative is matched to one candidate of its own.
-    """
-    remaining = list(range(len(values)))
-    picks = []
-    for rep in reps:
-        i = min(remaining, key=lambda k: abs(values[k] - rep))
-        remaining.remove(i)
-        picks.append(i)
-    return tuple(picks)
+        b = pool.pop(j)
+        rep = (0.5 + 0j) * (evals[a] + evals[b].conjugate())
+        rep = complex(rep.real, abs(rep.imag))
+        near, far = sorted(sorted((a, b)), key=lambda k: abs(values[k] - rep))
+        classes.append((rep, near, far, dists[j]))
+    classes.sort(key=lambda c: (abs(c[0]), c[0].real))
+    return (values, *(zip(*classes) if classes else ((),) * 4))
 
 
 def _check_pairing(spectrum: _Spectrum):
-    """Raise at the first pair whose mismatch exceeds ``EIGENPAIR_TOL`` times
-    the adjoint's norm (at least 1)."""
+    """Raise at the first class, in class order, whose mismatch exceeds
+    ``EIGENPAIR_TOL`` times the adjoint's norm (at least 1)."""
     limit = EIGENPAIR_TOL * max(1.0, spectrum.adj_norm)
     for mismatch in spectrum.mismatches:
         if mismatch > limit:
@@ -456,8 +441,8 @@ def right_eigenvalues(m: QMatrix):
 
     The representative is the class member with non-negative imaginary part;
     multiplicities are preserved, so a square matrix of size k yields k
-    values.  Results are sorted by (modulus, real part) for determinism.
-    Raises :class:`NumericError` at the first pair, in matching order, whose
+    values.  Results are in class order, sorted by (modulus, real part) for
+    determinism.  Raises :class:`NumericError` at the first class whose
     mismatch exceeds ``EIGENPAIR_TOL`` times the adjoint's norm (at least 1):
     the exact adjoint spectrum is conjugate-symmetric, so any split is
     eigensolver rounding, which grows with norm and conditioning.
@@ -492,9 +477,10 @@ def _eigen_candidates(m: QMatrix):
 
 
 def right_eigenpairs(m: QMatrix):
-    """Eigenvalue representatives together with quaternionic eigenvectors.
+    """One eigenpair per class, in the class order of :func:`right_eigenvalues`.
 
-    Returns a list of ``(lam, v, residual)`` with ``m @ v`` close to
+    Returns a list of ``(lam, v, residual)``: ``lam`` is the class's
+    candidate value and ``v`` its eigenvector, with ``m @ v`` close to
     ``v * lam`` and residual measured relative to ``|v|``.  Raises
     :class:`NumericError` at the first candidate, in adjoint order, whose
     residual exceeds ``EIGENPAIR_TOL``; the candidates are checked as one
@@ -511,12 +497,8 @@ def right_eigenpairs(m: QMatrix):
     if bad.any():
         raise NumericError("eigenpair residual too large", residual=float(resid[np.argmax(bad)]))
     _check_pairing(spectrum)
-    pairs = []
-    for i in spectrum.matched:
-        vec = QMatrix._owning(vecs.ca[i], vecs.cb[i])
-        pairs.append((values[i], vec, float(resid[i] / scale[i])))
-    pairs.sort(key=lambda p: (abs(p[0]), p[0].real))
-    return pairs
+    return [(values[i], QMatrix._owning(vecs.ca[i], vecs.cb[i]), float(resid[i] / scale[i]))
+            for i in spectrum.candidates]
 
 
 def eigenspace_basis(m: QMatrix, lam):

@@ -17,19 +17,20 @@ plus one expanding/contracting pair (lam_n, lam_n1) with
 both well defined because |lam - 1| depends only on (Re lam, |lam|).
 
 Loxodromy is decided once, by :func:`_fixed_point_data`, for every consumer.
-It reads the moduli of the kept spectrum's matched candidate values (the
-values ``right_eigenpairs`` returns), so an element without one expanding and
-one contracting class is refused before any eigenvector residual is checked.
-Then the eigenvectors u (expanding class) and v (contracting class) become a
-frozen ``(2, n+1, 1)`` stack, and ``<u,u>``, ``<v,v>`` and ``<v,u>`` are
-slices of one stacked pairing product (``crossratio._cross_ratio_parts``).
-``<v,u>`` must clear ``LOXODROMY_MARGIN``, which the two candidates of a
-parabolic class that ``eig`` split do not; the boundary check reads the
-other two.  Every consumer takes the stack and the certified ``<v,u>`` as
-they are.  Only the diagonal frame of the conjugation orbit builds the
-conjugator that makes g diagonal.  Its unit columns come from the same cached
-``eig`` (the SVD of ``eigenspace_basis`` serves ``classify`` alone), and it
-is retracted onto the group before it is admitted.
+It reads the kept spectrum's classes, as ``qmatrix`` decided them and their
+order: the moduli of their candidate values (the values ``right_eigenpairs``
+returns), so an element without one expanding and one contracting class is
+refused before any eigenvector residual is checked.  Then the eigenvectors u
+(expanding class) and v (contracting class) become a frozen ``(2, n+1, 1)``
+stack, and ``<u,u>``, ``<v,v>`` and ``<v,u>`` are slices of one stacked
+pairing product (``crossratio._cross_ratio_parts``).  ``<v,u>`` must clear
+``LOXODROMY_MARGIN``, which the two candidates of a parabolic class that
+``eig`` split do not; the boundary check reads the other two.  Every consumer
+takes the stack and the certified ``<v,u>`` as they are.  Only the diagonal
+frame of the conjugation orbit builds the conjugator that makes g diagonal.
+Its unit columns come from the same cached ``eig``: a cluster of unit classes
+takes its classes' pair members (the SVD of ``eigenspace_basis`` serves
+``classify`` alone), and it is retracted onto the group before it is admitted.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .qmatrix import (
     right_eigenvalues,
 )
 from .quaternion import Quaternion
-from .spn1 import SpElement, form_matrix, is_member, retract
+from .spn1 import SpElement, form_matrix, herm_form, is_member, retract
 from .tolerances import (
     CLUSTER_TOL,
     FORM_POSITIVITY_TOL,
@@ -80,16 +81,15 @@ class Classification:
     fixed_points: LoxodromicData | None = field(default=None, compare=False)
 
 
-def _cluster(reps):
-    """Group sorted complex representatives into clusters of values within
-    ``CLUSTER_TOL`` of their neighbours."""
-    order = sorted(range(len(reps)), key=lambda i: (reps[i].real, reps[i].imag))
+def _cluster(reps, positions):
+    """Group class positions, ordered by representative (real, imag), into
+    clusters whose representatives lie within ``CLUSTER_TOL`` of their neighbours."""
     clusters = []
-    for idx in order:
-        if clusters and abs(reps[idx] - clusters[-1][-1]) <= CLUSTER_TOL:
-            clusters[-1].append(reps[idx])
+    for i in sorted(positions, key=lambda i: (reps[i].real, reps[i].imag)):
+        if clusters and abs(reps[i] - reps[clusters[-1][-1]]) <= CLUSTER_TOL:
+            clusters[-1].append(i)
         else:
-            clusters.append([reps[idx]])
+            clusters.append([i])
     return clusters
 
 
@@ -97,12 +97,12 @@ def classify(g: SpElement) -> Classification:
     """Sort an element into identity / elliptic / parabolic / loxodromic.
 
     Loxodromic is :func:`_fixed_point_data`'s decision; an element it refuses
-    is sorted by its eigenspaces.
+    is sorted by its eigenspaces.  -I acts as I does: the isometry group is Sp(n,1)/{I, -I}.
     """
     eye = QMatrix.identity(g.n + 1)
     reps = right_eigenvalues(g.m)
     moduli = tuple(abs(lam) for lam in reps)
-    if (g.m - eye).norm_max() <= UNIT_MODULUS_TOL:
+    if min((g.m - eye).norm_max(), (g.m + eye).norm_max()) <= UNIT_MODULUS_TOL:
         return Classification(ElementKind.IDENTITY, moduli, 0)
     try:
         return Classification(ElementKind.LOXODROMIC, moduli, 2, _fixed_point_data(g))
@@ -111,8 +111,8 @@ def classify(g: SpElement) -> Classification:
     k_form = form_matrix(g.n).adjoint()
     interior = False
     boundary = 0
-    for cluster in _cluster(reps):
-        lam_hat = sum(cluster) / len(cluster)
+    for cluster in _cluster(reps, range(len(reps))):
+        lam_hat = sum(reps[i] for i in cluster) / len(cluster)
         basis = eigenspace_basis(g.m, lam_hat)
         if basis.shape[1] == 0:
             raise NumericError(f"empty eigenspace for representative {lam_hat}")
@@ -139,12 +139,15 @@ class LoxodromicData:
     ``lifts`` is the frozen ``(2, n+1, 1)`` stack of the certified distinct
     boundary fixed points, the attracting u (an eigenvector of the expanding
     class) over the repelling v (of the contracting class), and ``norms``
-    their norms.  ``conjugator`` is a group element whose inverse conjugates g
-    onto the diagonal form, or None when the numerical construction could
-    not be validated (delta and mg need only the spectrum), and
-    ``vu_pairing`` is ``<v, u>``, the pairing that certifies them distinct.
+    their norms.  ``unit_classes`` are the unit classes' positions in g's kept
+    spectrum, ``unit_eigs`` their candidate values.  ``conjugator`` is a group
+    element whose inverse conjugates g onto the diagonal form, or None when
+    the numerical construction could not be validated (delta and mg need only
+    the spectrum), and ``vu_pairing`` is ``<v, u>``, the pairing that
+    certifies them distinct.
     """
 
+    unit_classes: tuple
     unit_eigs: tuple
     lam_n: complex
     lam_n1: complex
@@ -153,7 +156,7 @@ class LoxodromicData:
     delta: float
     mg: float
     conjugator: SpElement | None
-    vu_pairing: Quaternion | None = None
+    vu_pairing: Quaternion
 
     # The fixed points as ProjectivePoints, built each time they are read.
     attracting = property(lambda self: ProjectivePoint(_lift(self.lifts, 0)))
@@ -173,35 +176,33 @@ def invariants_from_eigs(unit_eigs, lam_n, lam_n1):
     return delta, mg
 
 
-def _unit_block_columns(g: SpElement, unit_reps):
+def _unit_block_columns(g: SpElement, unit_classes):
     """J-orthonormal eigenvector columns spanning the unit-modulus part.
 
-    The candidates are the kept ``eig``'s, checked by :func:`right_eigenpairs`.
+    The candidates of a cluster of ``unit_classes`` (positions in g's kept
+    spectrum) are its classes' two pair members in index order, as ``eig``
+    gave them and :func:`right_eigenpairs` checked them.
     Within one eigenvalue class the form values between eigenvectors are
     complex numbers, so Gram-Schmidt with quaternionic coefficients keeps every
-    accepted column an eigenvector; of a k-fold class's 2k candidates it keeps k.
+    accepted column an eigenvector; of a k-fold cluster's 2k candidates it keeps k.
     """
-    j_mat = form_matrix(g.n)
     spectrum, vecs = _eigen_candidates(g.m)
     accepted = []
-    for cluster in _cluster(unit_reps):
+    for cluster in _cluster(spectrum.reps, unit_classes):
         wanted = len(accepted) + len(cluster)
-        for i, lam in enumerate(spectrum.values):
+        for i in sorted(k for c in cluster for k in (spectrum.candidates[c], spectrum.partners[c])):
             if len(accepted) == wanted:
                 break
-            if min(abs(lam - rep) for rep in cluster) > CLUSTER_TOL:
-                continue
             vec = QMatrix._owning(vecs.ca[i], vecs.cb[i])
             norm_sq = vec.norm_fro() ** 2
             for w in accepted:
-                coef = (w.star() @ (j_mat @ vec))[0, 0]
-                vec = vec - w.scale_right(coef)
-            value = (vec.star() @ (j_mat @ vec))[0, 0].re()
+                vec = vec - w.scale_right(herm_form(vec, w))
+            value = herm_form(vec, vec).re()
             if value <= FORM_POSITIVITY_TOL * norm_sq:
                 continue
             accepted.append(vec.scale_right(1.0 / np.sqrt(value)))
         if len(accepted) != wanted:
-            raise NumericError(f"could not span the unit eigenvalue class at {sum(cluster) / len(cluster)}")
+            raise NumericError(f"could not span the unit eigenvalue class at {spectrum.reps[cluster[0]]}")
     return accepted
 
 
@@ -213,7 +214,7 @@ def _build_conjugator(g: SpElement, data: LoxodromicData):
     ``t = (|v| / |u|)^(1/2)``.
     """
     try:
-        columns = _unit_block_columns(g, data.unit_eigs)
+        columns = _unit_block_columns(g, data.unit_classes)
     except NumericError:
         return None
     u_vec = _lift(data.lifts, 0)
@@ -233,14 +234,13 @@ _FIXED_POINT_PAIRINGS = _pairing_table((0, 1, 0, 1))
 def _fixed_point_data(g: SpElement) -> LoxodromicData:
     """The one loxodromy decision: :func:`loxodromic_data` without the conjugator.
 
-    The expanding/contracting split is read from the kept spectrum's matched
-    values, sorted as :func:`right_eigenpairs` sorts its pairs, so a
+    The expanding/contracting split is read from the moduli of the kept
+    classes' candidate values, in :func:`right_eigenpairs`' order, so a
     non-loxodromic g is refused before any eigenvector residual is checked.
     Then u and v must pair above ``LOXODROMY_MARGIN``, relative to their norms.
     """
     spectrum = _adjoint_spectrum(g.m)
-    values = sorted((spectrum.values[i] for i in spectrum.matched), key=lambda lam: (abs(lam), lam.real))
-    moduli = [abs(lam) for lam in values]
+    moduli = [abs(spectrum.values[i]) for i in spectrum.candidates]
     big = [i for i, m in enumerate(moduli) if m > 1.0 + UNIT_MODULUS_TOL]
     small = [i for i, m in enumerate(moduli) if m < 1.0 - UNIT_MODULUS_TOL]
     if len(big) != 1 or len(small) != 1:
@@ -268,10 +268,11 @@ def _fixed_point_data(g: SpElement) -> LoxodromicData:
     if not (np.abs(pairings.ca[::2, 0, 0].real) <= POSITION_TOL * np.float_power(norms, 2.0)).all():
         raise NumericError("fixed points did not land on the boundary")
     # Every other class is within UNIT_MODULUS_TOL of the unit circle: the split says so.
-    unit_reps = [p[0] for i, p in enumerate(pairs) if i not in (big[0], small[0])]
+    unit_classes = tuple(i for i in range(len(pairs)) if i not in (big[0], small[0]))
+    unit_reps = tuple(pairs[i][0] for i in unit_classes)
     delta, mg = invariants_from_eigs(unit_reps, lam_n, lam_n1)
     vu_pairing = Quaternion.from_complex_pair(pairings.ca[1, 0, 0], pairings.cb[1, 0, 0])
-    return LoxodromicData(tuple(unit_reps), lam_n, lam_n1, lifts, norms, delta, mg, None, vu_pairing)
+    return LoxodromicData(unit_classes, unit_reps, lam_n, lam_n1, lifts, norms, delta, mg, None, vu_pairing)
 
 
 def loxodromic_data(g: SpElement) -> LoxodromicData:

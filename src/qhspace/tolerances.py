@@ -23,8 +23,9 @@ SCALAR_TOL = 1e-10
 #: and each eigenpair has ``|M v - v lam| <= EIGENPAIR_TOL * max(|v|, 1)``.
 EIGENPAIR_TOL = 1e-7
 
-#: Eigenvalue representatives, and frame eigenvector candidates, this close
-#: join one class; also ``classify``'s singular-value cut, relative to the largest.
+#: Eigenvalue representatives this close join one cluster, for ``classify``'s
+#: eigenspaces and the diagonal frame's unit columns; also ``classify``'s
+#: singular-value cut, relative to the largest.
 CLUSTER_TOL = 1e-6
 
 #: The default factor c of :func:`admission`, which admits ``|g* J g - J|`` up
@@ -46,8 +47,8 @@ POSITION_TOL = 1e-9
 PROJECTIVE_TOL = 1e-9
 
 #: An eigenvalue is unit: its modulus is within this of 1.  Also ``classify``'s
-#: cuts for the identity (max-norm distance) and for the sign of the form
-#: restricted to an eigenspace.
+#: cuts for the identity (max-norm distance from I or from -I, which acts as
+#: I does) and for the sign of the form restricted to an eigenspace.
 UNIT_MODULUS_TOL = 1e-7
 
 #: The expanding and contracting moduli are reciprocal: their product is

@@ -594,7 +594,8 @@ def reference_right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):
     """``right_eigenpairs`` with one ``QMatrix`` per adjoint eigenvector.
 
     Residuals are checked at ``tol``; the pairing, by ``right_eigenvalues``,
-    at ``EIGENPAIR_TOL``.
+    at ``EIGENPAIR_TOL``.  Each class takes whichever of its own pair's two
+    candidates lies nearer its representative, the lower index on a tie.
     """
     spectrum = _adjoint_spectrum(m)
     evals, evecs = spectrum.evals, spectrum.evecs
@@ -612,19 +613,17 @@ def reference_right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):
             raise NumericError("eigenpair residual too large", residual=resid)
         candidates.append((rep, vec, resid / scale))
     pairs = []
-    for rep in right_eigenvalues(m):
-        j = int(np.argmin([abs(p[0] - rep) for p in candidates]))
-        pairs.append(candidates.pop(j))
-    pairs.sort(key=lambda p: (abs(p[0]), p[0].real))
+    for rep, a, b in zip(right_eigenvalues(m), spectrum.candidates, spectrum.partners):
+        pairs.append(candidates[min(sorted((a, b)), key=lambda k: abs(candidates[k][0] - rep))])
     return pairs
 
 
-def _reference_conjugator(g: SpElement, unit_reps, u_vec, v_vec):
+def _reference_conjugator(g: SpElement, unit_classes, u_vec, v_vec):
     """The diagonalizing conjugator with v scaled by its own pairing
     ``herm_form(v, u)``, where ``loxodromic_data`` reads the certified
     ``vu_pairing``; None when it is not built or not admitted."""
     try:
-        columns = _unit_block_columns(g, unit_reps)
+        columns = _unit_block_columns(g, unit_classes)
     except NumericError:
         return None
     v_vec = v_vec.scale_right(-herm_form(v_vec, u_vec).inverse())
@@ -661,7 +660,8 @@ def reference_loxodromic_data(g: SpElement) -> LoxodromicData:
             "expanding/contracting moduli are not reciprocal",
             residual=abs(abs(lam_n) * abs(lam_n1) - 1.0),
         )
-    unit_reps = [p[0] for i, p in enumerate(pairs) if i not in (big[0], small[0])]
+    unit_classes = tuple(i for i in range(len(pairs)) if i not in (big[0], small[0]))
+    unit_reps = [pairs[i][0] for i in unit_classes]
     for lam in unit_reps:
         if abs(abs(lam) - 1.0) > UNIT_MODULUS_TOL:
             raise ClassificationError(f"unit block contains modulus {abs(lam)}")
@@ -672,6 +672,7 @@ def reference_loxodromic_data(g: SpElement) -> LoxodromicData:
     delta, mg = invariants_from_eigs(unit_reps, lam_n, lam_n1)
     lifts = QMatrix.stack([attracting.lift, repelling.lift]).freeze()
     return LoxodromicData(
+        unit_classes=unit_classes,
         unit_eigs=tuple(unit_reps),
         lam_n=lam_n,
         lam_n1=lam_n1,
@@ -679,7 +680,8 @@ def reference_loxodromic_data(g: SpElement) -> LoxodromicData:
         norms=np.array([attracting.lift.norm_fro(), repelling.lift.norm_fro()]),
         delta=delta,
         mg=mg,
-        conjugator=_reference_conjugator(g, unit_reps, u_vec, v_vec),
+        conjugator=_reference_conjugator(g, unit_classes, u_vec, v_vec),
+        vu_pairing=_dense_form(v_vec, u_vec),
     )
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -551,7 +553,7 @@ def test_repeated_non_real_unit_classes_get_a_frame(n, q):
         conj = frame.data.conjugator.m
         d_mat = _structure_inverse(conj) @ g.m @ conj
         assert (d_mat - QMatrix.diag([d_mat[i, i] for i in range(n + 1)])).norm_max() <= DIAGONAL_TOL
-        columns = QMatrix.from_blocks([_unit_block_columns(g, frame.data.unit_eigs)])
+        columns = QMatrix.from_blocks([_unit_block_columns(g, frame.data.unit_classes)])
         assert (columns.star() @ j_mat @ columns - QMatrix.identity(n - 1)).norm_max() <= 1e-10
         built += 1
     assert built == 8
@@ -559,28 +561,89 @@ def test_repeated_non_real_unit_classes_get_a_frame(n, q):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_a_candidate_repeating_a_kept_line_is_dropped(monkeypatch, n):
-    # Each eig candidate followed by a copy of its line, v (0.6 + 0.8i): in a
-    # class of multiplicity n - 1 the copy projects to rounding and must fail
-    # the form-positivity cut, whatever order eig lists the candidates in.
+    # Each class's pair becomes its candidate v and a copy of its line,
+    # v (0.6 + 0.8i), next to it in index order: in a class of multiplicity
+    # n - 1 the copy projects to rounding and must fail the form-positivity
+    # cut, whether the frame reads it before or after v.
     original = spectral._eigen_candidates
 
     def doubled(m):
         spectrum, vecs = original(m)
         copies = vecs.scale_right(np.full(len(spectrum.values), 0.6 + 0.8j))
-        ca = np.stack([vecs.ca, copies.ca], axis=1).reshape(-1, m.rows, 1)
-        cb = np.stack([vecs.cb, copies.cb], axis=1).reshape(-1, m.rows, 1)
+        layers = (copies, vecs) if copy_first else (vecs, copies)
+        ca = np.stack([x.ca for x in layers], axis=1).reshape(-1, m.rows, 1)
+        cb = np.stack([x.cb for x in layers], axis=1).reshape(-1, m.rows, 1)
         values = tuple(lam for lam in spectrum.values for _ in range(2))
-        return spectrum._replace(values=values), QMatrix._owning(ca, cb)
+        candidates = tuple(2 * i for i in spectrum.candidates)
+        partners = tuple(i + 1 for i in candidates)
+        return spectrum._replace(values=values, candidates=candidates, partners=partners), QMatrix._owning(ca, cb)
 
     monkeypatch.setattr(spectral, "_eigen_candidates", doubled)
     j_mat = form_matrix(n)
-    for q in (Quaternion(0.0, 0.0, 1.0, 0.0), Quaternion(0.6, 0.8)):
+    for copy_first, q in itertools.product((False, True), (Quaternion(0.0, 0.0, 1.0, 0.0), Quaternion(0.6, 0.8))):
         d = make_loxodromic([q] * (n - 1), Quaternion(1.2, 0.3))
         for c in sample_elements(n, 31, 4, 8):
             g = is_member(c.m @ d.m @ group_inverse(c).m)
-            columns = QMatrix.from_blocks([_unit_block_columns(g, _fixed_point_data(g).unit_eigs)])
+            columns = QMatrix.from_blocks([_unit_block_columns(g, _fixed_point_data(g).unit_classes)])
             assert (columns.star() @ j_mat @ columns - QMatrix.identity(n - 1)).norm_max() <= 1e-10
             assert loxodromic_data(g).conjugator is not None
+
+
+class _RecordedRows:
+    """Rows of an array, recording each index read."""
+
+    def __init__(self, arr, reads):
+        self.arr, self.reads = arr, reads
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return self.arr[i]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_each_class_and_each_unit_cluster_read_their_own_pairs(monkeypatch, n):
+    # Repeated unit classes, where each cluster has several classes: every
+    # class's candidate is the member of its own pair (the pair whose mean is
+    # its representative) nearer that mean, and the frame reads a cluster's
+    # candidates from its classes' two pair members, in index order, and
+    # from nowhere else.
+    reads = []
+    original = spectral._eigen_candidates
+
+    def recorded(m):
+        spectrum, vecs = original(m)
+        return spectrum, QMatrix._owning(_RecordedRows(vecs.ca, reads), _RecordedRows(vecs.cb, []))
+
+    monkeypatch.setattr(spectral, "_eigen_candidates", recorded)
+    j, r = Quaternion(0.0, 0.0, 1.0, 0.0), Quaternion(0.6, 0.8)
+    unit_sets = [[j] * (n - 1), [r] * (n - 1)] + ([[j, j, r, r]] if n == 5 else [])
+    checked = 0
+    for units in unit_sets:
+        d = make_loxodromic(units, Quaternion(1.2, 0.3))
+        for c in sample_elements(n, 31, 4, 8):
+            g = is_member(c.m @ d.m @ group_inverse(c).m)
+            spectrum = _adjoint_spectrum(g.m)
+            evals = spectrum.evals.tolist()
+            assert sorted(spectrum.candidates + spectrum.partners) == list(range(2 * (n + 1)))
+            for rep, a, b in zip(spectrum.reps, spectrum.candidates, spectrum.partners):
+                mean = (0.5 + 0j) * (evals[a] + evals[b].conjugate())
+                assert rep == complex(mean.real, abs(mean.imag))
+                near, far = abs(spectrum.values[a] - rep), abs(spectrum.values[b] - rep)
+                assert near < far or (near == far and a < b)
+            data = _fixed_point_data(g)
+            reads.clear()
+            _unit_block_columns(g, data.unit_classes)
+            clusters = spectral._cluster(spectrum.reps, data.unit_classes)
+            assert sorted(map(len, clusters)) == sorted(Counter(units).values())
+            rest = list(reads)
+            for cluster in clusters:
+                own = sorted(i for c in cluster for i in (spectrum.candidates[c], spectrum.partners[c]))
+                taken = rest[: next((k for k, i in enumerate(rest) if i not in own), len(rest))]
+                assert len(cluster) <= len(taken) and taken == own[: len(taken)]
+                rest = rest[len(taken):]
+            assert rest == []
+            checked += 1
+    assert checked == 4 * len(unit_sets)
 
 
 def conjugated_contracting_pairs(n):
@@ -809,7 +872,7 @@ def test_loxodromy_is_read_from_the_matched_candidate_moduli(n):
     # eig splits a parabolic element's unit class by up to about 1e-5, so the
     # averaged representatives and the candidates right_eigenpairs returns
     # can fall on different sides of the unit-modulus cut: loxodromy is read
-    # from the candidates the kept spectrum matched.
+    # from the classes' candidates, in the order right_eigenpairs returns.
     checked = 0
     for h in stress_and_parabolic_elements(n):
         try:
@@ -817,7 +880,7 @@ def test_loxodromy_is_read_from_the_matched_candidate_moduli(n):
         except NumericError:
             continue
         spectrum = _adjoint_spectrum(h.m)
-        values = sorted((spectrum.values[i] for i in spectrum.matched), key=lambda v: (abs(v), v.real))
+        values = [spectrum.values[i] for i in spectrum.candidates]
         assert values == [p[0] for p in pairs]
         checked += 1
     assert checked >= 40

@@ -87,6 +87,16 @@ def test_classify_identity():
     assert classify(identity_element(2)).kind is ElementKind.IDENTITY
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_classify_reads_minus_identity_as_the_identity(n):
+    # -I acts on quaternionic hyperbolic space as I does: the isometry group
+    # is Sp(n,1)/{I, -I}.
+    g = is_member(-QMatrix.identity(n + 1))
+    cls = classify(g)
+    assert (cls.kind, cls.boundary_classes) == (ElementKind.IDENTITY, 0)
+    assert spectral_report(g)["kind"] == "Identity"
+
+
 def test_classify_boundary_elliptic_swap():
     from helpers import swap_element
 
