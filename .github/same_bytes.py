@@ -9,11 +9,13 @@ writes what must not move: every command digest, the failure list and the
 input digest of each run, and each demo's exit code and stdout.
 
 ``compare`` prints every difference between two collections and exits 1 if
-one is not allowed.  A change that means to move bytes lists the keys it
-moves in the allowed file, one a line: ``workload/command`` (for example
-``pairs/classify``) for a perfbench command's digest and failures,
-``workload/input`` for a workload's input digest, or ``demos/<file>`` for a
-demo's output.
+one is not allowed, or if an allowed key did not move.  A change that means
+to move bytes lists the keys it moves in the allowed file, one a line:
+``workload/command`` (for example ``pairs/classify``) for a perfbench
+command's digest and failures, ``workload/input`` for a workload's input
+digest, or ``demos/<file>`` for a demo's output.  The allowance ends with
+the change that used it: the next change empties the file, since a listed
+key that keeps its bytes fails the compare.
 """
 
 import json
@@ -62,11 +64,14 @@ def compare(parent_path, change_path, allowed_path):
         allowed = {line.strip() for line in fh if line.strip()}
     moved = sorted(key for key in parent.keys() | change.keys() if parent.get(key) != change.get(key))
     refused = [key for key in moved if key not in allowed]
+    stale = sorted(allowed.difference(moved))
     for key in moved:
         print(f"{'allowed' if key in allowed else 'MOVED'}: {key}")
+    for key in stale:
+        print(f"STALE: {key} is listed but did not move")
     print(f"{len(parent)} parent keys, {len(change)} change keys, {len(moved)} moved, "
-          f"{len(refused)} not listed in {allowed_path}")
-    return 1 if refused else 0
+          f"{len(refused)} not listed in {allowed_path}, {len(stale)} listed and unmoved")
+    return 1 if refused or stale else 0
 
 
 if __name__ == "__main__":

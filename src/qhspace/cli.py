@@ -275,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="residual tables over a sampled batch")
     add_common(p, batch=True)
-    p.add_argument("--format", choices=("json",), default="json")
 
     parser.commands = sub.choices
     return parser

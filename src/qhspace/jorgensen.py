@@ -7,8 +7,9 @@ v (repelling), the test evaluates
     mg * (1 + |[h(u), u, v, h(v)]|^(1/2)) < 1.
 
 If either holds, the group generated by g and h is elementary or not
-discrete.  Both are evaluated on g's certified lift stack [u, v] directly
-by :func:`~qhspace.crossratio._brackets`, which ``verify`` calls at qinf and
+discrete.  Both are evaluated on g's frame columns [u, v']
+(``LoxodromicData.null_pair``, defined in ``spectral``) directly by
+:func:`~qhspace.crossratio._brackets`, which ``verify`` calls at qinf and
 q0 for its corner-entry identities.  Their numerators are the corner entries
 of h in the frame where g is diagonal, and whether they vanish (the one zero
 rule) decides whether h fixes or exchanges the fixed points, which routes the
@@ -16,10 +17,11 @@ pair to the verdicts of :func:`elementary_certificate`; its shared-point
 check joins g's lift stack to h's.
 
 The diagonal frame serves only the instrumented orbit ``h_{k+1} = h_k g
-h_k^-1``.  Its loop runs only the recursion, a sum over h's column blocks,
-each scaled by its entries of g's diagonal and multiplied by the matching row
-block of the structure inverse ``J h* J``, until pi underflows or an element
-outgrows the admission rule.  The records are read afterwards from the orbit
+h_k^-1``, and keeps g's diagonal once, as ``_DiagonalFrame.diag``.  Its loop
+runs only the recursion, a sum over h's column blocks, each scaled by its
+entries of g's diagonal and multiplied by the matching row block of the
+structure inverse ``J h* J``, until pi underflows or an element outgrows the
+admission rule.  The records are read afterwards from the orbit
 as one stack: the corner products ``pi_k`` against the geometric contraction
 bound, the block norms, and the recursion cross-checked against direct
 matrix conjugation in one stacked product.  The pullback sequence ``f_k =
@@ -43,7 +45,6 @@ import numpy as np
 from .crossratio import _brackets, _cross_ratio_parts, _joined, _moduli
 from .errors import ClassificationError, MembershipError, NumericError
 from .qmatrix import QMatrix
-from .quaternion import Quaternion
 from .spectral import LoxodromicData, _fixed_point_data, _lift, loxodromic_data
 from .spn1 import (
     SpElement, _first, _require_same_space, _stack_admission, _structure_inverse, is_member, make_loxodromic, retract,
@@ -112,24 +113,21 @@ class TestOutcome:
 
 @dataclass(frozen=True)
 class _DiagonalFrame:
-    """The pair (g, h) conjugated so that g is exactly diagonal."""
+    """The pair (g, h) conjugated so that g is exactly diagonal; ``diag`` is
+    g's diagonal there (the unit classes, then lam_n and lam_n1)."""
 
     g_diag: SpElement
-    unit_diag: tuple
-    lam_n: Quaternion
-    lam_n1: Quaternion
+    diag: tuple
     h_conj: SpElement
-    data: LoxodromicData
+    mg: float
 
 
 def _diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
     _require_same_space(g.n, h.n)
     data = loxodromic_data(g)
-    conj = data.conjugator
-    if conj is None:
-        raise NumericError("could not build a validated diagonalizing conjugator")
-    conj_inv = _structure_inverse(conj.m)
-    d_mat = conj_inv @ g.m @ conj.m
+    conj = data.conjugator.m
+    conj_inv = _structure_inverse(conj)
+    d_mat = conj_inv @ g.m @ conj
     entries = [d_mat[i, i] for i in range(d_mat.rows)]
     off = (d_mat - QMatrix.diag(entries)).norm_max()
     if off > DIAGONAL_TOL:
@@ -139,16 +137,15 @@ def _diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
     unit_diag = tuple(q * (1.0 / q.modulus()) for q in entries[:-2])
     lam_n = entries[-2]
     g_diag = make_loxodromic(unit_diag, lam_n)
-    h_conj = is_member(retract(conj_inv @ h.m @ conj.m))
-    return _DiagonalFrame(g_diag, unit_diag, lam_n, g_diag.a_n1n1, h_conj, data)
+    h_conj = is_member(retract(conj_inv @ h.m @ conj))
+    return _DiagonalFrame(g_diag, (*unit_diag, lam_n, g_diag.a_n1n1), h_conj, data.mg)
 
 
 def _fixed_point_brackets(data: LoxodromicData, h: SpElement):
     """``(cross_abs1, cross_abs2, corner_moduli, flags)`` of the test.
 
-    Evaluates [h(u), v, u, h(v)] and [h(u), u, v, h(v)] together on g's lift
-    stack.  The repelling lift v is scaled by the certified ``<v, u>`` so
-    that ``<v, u> = -1``, as in the diagonalizing conjugator, so the
+    Evaluates [h(u), v, u, h(v)] and [h(u), u, v, h(v)] together on g's frame
+    columns ``data.null_pair``, the diagonalizing conjugator's, so the
     numerators are h's corners in g's diagonal frame.  The denominators,
     ``<v, u>`` and its image ``<h(u), h(v)>``, are nonzero because g's fixed
     points are certified distinct, so no zero rule is put to them.  The
@@ -157,8 +154,7 @@ def _fixed_point_brackets(data: LoxodromicData, h: SpElement):
     corner-entry identities of ``verify`` at qinf and q0.
     """
     _require_same_space(data.lifts.rows - 1, h.n)
-    uv = QMatrix.stack([_lift(data.lifts, 0), _lift(data.lifts, 1).scale_right(-data.vu_pairing.inverse())])
-    moduli, vanishing = _brackets(h.m, uv)
+    moduli, vanishing = _brackets(h.m, data.null_pair)
     cross_abs = moduli[0] * moduli[2] / (moduli[1] * moduli[3])
     # Pairing rows w1z1, w1z2, w2z2, w2z1, one column per bracket: the corners
     # a_n1n = <h(u), u>, a_nn1 = <h(v), v>, a_nn = <h(u), v>, a_n1n1 = <h(v), u>.
@@ -307,11 +303,11 @@ def _block_update(h: SpElement, frame: _DiagonalFrame) -> QMatrix:
     """
     n, every = h.n, slice(None)
     inverse = _structure_inverse(h.m)
-    unit = h.m.submatrix(every, slice(0, n - 1)) @ QMatrix.diag(frame.unit_diag)
+    unit = h.m.submatrix(every, slice(0, n - 1)) @ QMatrix.diag(frame.diag[:-2])
     return (
         unit @ inverse.submatrix(slice(0, n - 1), every)
-        + h.m.submatrix(every, n - 1).scale_right(frame.lam_n) @ inverse.submatrix(n - 1, every)
-        + h.m.submatrix(every, n).scale_right(frame.lam_n1) @ inverse.submatrix(n, every)
+        + h.m.submatrix(every, n - 1).scale_right(frame.diag[-2]) @ inverse.submatrix(n - 1, every)
+        + h.m.submatrix(every, n).scale_right(frame.diag[-1]) @ inverse.submatrix(n, every)
     )
 
 
@@ -374,7 +370,7 @@ def conjugation_orbit(g: SpElement, h: SpElement, steps=DEFAULT_ORBIT_STEPS) -> 
         direct = before @ frame.g_diag.m @ _structure_inverse(before)
         discrepancy += (QMatrix.stack(updates) - direct).norm_max().tolist()
 
-    mg = frame.data.mg
+    mg = frame.mg
     sqrt_pi = [math.sqrt(p) for p in pi.tolist()]
     t1 = mg * (1.0 + sqrt_pi[0])
     t2 = mg * (1.0 + math.sqrt(float(corners[0, 0, 0] * corners[0, 1, 1])))
@@ -452,9 +448,8 @@ def fk_sequence(g: SpElement, h: SpElement, K=8):
         raise NumericError(f"orbit underflowed at step {truncated_at}; reduce K")
     if diverged_at is not None:
         raise NumericError(f"orbit diverged at step {diverged_at}: it outgrew the admission rule")
-    mod_n = frame.lam_n.modulus()
-    diag, ks = (*frame.unit_diag, frame.lam_n, frame.lam_n1), range(K + 1)
-    powers = [QMatrix.stack([QMatrix.diag([q ** (sign * k) for q in diag]) for k in ks]) for sign in (-1, 1)]
+    mod_n, ks = frame.diag[-2].modulus(), range(K + 1)
+    powers = [QMatrix.stack([QMatrix.diag([q ** (sign * k) for q in frame.diag]) for k in ks]) for sign in (-1, 1)]
     f = powers[0] @ _lift(orbit, slice(None, None, 2)) @ powers[1]
     retracted = retract(f)
     residual, admitted, refusal = _stack_admission(retracted)

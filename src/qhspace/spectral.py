@@ -26,11 +26,13 @@ stack, and ``<u,u>``, ``<v,v>`` and ``<v,u>`` are slices of one stacked
 pairing product (``crossratio._cross_ratio_parts``).  ``<v,u>`` must clear
 ``LOXODROMY_MARGIN``, which the two candidates of a parabolic class that
 ``eig`` split do not; the boundary check reads the other two.  Every consumer
-takes the stack and the certified ``<v,u>`` as they are.  Only the diagonal
-frame of the conjugation orbit builds the conjugator that makes g diagonal.
-Its unit columns come from the same cached ``eig``: a cluster of unit classes
-takes its classes' pair members (the SVD of ``eigenspace_basis`` serves
-``classify`` alone), and it is retracted onto the group before it is admitted.
+takes the stack and the certified ``<v,u>`` as they are.  g's diagonal frame
+is defined here once: its null columns are ``LoxodromicData.null_pair``
+[u, v'] with ``<v',u> = -1``, on which the test reads h's corners; only the
+orbit's frame builds the conjugator C that makes g diagonal.  C's unit
+columns come from the same cached ``eig``: a cluster of unit classes takes
+its classes' pair members (the SVD of ``eigenspace_basis`` serves
+``classify`` alone).  C is retracted and admitted, or its typed error raised.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ClassificationError, MembershipError, NumericError
+from .errors import ClassificationError, NumericError
 from .crossratio import _cross_ratio_parts, _pairing_table
 from .geometry import ProjectivePoint
 from .qmatrix import (
@@ -140,11 +142,11 @@ class LoxodromicData:
     boundary fixed points, the attracting u (an eigenvector of the expanding
     class) over the repelling v (of the contracting class), and ``norms``
     their norms.  ``unit_classes`` are the unit classes' positions in g's kept
-    spectrum, ``unit_eigs`` their candidate values.  ``conjugator`` is a group
-    element whose inverse conjugates g onto the diagonal form, or None when
-    the numerical construction could not be validated (delta and mg need only
-    the spectrum), and ``vu_pairing`` is ``<v, u>``, the pairing that
-    certifies them distinct.
+    spectrum, ``unit_eigs`` their candidate values.  ``vu_pairing`` is
+    ``<v, u>``, the pairing that certifies them distinct, and ``null_pair``
+    the frame's null columns.  ``conjugator``, whose inverse conjugates g onto
+    the diagonal form, is always built by :func:`loxodromic_data` (which
+    raises when it cannot be) and left None by :func:`_fixed_point_data`.
     """
 
     unit_classes: tuple
@@ -161,6 +163,11 @@ class LoxodromicData:
     # The fixed points as ProjectivePoints, built each time they are read.
     attracting = property(lambda self: ProjectivePoint(_lift(self.lifts, 0)))
     repelling = property(lambda self: ProjectivePoint(_lift(self.lifts, 1)))
+
+    @property
+    def null_pair(self) -> QMatrix:
+        """The frame's null columns, the stack [u, v'] with v' = -v <v, u>^-1 (so <v', u> = -1)."""
+        return QMatrix.stack([_lift(self.lifts, 0), _lift(self.lifts, 1).scale_right(-self.vu_pairing.inverse())])
 
 
 def _lift(lifts: QMatrix, k) -> QMatrix:
@@ -206,25 +213,17 @@ def _unit_block_columns(g: SpElement, unit_classes):
     return accepted
 
 
-def _build_conjugator(g: SpElement, data: LoxodromicData):
-    """Assemble C in the group with C^-1 g C diagonal, or None on failure.
+def _build_conjugator(g: SpElement, data: LoxodromicData) -> SpElement:
+    """Assemble C in the group with C^-1 g C diagonal, or raise why not.
 
-    The repelling lift v is scaled by the certified ``<v, u>`` so that
-    ``<v, u> = -1``, then the null columns are balanced to (u t, v / t),
-    ``t = (|v| / |u|)^(1/2)``.
+    Its null columns are ``data.null_pair`` [u, v'] balanced to (u t, v' / t),
+    ``t = (|v'| / |u|)^(1/2)``.
     """
-    try:
-        columns = _unit_block_columns(g, data.unit_classes)
-    except NumericError:
-        return None
-    u_vec = _lift(data.lifts, 0)
-    v_vec = _lift(data.lifts, 1).scale_right(-data.vu_pairing.inverse())
+    columns = _unit_block_columns(g, data.unit_classes)
+    null = data.null_pair
+    u_vec, v_vec = _lift(null, 0), _lift(null, 1)
     t = math.sqrt(v_vec.norm_fro() / u_vec.norm_fro())
-    mat = retract(QMatrix.from_blocks([columns + [u_vec.scale_right(t), v_vec.scale_right(1.0 / t)]]))
-    try:
-        return is_member(mat)
-    except MembershipError:
-        return None
+    return is_member(retract(QMatrix.from_blocks([columns + [u_vec.scale_right(t), v_vec.scale_right(1.0 / t)]])))
 
 
 #: u, v, u, v as z1, z2, w1, w2: the pairings <u,u>, <v,u>, <v,v> and <u,v>.
@@ -280,10 +279,11 @@ def loxodromic_data(g: SpElement) -> LoxodromicData:
 
     Raises :class:`ClassificationError` unless the spectrum splits into n-1
     unit-modulus classes plus one expanding and one contracting class whose
-    eigenvectors pair above ``LOXODROMY_MARGIN``, and :class:`NumericError`
-    when eigenvector residuals or boundary fixed points cannot be certified.
-    Only the diagonal frame calls it; other callers read the same data
-    without the conjugator.
+    eigenvectors pair above ``LOXODROMY_MARGIN``, :class:`NumericError` when
+    eigenvector residuals, boundary fixed points or a unit class's columns
+    cannot be certified, and :class:`MembershipError` when the conjugator is
+    not admitted.  Only the diagonal frame calls it; other callers read the
+    same data without the conjugator.
     """
     data = _fixed_point_data(g)
     return replace(data, conjugator=_build_conjugator(g, data))

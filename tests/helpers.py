@@ -273,6 +273,96 @@ def same_bits(x: QMatrix, y: QMatrix) -> bool:
     )
 
 
+# -- exact lattice oracle ----------------------------------------------------
+#
+# Sp(n,1) over the Lipschitz integers (a + bi + cj + dk with a, b, c, d
+# integers) is discrete, since its entries lie in a lattice.  Its words are
+# formed and checked against g* J g = J in Python integers, so any lattice
+# pair the test certifies as non-discrete is a false certificate.  A lattice
+# matrix is a tuple of rows of (w, x, y, z) integer tuples.
+
+
+def horizontal_translation(n):
+    """The Heisenberg translation by a = (1+i) e_1 and s = 1 + j (n >= 2), an
+    exact parabolic with Lipschitz-integer entries."""
+    a = QMatrix.column([Quaternion(1.0, 1.0)] + [Quaternion(0.0)] * (n - 2))
+    return make_normal_form(NormalFormParams(StabilizerKind.STAB_INFINITY, lam=Quaternion(1.0),
+                                             mu=Quaternion(1.0), A=QMatrix.identity(n - 1), a=a,
+                                             s=Quaternion(1.0, 0.0, 1.0, 0.0)))
+
+
+def _int_mul(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def int_matmul(x, y):
+    """The product of two lattice matrices, in integers."""
+    return tuple(
+        tuple(tuple(map(sum, zip(*(_int_mul(row[k], col[k]) for k in range(len(col)))))) for col in zip(*y))
+        for row in x
+    )
+
+
+def int_star(x):
+    """The conjugate transpose of a lattice matrix."""
+    return tuple(tuple((w, -a, -b, -c) for w, a, b, c in col) for col in zip(*x))
+
+
+def lattice_matrix(m: QMatrix):
+    """The entries of a matrix whose components are all integers, as integers."""
+    comp = m.components
+    assert (comp == np.round(comp)).all()
+    return tuple(tuple(tuple(int(v) for v in q) for q in row) for row in comp.tolist())
+
+
+def lattice_generators(n):
+    """Lipschitz-integer generators, then their inverses J g* J: the vertical
+    translations by i, j, k, i + j and 2i, the swap of the null pair and, for
+    n >= 2, the horizontal translation and the rotation e_k -> e_(k+1),
+    e_(n-1) -> e_1 i of the first n - 1 coordinates."""
+    ident, zero = QMatrix.identity(n - 1), QMatrix.zeros(n - 1, 1)
+    gens = [
+        lattice_matrix(make_normal_form(NormalFormParams(StabilizerKind.STAB_INFINITY, lam=Quaternion(1.0),
+                                                         mu=Quaternion(1.0), A=ident, a=zero, s=s)).m)
+        for s in (Quaternion(0.0, 1.0), Quaternion(0.0, 0.0, 1.0), Quaternion(0.0, 0.0, 0.0, 1.0),
+                  Quaternion(0.0, 1.0, 1.0), Quaternion(0.0, 2.0))
+    ]
+    gens.append(lattice_matrix(swap_element(n).m))
+    if n >= 2:
+        gens.append(lattice_matrix(horizontal_translation(n).m))
+        rotation = [[(0, 0, 0, 0)] * (n + 1) for _ in range(n + 1)]
+        for k in range(n - 2):
+            rotation[k + 1][k] = (1, 0, 0, 0)
+        rotation[0][n - 2] = (0, 1, 0, 0)
+        rotation[n - 1][n - 1] = rotation[n][n] = (1, 0, 0, 0)
+        gens.append(tuple(map(tuple, rotation)))
+    form = lattice_matrix(form_matrix(n))
+    return gens + [int_matmul(int_matmul(form, int_star(g)), form) for g in gens]
+
+
+def lattice_words(n, count, rng, bound=200):
+    """Of ``count`` words of length 2 to 6 in :func:`lattice_generators`,
+    drawn by ``rng`` (a ``random.Random``), the products whose entry
+    components are at most ``bound`` in modulus."""
+    gens = lattice_generators(n)
+    words = []
+    for _ in range(count):
+        word = gens[rng.randrange(len(gens))]
+        for _ in range(rng.randint(2, 6) - 1):
+            word = int_matmul(word, gens[rng.randrange(len(gens))])
+        if max(abs(c) for row in word for q in row for c in q) <= bound:
+            words.append(word)
+    return words
+
+
+def lattice_element(word) -> SpElement:
+    """A lattice matrix admitted as a group element; its floats are exact."""
+    return is_member(QMatrix.from_components(np.array(word, dtype=float)))
+
+
 # -- reference sampler ------------------------------------------------------
 #
 # The per-factor sampler that ``spn1.sample_elements`` reproduces bit for bit:
@@ -621,18 +711,11 @@ def reference_right_eigenpairs(m: QMatrix, tol=EIGENPAIR_TOL):
 def _reference_conjugator(g: SpElement, unit_classes, u_vec, v_vec):
     """The diagonalizing conjugator with v scaled by its own pairing
     ``herm_form(v, u)``, where ``loxodromic_data`` reads the certified
-    ``vu_pairing``; None when it is not built or not admitted."""
-    try:
-        columns = _unit_block_columns(g, unit_classes)
-    except NumericError:
-        return None
+    ``vu_pairing``; it raises when it is not built or not admitted."""
+    columns = _unit_block_columns(g, unit_classes)
     v_vec = v_vec.scale_right(-herm_form(v_vec, u_vec).inverse())
     t = math.sqrt(v_vec.norm_fro() / u_vec.norm_fro())
-    mat = retract(QMatrix.from_blocks([columns + [u_vec.scale_right(t), v_vec.scale_right(1.0 / t)]]))
-    try:
-        return is_member(mat)
-    except MembershipError:
-        return None
+    return is_member(retract(QMatrix.from_blocks([columns + [u_vec.scale_right(t), v_vec.scale_right(1.0 / t)]])))
 
 
 def reference_loxodromic_data(g: SpElement) -> LoxodromicData:
@@ -1011,7 +1094,7 @@ def reference_orbit_in_frame(frame: _DiagonalFrame, steps) -> IterationTrace:
     """The conjugation orbit one step at a time: each step writes its record
     from its own element, cross-checks the recursion against ``h g J h* J``
     and retracts and admits the next element."""
-    mg = frame.data.mg
+    mg = frame.mg
     current = frame.h_conj
     pi0 = current.a_nn1.modulus() * current.a_n1n.modulus()
     diag0 = current.a_nn.modulus() * current.a_n1n1.modulus()
@@ -1066,7 +1149,7 @@ def reference_orbit_in_frame(frame: _DiagonalFrame, steps) -> IterationTrace:
             truncated_at = k
             break
         inverse = _structure_inverse(current.m)
-        formula = _reference_block_update(current, inverse, frame.unit_diag, frame.lam_n, frame.lam_n1)
+        formula = _reference_block_update(current, inverse, frame.diag[:-2], *frame.diag[-2:])
         direct = current.m @ frame.g_diag.m @ inverse
         discrepancy = (formula - direct).norm_max()
         try:
@@ -1109,8 +1192,8 @@ def reference_fk_sequence(g: SpElement, h: SpElement, K):
         raise NumericError(f"orbit underflowed at step {trace.truncated_at}; reduce K")
     if trace.diverged_at is not None:
         raise NumericError(f"orbit diverged at step {trace.diverged_at}: it outgrew the admission rule")
-    mod_n = frame.lam_n.modulus()
-    diag = (*frame.unit_diag, frame.lam_n, frame.lam_n1)
+    mod_n = frame.diag[-2].modulus()
+    diag = frame.diag
     top, mid, bot = slice(0, g.n - 1), g.n - 1, g.n
 
     elements, offs, defects, corners = [], [], [], []
@@ -1158,8 +1241,6 @@ def reference_diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
     from ``QMatrix.diag`` directly."""
     data = loxodromic_data(g)
     conj = data.conjugator
-    if conj is None:
-        raise NumericError("could not build a validated diagonalizing conjugator")
     conj_inv = _structure_inverse(conj.m)
     d_mat = conj_inv @ g.m @ conj.m
     entries = [d_mat[i, i] for i in range(d_mat.rows)]
@@ -1171,7 +1252,7 @@ def reference_diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
     lam_n1 = lam_n.conj().inverse()
     g_diag = is_member(QMatrix.diag(list(unit_diag) + [lam_n, lam_n1]))
     h_conj = is_member(retract(conj_inv @ h.m @ conj.m))
-    return _DiagonalFrame(g_diag, unit_diag, lam_n, lam_n1, h_conj, data)
+    return _DiagonalFrame(g_diag, (*unit_diag, lam_n, lam_n1), h_conj, data.mg)
 
 
 # -- reference JSON emitter -------------------------------------------------

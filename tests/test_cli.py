@@ -25,9 +25,11 @@ import qhspace.cli as cli
 import qhspace.jsonio as jsonio
 import qhspace.spectral as spectral
 from qhspace.cli import build_parser, main
+from qhspace.errors import MembershipError, NumericError
 from qhspace.qmatrix import QMatrix
 from qhspace.quaternion import Quaternion
-from qhspace.spn1 import ADMISSION_TOL, StabilizerKind, make_loxodromic, random_element
+from qhspace.spectral import loxodromic_data
+from qhspace.spn1 import ADMISSION_TOL, StabilizerKind, make_loxodromic, random_element, retract
 
 
 def run(argv, capsys):
@@ -125,6 +127,42 @@ def test_divergent_orbit_stops_with_a_typed_result(tmp_path, capsys):
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and "diverged" in lines[0]
+
+
+#: Ways the diagonal frame's conjugator can fail: the patched name in
+#: ``spectral``, its value, the typed error and what its line must say.
+FRAME_FAILURES = {
+    "span": ("FORM_POSITIVITY_TOL", 1e3, NumericError, r"could not span the unit eigenvalue class at \(1"),
+    "admission": ("retract", lambda m: retract(m).scale_right(1.0 + 1e-3), MembershipError,
+                  r"does not preserve the Hermitian form: residual \d\.\d{3}e-0\d exceeds limit"),
+}
+
+
+@pytest.mark.parametrize("failure", FRAME_FAILURES)
+def test_a_frame_that_cannot_be_built_is_one_typed_error_line(tmp_path, capsys, monkeypatch, failure):
+    # The README pair, with the frame's unit column refused by the
+    # form-positivity cut, or its conjugator put off the group by 1e-3.
+    name, value, error, message = FRAME_FAILURES[failure]
+    g = make_loxodromic([Quaternion(1)], Quaternion(1.05))
+    paths = []
+    for file, element in (("g.json", g), ("h.json", random_element(n=2, seed=7, word_length=8))):
+        paths.append(str(tmp_path / file))
+        (tmp_path / file).write_text(jsonio.dumps(element.to_json_dict()))
+    monkeypatch.setattr(spectral, name, value)
+    with pytest.raises(error, match=message) as raised:
+        loxodromic_data(g)
+    for command in ("iterate", "fk"):
+        code, out, err = run([command, *paths], capsys)
+        assert (code, out, err) == (1, "", f"qhspace: error: {raised.value}\n")
+    # The test reads the frame's corners without building it.
+    assert run(["test", *paths], capsys)[0] == 0
+
+
+def test_verify_takes_no_format(capsys):
+    # verify writes JSON only, so it has no --format to choose it.
+    code, out, err = run(["verify", "--format", "json"], capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "qhspace: error: unrecognized arguments: --format json"
 
 
 def test_verify_passes(capsys):

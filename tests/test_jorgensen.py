@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 from collections import Counter
 from functools import partial
 
@@ -10,6 +11,11 @@ import pytest
 from helpers import (
     _reference_certificate,
     count_linalg,
+    int_matmul,
+    int_star,
+    lattice_element,
+    lattice_matrix,
+    lattice_words,
     parabolic_factor,
     preserved_pairs,
     random_unit_quaternion,
@@ -549,11 +555,12 @@ def test_repeated_non_real_unit_classes_get_a_frame(n, q):
     built = 0
     for c in sample_elements(n, 31, 8, 8):
         g = is_member(c.m @ d.m @ group_inverse(c).m)
-        frame = _diagonal_frame(g, g)
-        conj = frame.data.conjugator.m
+        _diagonal_frame(g, g)
+        data = loxodromic_data(g)
+        conj = data.conjugator.m
         d_mat = _structure_inverse(conj) @ g.m @ conj
         assert (d_mat - QMatrix.diag([d_mat[i, i] for i in range(n + 1)])).norm_max() <= DIAGONAL_TOL
-        columns = QMatrix.from_blocks([_unit_block_columns(g, frame.data.unit_classes)])
+        columns = QMatrix.from_blocks([_unit_block_columns(g, data.unit_classes)])
         assert (columns.star() @ j_mat @ columns - QMatrix.identity(n - 1)).norm_max() <= 1e-10
         built += 1
     assert built == 8
@@ -801,9 +808,8 @@ def test_diagonal_frame_matches_reference(n):
         built += 1
         for got, ref in ((frame.g_diag, want.g_diag), (frame.h_conj, want.h_conj)):
             assert same_bits(got.m, ref.m) and got.residual == ref.residual
-        assert quaternion_bits(frame.lam_n1) == quaternion_bits(want.lam_n1)
-        assert quaternion_bits(frame.lam_n) == quaternion_bits(want.lam_n)
-        assert [quaternion_bits(q) for q in frame.unit_diag] == [quaternion_bits(q) for q in want.unit_diag]
+        assert [quaternion_bits(q) for q in frame.diag] == [quaternion_bits(q) for q in want.diag]
+        assert frame.mg == want.mg
     assert built >= 6
 
 
@@ -1007,3 +1013,35 @@ def test_jorgensen_test_bytes_match_the_dense_form_reference(n):
         verdicts.add(want["verdict"])
     assert len(verdicts) >= 3
     assert {Verdict.DEGENERATE_ELEMENTARY.value, Verdict.DEGENERATE_NON_DISCRETE.value, Verdict.INCONCLUSIVE.value} <= verdicts
+
+
+def _certified(g):
+    try:
+        _fixed_point_data(g)
+    except (ClassificationError, NumericError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_no_lattice_pair_is_certified_non_discrete(n):
+    # Sp(n,1) over the Lipschitz integers is discrete, so the condition must
+    # never hold on a pair of its words, and no two of its loxodromics may
+    # share exactly one fixed point.  Some pairs are elementary (powers,
+    # words in one translation), and those read Degenerate_Elementary.
+    form = lattice_matrix(form_matrix(n))
+    words = lattice_words(n, 200, random.Random(n))
+    assert all(int_matmul(int_matmul(int_star(w), form), w) == form for w in words)
+    elements = [lattice_element(w) for w in words]
+    assert all(e.residual == 0.0 for e in elements)
+    loxodromic = [g for g in elements if _certified(g)]
+    assert len(loxodromic) >= 30
+    verdicts, smallest = Counter(), math.inf
+    for g in loxodromic[:40]:
+        for h in elements[:40]:
+            outcome = jorgensen_test(g, h)
+            verdicts[outcome.verdict] += 1
+            root = math.sqrt(min(outcome.cross_abs1, outcome.cross_abs2))
+            smallest = min(smallest, outcome.mg * (1.0 + root))
+    false = {Verdict.CONDITION_HOLDS, Verdict.DEGENERATE_NON_DISCRETE} & verdicts.keys()
+    assert not false, f"false certificates {verdicts}; smallest mg (1 + sqrt p) {smallest}"
