@@ -116,7 +116,6 @@ class _DiagonalFrame:
     """The pair (g, h) conjugated so that g is exactly diagonal; ``diag`` is
     g's diagonal there (the unit classes, then lam_n and lam_n1)."""
 
-    g_diag: SpElement
     diag: tuple
     h_conj: SpElement
     mg: float
@@ -136,9 +135,9 @@ def _diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
     # the contracting entry is recomputed from the expanding one.
     unit_diag = tuple(q * (1.0 / q.modulus()) for q in entries[:-2])
     lam_n = entries[-2]
-    g_diag = make_loxodromic(unit_diag, lam_n)
+    lam_n1 = make_loxodromic(unit_diag, lam_n).a_n1n1
     h_conj = is_member(retract(conj_inv @ h.m @ conj))
-    return _DiagonalFrame(g_diag, (*unit_diag, lam_n, g_diag.a_n1n1), h_conj, data.mg)
+    return _DiagonalFrame((*unit_diag, lam_n, lam_n1), h_conj, data.mg)
 
 
 def _fixed_point_brackets(data: LoxodromicData, h: SpElement):
@@ -367,7 +366,7 @@ def conjugation_orbit(g: SpElement, h: SpElement, steps=DEFAULT_ORBIT_STEPS) -> 
     discrepancy = [None]
     if updates:
         before = _lift(orbit, slice(0, -1))
-        direct = before @ frame.g_diag.m @ _structure_inverse(before)
+        direct = before @ QMatrix.diag(frame.diag) @ _structure_inverse(before)
         discrepancy += (QMatrix.stack(updates) - direct).norm_max().tolist()
 
     mg = frame.mg

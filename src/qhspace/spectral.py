@@ -75,7 +75,12 @@ class ElementKind(Enum):
 
 @dataclass(frozen=True)
 class Classification:
-    """Outcome of :func:`classify`; ``fixed_points`` certifies a loxodromic one."""
+    """Outcome of :func:`classify`; ``fixed_points`` certifies a loxodromic one.
+
+    ``boundary_classes`` counts the classes whose eigenspace meets the closed
+    ball: 0 for the identity, 2 for a loxodromic element and otherwise 1, since
+    eigenvectors of non-similar unit classes are J-orthogonal.
+    """
 
     kind: ElementKind
     eigen_moduli: tuple
@@ -98,8 +103,9 @@ def _cluster(reps, positions):
 def classify(g: SpElement) -> Classification:
     """Sort an element into identity / elliptic / parabolic / loxodromic.
 
-    Loxodromic is :func:`_fixed_point_data`'s decision; an element it refuses
-    is sorted by its eigenspaces.  -I acts as I does: the isometry group is Sp(n,1)/{I, -I}.
+    Loxodromic is :func:`_fixed_point_data`'s decision; an element it refuses is
+    elliptic at the first cluster whose eigenspace holds a negative vector, else
+    parabolic.  -I acts as I does: the isometry group is Sp(n,1)/{I, -I}.
     """
     eye = QMatrix.identity(g.n + 1)
     reps = right_eigenvalues(g.m)
@@ -111,8 +117,6 @@ def classify(g: SpElement) -> Classification:
     except ClassificationError:
         pass
     k_form = form_matrix(g.n).adjoint()
-    interior = False
-    boundary = 0
     for cluster in _cluster(reps, range(len(reps))):
         lam_hat = sum(reps[i] for i in cluster) / len(cluster)
         basis = eigenspace_basis(g.m, lam_hat)
@@ -120,18 +124,9 @@ def classify(g: SpElement) -> Classification:
             raise NumericError(f"empty eigenspace for representative {lam_hat}")
         # The ambient form restricted to the eigenspace, and its least eigenvalue.
         gram = basis.conj().T @ k_form @ basis
-        smallest = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[0]
-        if smallest < -UNIT_MODULUS_TOL:
-            # An indefinite restriction meets the null cone as well.
-            interior = True
-            boundary += 1
-        elif smallest <= UNIT_MODULUS_TOL:
-            boundary += 1
-        # A positive-definite restriction carries no fixed point in the
-        # closed domain.
-    if interior:
-        return Classification(ElementKind.ELLIPTIC, moduli, boundary)
-    return Classification(ElementKind.PARABOLIC, moduli, boundary)
+        if np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[0] < -UNIT_MODULUS_TOL:
+            return Classification(ElementKind.ELLIPTIC, moduli, 1)
+    return Classification(ElementKind.PARABOLIC, moduli, 1)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ PROJECTIVE_TOL = 1e-9
 
 #: An eigenvalue is unit: its modulus is within this of 1.  Also ``classify``'s
 #: cuts for the identity (max-norm distance from I or from -I, which acts as
-#: I does) and for the sign of the form restricted to an eigenspace.
+#: I does) and for a negative form on an eigenspace (least eigenvalue below -this).
 UNIT_MODULUS_TOL = 1e-7
 
 #: The expanding and contracting moduli are reciprocal: their product is

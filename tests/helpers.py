@@ -363,6 +363,38 @@ def lattice_element(word) -> SpElement:
     return is_member(QMatrix.from_components(np.array(word, dtype=float)))
 
 
+def _lattice_scalar(size, c):
+    return tuple(tuple((c if i == j else 0, 0, 0, 0) for j in range(size)) for i in range(size))
+
+
+def lattice_kind(word):
+    """The kind of a lattice matrix, decided in integers, or None.
+
+    The identity is +-I.  An elliptic word has g^m = +-I for some 2 <= m <= 24;
+    a parabolic one has a +-unipotent power, (g^m -+ I)^(n+1) = 0 for some
+    m <= 24.  Any other word (a loxodromic one, or one whose powers do not
+    show it) is undecided."""
+    size = len(word)
+    eyes = [_lattice_scalar(size, 1), _lattice_scalar(size, -1)]
+    if word in eyes:
+        return ElementKind.IDENTITY
+    powers = [word]
+    for _ in range(23):
+        powers.append(int_matmul(powers[-1], word))
+    if any(p in eyes for p in powers[1:]):
+        return ElementKind.ELLIPTIC
+    zero = _lattice_scalar(size, 0)
+    for p in powers:
+        for c in (1, -1):
+            shifted = tuple(tuple((q[0] - c * (i == j), *q[1:]) for j, q in enumerate(row)) for i, row in enumerate(p))
+            nilpotent = shifted
+            for _ in range(size - 1):
+                nilpotent = int_matmul(nilpotent, shifted)
+            if nilpotent == zero:
+                return ElementKind.PARABOLIC
+    return None
+
+
 # -- reference sampler ------------------------------------------------------
 #
 # The per-factor sampler that ``spn1.sample_elements`` reproduces bit for bit:
@@ -1150,7 +1182,7 @@ def reference_orbit_in_frame(frame: _DiagonalFrame, steps) -> IterationTrace:
             break
         inverse = _structure_inverse(current.m)
         formula = _reference_block_update(current, inverse, frame.diag[:-2], *frame.diag[-2:])
-        direct = current.m @ frame.g_diag.m @ inverse
+        direct = current.m @ QMatrix.diag(frame.diag) @ inverse
         discrepancy = (formula - direct).norm_max()
         try:
             current = is_member(retract(formula))
@@ -1237,7 +1269,7 @@ def reference_fk_sequence(g: SpElement, h: SpElement, K):
 
 
 def reference_diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
-    """The diagonal frame with ``lam_n1`` recomputed and ``g_diag`` admitted
+    """The diagonal frame with ``lam_n1`` recomputed and g's diagonal admitted
     from ``QMatrix.diag`` directly."""
     data = loxodromic_data(g)
     conj = data.conjugator
@@ -1250,9 +1282,9 @@ def reference_diagonal_frame(g: SpElement, h: SpElement) -> _DiagonalFrame:
     unit_diag = tuple(q * (1.0 / q.modulus()) for q in entries[:-2])
     lam_n = entries[-2]
     lam_n1 = lam_n.conj().inverse()
-    g_diag = is_member(QMatrix.diag(list(unit_diag) + [lam_n, lam_n1]))
+    is_member(QMatrix.diag(list(unit_diag) + [lam_n, lam_n1]))  # the frame admits g's diagonal too
     h_conj = is_member(retract(conj_inv @ h.m @ conj.m))
-    return _DiagonalFrame(g_diag, (*unit_diag, lam_n, lam_n1), h_conj, data.mg)
+    return _DiagonalFrame((*unit_diag, lam_n, lam_n1), h_conj, data.mg)
 
 
 # -- reference JSON emitter -------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -9,11 +10,15 @@ from helpers import (
     count_linalg,
     diagonal_of,
     horizontal_translation,
+    lattice_element,
+    lattice_kind,
+    lattice_words,
     random_unit_quaternion,
     reference_loxodromic_data,
     reference_spectral_report,
     same_bits,
     shared_fixed_point_pairs,
+    swap_element,
 )
 
 from qhspace import jsonio, spectral
@@ -101,8 +106,6 @@ def test_classify_reads_minus_identity_as_the_identity(n):
 
 
 def test_classify_boundary_elliptic_swap():
-    from helpers import swap_element
-
     cls = classify(swap_element(2))
     assert cls.kind is ElementKind.ELLIPTIC
 
@@ -342,6 +345,21 @@ def test_a_split_parabolic_is_not_loxodromic(tmp_path, capsys, s, n, length, see
     assert json.loads(capsys.readouterr().out)["kind"] == "Parabolic"
 
 
+def test_boundary_classes_follow_the_kind():
+    # Of an elliptic or a parabolic element exactly one eigenvalue class has an
+    # eigenspace that meets the closed ball: eigenvectors of non-similar unit
+    # classes are J-orthogonal, and the J-complement of a negative or a null
+    # vector holds no other null line.  Counted one SVD eigenspace at a time,
+    # the conjugated translations read 2 to 4 classes on 19 of these 80.
+    s, n, length, seed, _ = MISREAD_PARABOLICS[0]
+    swap = swap_element(n)
+    for w, g in conjugated_translations(n, s, length, seed):
+        cls = classify(g)
+        assert (cls.kind, cls.boundary_classes) == (ElementKind.PARABOLIC, 1)
+        cls = classify(compose(compose(w, swap), group_inverse(w)))
+        assert (cls.kind, cls.boundary_classes) == (ElementKind.ELLIPTIC, 1)
+
+
 def test_classify_and_the_fixed_points_take_one_loxodromy_decision():
     checked = 0
     for length in (6, 8):
@@ -381,3 +399,19 @@ def test_no_conjugated_horizontal_translation_is_certified_loxodromic():
                     kinds[NumericError] += 1
     assert sum(kinds.values()) == 720
     assert ElementKind.LOXODROMIC not in kinds and ElementKind.ELLIPTIC not in kinds, kinds
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lattice_words_get_their_kind(n):
+    # The words of test_no_lattice_pair_is_certified_non_discrete, their kind
+    # decided in integers by their powers: +-I, periodic or +-unipotent.  The
+    # undecided ones are the loxodromics.
+    boundary = {ElementKind.IDENTITY: 0, ElementKind.ELLIPTIC: 1, ElementKind.PARABOLIC: 1}
+    kinds = Counter()
+    for word in lattice_words(n, 200, random.Random(n)):
+        if (kind := lattice_kind(word)) is None:
+            continue
+        cls = classify(lattice_element(word))
+        assert (cls.kind, cls.boundary_classes) == (kind, boundary[kind]), word
+        kinds[kind] += 1
+    assert len(kinds) == 3 and sum(kinds.values()) >= 140, kinds
